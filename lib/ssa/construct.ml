@@ -68,19 +68,22 @@ let run ?(pruning = Pruned) ?(fold_copies = true) ?obs (f : Ir.func) =
       fun v l -> Liveness.live_in_mem live l v
   in
   (* Iterated dominance frontier: standard worklist per variable. The
-     pending φs live in a label-indexed array — labels are dense ids. *)
+     pending φs live in a label-indexed array — labels are dense ids.
+     [has_phi.(d) = v] and [in_work.(d) = v] stamp block [d] for variable
+     [v], so two block-indexed arrays serve every variable and the loop
+     costs O(def sites + frontier visits), not O(blocks) per variable. *)
   let phi_at : proto_phi list ref array = Array.init n (fun _ -> ref []) in
   let phis_of l = phi_at.(l) in
   let phis_inserted = ref 0 in
+  let has_phi = Array.make n (-1) in
+  let in_work = Array.make n (-1) in
   for v = 0 to f.nregs - 1 do
     if not (Iset.is_empty def_blocks.(v)) then begin
-      let has_phi = Array.make n false in
-      let in_work = Array.make n false in
       let work = ref [] in
       Iset.iter
         (fun l ->
           if Cfg.reachable cfg l then begin
-            in_work.(l) <- true;
+            in_work.(l) <- v;
             work := l :: !work
           end)
         def_blocks.(v);
@@ -91,13 +94,13 @@ let run ?(pruning = Pruned) ?(fold_copies = true) ?obs (f : Ir.func) =
           work := rest;
           List.iter
             (fun d ->
-              if (not has_phi.(d)) && needs_phi v d then begin
-                has_phi.(d) <- true;
+              if has_phi.(d) <> v && needs_phi v d then begin
+                has_phi.(d) <- v;
                 incr phis_inserted;
                 let r = phis_of d in
                 r := { var = v; ssa_dst = -1; filled = [] } :: !r;
-                if not in_work.(d) then begin
-                  in_work.(d) <- true;
+                if in_work.(d) <> v then begin
+                  in_work.(d) <- v;
                   work := d :: !work
                 end
               end)

@@ -14,51 +14,55 @@ let run (f : Ir.func) : error list =
     let add e = errors := e :: !errors in
     let cfg = Cfg.of_func f in
     let dom = Dominance.compute f cfg in
+    (* Errors name the block they are found in, or the function for a
+       parameter ([l] = -1); the string is formatted only when reported. *)
+    let where l = if l < 0 then f.name else Printf.sprintf "%s/b%d" f.name l in
     (* Locate the unique definition of every register: (block, index) where
        index -1 means φ/parameter (top of block). *)
     let def_site = Array.make f.nregs None in
-    let record where r site =
+    let record at r site =
       match def_site.(r) with
-      | Some _ -> add (err where "register %s has multiple definitions" (Ir.reg_name f r))
+      | Some _ ->
+        add (err (where at) "register %s has multiple definitions" (Ir.reg_name f r))
       | None -> def_site.(r) <- Some site
     in
-    List.iter (fun p -> record f.name p (f.entry, -1)) f.params;
+    List.iter (fun p -> record (-1) p (f.entry, -1)) f.params;
     Array.iter
       (fun (b : Ir.block) ->
         if Cfg.reachable cfg b.label then begin
-          let where = Printf.sprintf "%s/b%d" f.name b.label in
-          List.iter (fun (p : Ir.phi) -> record where p.dst (b.label, -1)) b.phis;
+          List.iter (fun (p : Ir.phi) -> record b.label p.dst (b.label, -1)) b.phis;
           List.iteri
             (fun i instr ->
-              Option.iter (fun d -> record where d (b.label, i)) (Ir.def instr))
+              Option.iter (fun d -> record b.label d (b.label, i)) (Ir.def instr))
             b.body
         end)
       f.blocks;
-    let check_use where r ~use_block ~use_index =
+    let check_use at r ~use_block ~use_index =
       match def_site.(r) with
-      | None -> add (err where "use of %s, which has no definition" (Ir.reg_name f r))
+      | None ->
+        add (err (where at) "use of %s, which has no definition" (Ir.reg_name f r))
       | Some (db, di) ->
         let dominated =
           if db = use_block then di < use_index
           else Dominance.strictly_dominates dom db use_block
         in
         if not dominated then
-          add (err where "use of %s not dominated by its definition in b%d"
+          add (err (where at) "use of %s not dominated by its definition in b%d"
                  (Ir.reg_name f r) db)
     in
     Array.iter
       (fun (b : Ir.block) ->
-        if Cfg.reachable cfg b.label then begin
-          let where = Printf.sprintf "%s/b%d" f.name b.label in
+        let l = b.label in
+        if Cfg.reachable cfg l then begin
           List.iteri
             (fun i instr ->
               List.iter
-                (fun r -> check_use where r ~use_block:b.label ~use_index:i)
+                (fun r -> check_use l r ~use_block:l ~use_index:i)
                 (Ir.uses instr))
             b.body;
           let nbody = List.length b.body in
           List.iter
-            (fun r -> check_use where r ~use_block:b.label ~use_index:nbody)
+            (fun r -> check_use l r ~use_block:l ~use_index:nbody)
             (Ir.term_uses b.term);
           (* A φ argument is a use at the end of the predecessor block. *)
           List.iter
@@ -66,8 +70,7 @@ let run (f : Ir.func) : error list =
               List.iter
                 (fun (pl, op) ->
                   List.iter
-                    (fun r ->
-                      check_use where r ~use_block:pl ~use_index:max_int)
+                    (fun r -> check_use l r ~use_block:pl ~use_index:max_int)
                     (Ir.operand_uses op))
                 p.args)
             b.phis

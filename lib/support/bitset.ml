@@ -31,18 +31,50 @@ let remove t i =
 
 let clear t = Bytes.fill t.bits 0 (Bytes.length t.bits) '\000'
 
+let fill t =
+  let full = t.capacity lsr 3 in
+  Bytes.fill t.bits 0 full '\255';
+  let rem = t.capacity land 7 in
+  if rem <> 0 then Bytes.unsafe_set t.bits full (Char.unsafe_chr ((1 lsl rem) - 1))
+
 let copy t = { t with bits = Bytes.copy t.bits }
 
-let popcount_byte =
-  let tbl = Array.make 256 0 in
-  for i = 1 to 255 do
-    tbl.(i) <- tbl.(i lsr 1) + (i land 1)
-  done;
-  fun c -> tbl.(Char.code c)
+(* Word kernels. The set operations below step through the bytes eight at a
+   time with unchecked native-endian 64-bit loads and stores, then finish the
+   last [length mod 8] bytes one at a time. Every bit at or above [capacity]
+   stays zero (only [add] and [fill] set bits, both within range), so the
+   kernels never need a mask. Byte order only matters where element numbers
+   come out, and [iter] takes those from the bytes themselves. *)
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+
+let byte bits i = Char.code (Bytes.unsafe_get bits i)
+let set_byte bits i c = Bytes.unsafe_set bits i (Char.unsafe_chr c)
+
+(* Byte offset where the tail starts: the prefix is whole 8-byte words. *)
+let word_end bits = Bytes.length bits land lnot 7
+
+let[@inline] popcount64 x =
+  let x = Int64.sub x (Int64.logand (Int64.shift_right_logical x 1) 0x5555555555555555L) in
+  let x =
+    Int64.add (Int64.logand x 0x3333333333333333L)
+      (Int64.logand (Int64.shift_right_logical x 2) 0x3333333333333333L)
+  in
+  let x = Int64.logand (Int64.add x (Int64.shift_right_logical x 4)) 0x0f0f0f0f0f0f0f0fL in
+  Int64.to_int (Int64.shift_right_logical (Int64.mul x 0x0101010101010101L) 56)
 
 let cardinal t =
+  let bits = t.bits in
+  let we = word_end bits in
   let n = ref 0 in
-  Bytes.iter (fun c -> n := !n + popcount_byte c) t.bits;
+  let i = ref 0 in
+  while !i < we do
+    n := !n + popcount64 (get64 bits !i);
+    i := !i + 8
+  done;
+  for b = we to Bytes.length bits - 1 do
+    n := !n + popcount64 (Int64.of_int (byte bits b))
+  done;
   !n
 
 let same_capacity a b =
@@ -54,45 +86,79 @@ let equal a b =
 
 let union_into ~dst src =
   same_capacity dst src;
+  let d = dst.bits and s = src.bits in
+  let we = word_end d in
   let changed = ref false in
-  for b = 0 to Bytes.length dst.bits - 1 do
-    let d = Char.code (Bytes.unsafe_get dst.bits b) in
-    let s = Char.code (Bytes.unsafe_get src.bits b) in
-    let d' = d lor s in
-    if d' <> d then begin
+  let i = ref 0 in
+  while !i < we do
+    let x = get64 d !i in
+    let y = Int64.logor x (get64 s !i) in
+    if y <> x then begin
       changed := true;
-      Bytes.unsafe_set dst.bits b (Char.unsafe_chr d')
+      set64 d !i y
+    end;
+    i := !i + 8
+  done;
+  for b = we to Bytes.length d - 1 do
+    let x = byte d b in
+    let y = x lor byte s b in
+    if y <> x then begin
+      changed := true;
+      set_byte d b y
     end
   done;
   !changed
 
 let diff_into ~dst src =
   same_capacity dst src;
-  for b = 0 to Bytes.length dst.bits - 1 do
-    let d = Char.code (Bytes.unsafe_get dst.bits b) in
-    let s = Char.code (Bytes.unsafe_get src.bits b) in
-    Bytes.unsafe_set dst.bits b (Char.unsafe_chr (d land lnot s land 0xff))
+  let d = dst.bits and s = src.bits in
+  let we = word_end d in
+  let i = ref 0 in
+  while !i < we do
+    set64 d !i (Int64.logand (get64 d !i) (Int64.lognot (get64 s !i)));
+    i := !i + 8
+  done;
+  for b = we to Bytes.length d - 1 do
+    set_byte d b (byte d b land lnot (byte s b) land 0xff)
   done
 
 let inter_into ~dst src =
   same_capacity dst src;
-  for b = 0 to Bytes.length dst.bits - 1 do
-    let d = Char.code (Bytes.unsafe_get dst.bits b) in
-    let s = Char.code (Bytes.unsafe_get src.bits b) in
-    Bytes.unsafe_set dst.bits b (Char.unsafe_chr (d land s))
+  let d = dst.bits and s = src.bits in
+  let we = word_end d in
+  let i = ref 0 in
+  while !i < we do
+    set64 d !i (Int64.logand (get64 d !i) (get64 s !i));
+    i := !i + 8
+  done;
+  for b = we to Bytes.length d - 1 do
+    set_byte d b (byte d b land byte s b)
   done
 
 let blit ~src ~dst =
   same_capacity dst src;
   Bytes.blit src.bits 0 dst.bits 0 (Bytes.length src.bits)
 
+(* Elements of byte [b], whose value is [c], in increasing order. *)
+let iter_byte f b c =
+  if c <> 0 then
+    for k = 0 to 7 do
+      if c land (1 lsl k) <> 0 then f ((b lsl 3) lor k)
+    done
+
 let iter f t =
-  for b = 0 to Bytes.length t.bits - 1 do
-    let c = Char.code (Bytes.unsafe_get t.bits b) in
-    if c <> 0 then
-      for k = 0 to 7 do
-        if c land (1 lsl k) <> 0 then f ((b lsl 3) lor k)
-      done
+  let bits = t.bits in
+  let we = word_end bits in
+  let i = ref 0 in
+  while !i < we do
+    if get64 bits !i <> 0L then
+      for b = !i to !i + 7 do
+        iter_byte f b (byte bits b)
+      done;
+    i := !i + 8
+  done;
+  for b = we to Bytes.length bits - 1 do
+    iter_byte f b (byte bits b)
   done
 
 let fold f t init =
@@ -103,11 +169,20 @@ let fold f t init =
 let elements t = List.rev (fold (fun i acc -> i :: acc) t [])
 
 let is_empty t =
-  let exception Found in
-  try
-    Bytes.iter (fun c -> if c <> '\000' then raise Found) t.bits;
-    true
-  with Found -> false
+  let bits = t.bits in
+  let we = word_end bits in
+  let i = ref 0 in
+  while !i < we && get64 bits !i = 0L do
+    i := !i + 8
+  done;
+  if !i < we then false
+  else begin
+    let b = ref we in
+    while !b < Bytes.length bits && byte bits !b = 0 do
+      incr b
+    done;
+    !b = Bytes.length bits
+  end
 
 let of_list n l =
   let t = create n in

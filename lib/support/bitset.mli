@@ -1,4 +1,7 @@
-(** Fixed-capacity sets of small integers backed by a [Bytes.t] bit vector.
+(** Fixed-capacity sets of small integers backed by a [Bytes.t] bit vector
+    of [⌈capacity/8⌉] bytes. The bulk operations ({!union_into},
+    {!inter_into}, {!diff_into}, {!iter}, {!is_empty}, {!cardinal}) work a
+    64-bit word at a time.
 
     Used for the live-in/live-out sets of the liveness analysis and the
     transient live sets of interference-graph construction. Capacity is fixed
@@ -23,11 +26,15 @@ val remove : t -> int -> unit
 val clear : t -> unit
 (** Empty the set in place, keeping its capacity. *)
 
+val fill : t -> unit
+(** [fill s] makes [s] the full set [0 .. capacity-1] in place: a byte
+    fill, O(capacity/8), rather than one {!add} per element. *)
+
 val copy : t -> t
 (** An independent set with the same contents and capacity. *)
 
 val cardinal : t -> int
-(** Number of elements. O(capacity/8). *)
+(** Number of elements. O(capacity/64) word steps. *)
 
 val equal : t -> t -> bool
 (** Structural equality of contents; capacities must match. *)
@@ -54,7 +61,7 @@ val elements : t -> int list
 (** The elements in increasing order. *)
 
 val is_empty : t -> bool
-(** [true] iff the set has no elements, O(capacity/8). *)
+(** [true] iff the set has no elements, O(capacity/64) word steps. *)
 
 val of_list : int -> int list -> t
 (** [of_list n xs] is the capacity-[n] set of the elements of [xs]. *)

@@ -268,3 +268,43 @@ let assert_equiv ?(args = run_args) name f g =
 let random_program seed size =
   Workloads.Generator.generate_ir
     { Workloads.Generator.default with seed; size }
+
+(* Reference natural loops: for every back edge t → h (h dominates t) a
+   fresh block-length membership array, flood-filled backwards from t and
+   stopped at h; bodies of back edges sharing a header are merged before
+   depths are counted. Returns (depth per block, headers ascending). *)
+let naive_loops cfg dom =
+  let n = Ir.Cfg.num_blocks cfg in
+  let depth = Array.make n 0 in
+  let loop_of t h =
+    let in_loop = Array.make n false in
+    in_loop.(h) <- true;
+    let rec visit b =
+      if not in_loop.(b) then begin
+        in_loop.(b) <- true;
+        List.iter visit (Ir.Cfg.preds_list cfg b)
+      end
+    in
+    visit t;
+    in_loop
+  in
+  let headers = ref [] in
+  for h = 0 to n - 1 do
+    let tails =
+      List.filter
+        (fun t ->
+          Ir.Cfg.reachable cfg t
+          && List.mem h (Ir.Cfg.succs_list cfg t)
+          && Analysis.Dominance.dominates dom h t)
+        (List.init n Fun.id)
+    in
+    if tails <> [] then begin
+      headers := h :: !headers;
+      let body = Array.make n false in
+      List.iter
+        (fun t -> Array.iteri (fun b x -> if x then body.(b) <- true) (loop_of t h))
+        tails;
+      Array.iteri (fun b x -> if x then depth.(b) <- depth.(b) + 1) body
+    end
+  done;
+  (depth, List.rev !headers)

@@ -301,6 +301,32 @@ let prop_loop_depth_sanity =
                   (Analysis.Loops.headers loops))
            (List.init (Ir.num_blocks f) Fun.id))
 
+(* Differential: the stamp-array natural-loop pass against the per-back-edge
+   reference in Helpers, on every kernel, the large routines, the degenerate
+   shapes, and random (possibly irreducible) CFGs. *)
+let loops_agree (f : Ir.func) =
+  let cfg = Ir.Cfg.of_func f in
+  let dom = Analysis.Dominance.compute f cfg in
+  let loops = Analysis.Loops.compute cfg dom in
+  let depth, headers = naive_loops cfg dom in
+  Analysis.Loops.headers loops = headers
+  && Array.for_all Fun.id
+       (Array.mapi (fun l d -> Analysis.Loops.depth loops l = d) depth)
+
+let test_loops_vs_reference () =
+  List.iter
+    (fun (e : Workloads.Suite.entry) ->
+      checkb (e.name ^ ": loops match reference") true (loops_agree e.func))
+    (Workloads.Suite.kernels () @ Workloads.Suite.large ()
+    @ Workloads.Suite.adversarial ())
+
+let prop_loops_vs_reference =
+  QCheck.Test.make ~count:200 ~name:"loops match reference on random CFGs"
+    QCheck.small_nat
+    (fun seed ->
+      let rand = make_rand (seed + 911) in
+      loops_agree (random_cfg rand ~blocks:(2 + (seed mod 14)) ~regs:3))
+
 let test_loops () =
   let f = counting_loop () in
   let cfg = Ir.Cfg.of_func f in
@@ -364,5 +390,8 @@ let suite =
     QCheck_alcotest.to_alcotest prop_dominance_frontier;
     QCheck_alcotest.to_alcotest prop_loop_depth_sanity;
     Alcotest.test_case "natural loops" `Quick test_loops;
+    Alcotest.test_case "loops match reference on suites" `Quick
+      test_loops_vs_reference;
+    QCheck_alcotest.to_alcotest prop_loops_vs_reference;
     Alcotest.test_case "nested loop depth" `Quick test_nested_loops;
   ]

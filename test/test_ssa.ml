@@ -210,6 +210,32 @@ let prop_roundtrip =
         && outcomes_equal (Interp.run ~args:run_args f) (Interp.run ~args:run_args out)
       end)
 
+(* Timing-free guard on φ placement's memory: the words Ssa.Construct.run
+   allocates straight into the major heap (major_words − promoted_words,
+   i.e. blocks too large for the minor heap) on big1200, Suite.large's
+   seed-103, size-1200 routine. Per-variable block-length arrays would cost
+   about 2 × blocks × nregs words here; the bound is an eighth of that. *)
+let test_construct_major_alloc () =
+  let f =
+    (List.find
+       (fun (e : Workloads.Suite.entry) -> e.name = "big1200")
+       (Workloads.Suite.large ()))
+      .func
+  in
+  ignore (Ssa.Construct.run f);
+  let direct_major () =
+    let s = Gc.quick_stat () in
+    s.major_words -. s.promoted_words
+  in
+  let before = direct_major () in
+  ignore (Sys.opaque_identity (Ssa.Construct.run f));
+  let words = direct_major () -. before in
+  let cells = float_of_int (Ir.num_blocks f * f.nregs) in
+  if words >= 0.25 *. cells then
+    Alcotest.failf "construct allocated %.0f words in the major heap = %.2f x \
+                    blocks x nregs (%d x %d); bound 0.25"
+      words (words /. cells) (Ir.num_blocks f) f.nregs
+
 let suite =
   [
     Alcotest.test_case "construct: loop" `Quick test_construct_loop;
@@ -223,6 +249,8 @@ let suite =
     Alcotest.test_case "version naming" `Quick test_version_naming;
     Alcotest.test_case "phi placement at the frontier" `Quick
       test_phi_placement_at_df;
+    Alcotest.test_case "phi placement major-heap words" `Quick
+      test_construct_major_alloc;
     Alcotest.test_case "validator: double definition" `Quick
       test_ssa_validate_catches_double_def;
     Alcotest.test_case "validator: dominance" `Quick

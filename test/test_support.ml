@@ -108,26 +108,75 @@ let test_bitset_bounds () =
   Alcotest.check_raises "negative" (Invalid_argument "Bitset: index out of range")
     (fun () -> ignore (Support.Bitset.mem s (-1)))
 
-(* Property: Bitset agrees with stdlib Set on a random op sequence. *)
+(* Differential: every Bitset operation against Iset, at capacities that put
+   elements in the byte tail, on word boundaries and in the word prefix. *)
+let bitset_capacities = [| 0; 1; 7; 8; 9; 63; 64; 65; 127; 200 |]
+
 let prop_bitset_matches_set =
-  QCheck.Test.make ~count:200 ~name:"bitset matches Set on random ops"
-    QCheck.(list (pair (int_bound 2) (int_bound 63)))
-    (fun ops ->
-      let s = Support.Bitset.create 64 in
-      let m = ref Support.Iset.empty in
-      List.iter
-        (fun (op, x) ->
-          match op with
-          | 0 ->
-            Support.Bitset.add s x;
-            m := Support.Iset.add x !m
-          | 1 ->
-            Support.Bitset.remove s x;
-            m := Support.Iset.remove x !m
-          | _ -> ())
-        ops;
-      Support.Bitset.elements s = Support.Iset.elements !m
-      && Support.Bitset.cardinal s = Support.Iset.cardinal !m)
+  QCheck.Test.make ~count:500 ~name:"bitset matches Set on random ops"
+    QCheck.(
+      triple (int_bound (Array.length bitset_capacities - 1))
+        (list (pair bool (int_bound 255)))
+        (list (pair bool (int_bound 255))))
+    (fun (ci, ops_a, ops_b) ->
+      let module B = Support.Bitset in
+      let module S = Support.Iset in
+      let cap = bitset_capacities.(ci) in
+      let build ops =
+        let s = B.create cap in
+        let m =
+          if cap = 0 then S.empty
+          else
+            List.fold_left
+              (fun m (add, x) ->
+                let x = x mod cap in
+                if add then (B.add s x; S.add x m) else (B.remove s x; S.remove x m))
+              S.empty ops
+        in
+        (s, m)
+      in
+      let a, ma = build ops_a and b, mb = build ops_b in
+      let all = List.init cap Fun.id in
+      let agrees s m =
+        let seen = ref [] in
+        B.iter (fun i -> seen := i :: !seen) s;
+        List.rev !seen = S.elements m
+        && B.elements s = S.elements m
+        && B.cardinal s = S.cardinal m
+        && B.is_empty s = S.is_empty m
+        && List.for_all (fun i -> B.mem s i = S.mem i m) all
+        && B.equal s (B.of_list cap (S.elements m))
+      in
+      let with_copy f =
+        let c = B.copy a in
+        let r = f c in
+        (c, r)
+      in
+      let u, changed = with_copy (fun c -> B.union_into ~dst:c b) in
+      let i, () = with_copy (fun c -> B.inter_into ~dst:c b) in
+      let d, () = with_copy (fun c -> B.diff_into ~dst:c b) in
+      let full = B.copy b in
+      B.fill full;
+      let complement = B.create cap in
+      B.fill complement;
+      B.diff_into ~dst:complement a;
+      let blitted = B.of_list cap (S.elements mb) in
+      B.blit ~src:a ~dst:blitted;
+      let independent = B.copy a in
+      if cap > 0 then B.add independent (cap - 1);
+      agrees a ma && agrees b mb
+      && agrees u (S.union ma mb)
+      && changed = not (S.subset mb ma)
+      && agrees i (S.inter ma mb)
+      && agrees d (S.diff ma mb)
+      && B.equal a b = S.equal ma mb
+      && B.equal a (B.copy a)
+      && agrees full (S.of_list all)
+      && agrees complement (S.diff (S.of_list all) ma)
+      && agrees blitted ma
+      && agrees a ma
+      && B.memory_bytes a = (cap + 7) / 8
+      && B.capacity a = cap)
 
 let test_bit_matrix () =
   let m = Support.Bit_matrix.create 10 in
@@ -199,40 +248,6 @@ let test_vec_recycle () =
   Support.Vec.ensure_capacity v ~dummy:0 5;
   checki "ensure_capacity never shrinks" before (Support.Vec.capacity v)
 
-let test_entity_id () =
-  checkb "none is none" true (Support.Entity.Id.is_none Support.Entity.Id.none);
-  checkb "0 is some" true (Support.Entity.Id.is_some 0);
-  checkb "equal" true (Support.Entity.Id.equal 3 3);
-  checkb "compare orders" true (Support.Entity.Id.compare 1 2 < 0);
-  let str i = Format.asprintf "%a" Support.Entity.Id.pp i in
-  check Alcotest.string "pp some" "4" (str 4);
-  check Alcotest.string "pp none" "-" (str Support.Entity.Id.none)
-
-let test_entity_map () =
-  let m = Support.Entity.Secondary_map.create ~default:0 () in
-  checki "fresh length" 0 (Support.Entity.Secondary_map.length m);
-  checki "default beyond frontier" 0 (Support.Entity.Secondary_map.get m 40);
-  Support.Entity.Secondary_map.set m 5 50;
-  checki "set/get" 50 (Support.Entity.Secondary_map.get m 5);
-  checki "frontier advanced" 6 (Support.Entity.Secondary_map.length m);
-  checki "gap holds default" 0 (Support.Entity.Secondary_map.get m 3);
-  Support.Entity.Secondary_map.update m 5 (fun x -> x + 1);
-  checki "update" 51 (Support.Entity.Secondary_map.get m 5);
-  Support.Entity.Secondary_map.set m 2 20;
-  let seen = ref [] in
-  Support.Entity.Secondary_map.iteri m (fun i x -> seen := (i, x) :: !seen);
-  check
-    Alcotest.(list (pair int int))
-    "iteri covers frontier in id order"
-    [ (0, 0); (1, 0); (2, 20); (3, 0); (4, 0); (5, 51) ]
-    (List.rev !seen);
-  Support.Entity.Secondary_map.clear m;
-  checki "clear resets length" 0 (Support.Entity.Secondary_map.length m);
-  checki "clear resets values" 0 (Support.Entity.Secondary_map.get m 5);
-  Alcotest.check_raises "negative id rejected"
-    (Invalid_argument "Secondary_map.set: negative id") (fun () ->
-      Support.Entity.Secondary_map.set m (-1) 9)
-
 let test_csr () =
   (* 0 -> {1, 2}, 1 -> {2}, 2 -> {}, 3 -> {2, 2} (duplicates kept). *)
   let edges = [ (0, 1); (0, 2); (1, 2); (3, 2); (3, 2) ] in
@@ -300,8 +315,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_bit_matrix;
     Alcotest.test_case "vec" `Quick test_vec;
     Alcotest.test_case "vec recycling" `Quick test_vec_recycle;
-    Alcotest.test_case "entity ids" `Quick test_entity_id;
-    Alcotest.test_case "entity secondary map" `Quick test_entity_map;
     Alcotest.test_case "csr adjacency" `Quick test_csr;
     QCheck_alcotest.to_alcotest prop_csr_matches_model;
   ]
