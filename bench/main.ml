@@ -988,9 +988,9 @@ let corpus_bench () =
    the per-round stats Pipelines.convert carries; the allocation
    columns run the Chaitin/Briggs allocator (k=8) downstream on the
    interpretable kernels. The mode also asserts the paper's two
-   headline identities: Briggs, Briggs* and the fused variant eliminate
-   the same copies on every workload, and Briggs*'s aggregate peak
-   graph memory is an order of magnitude below Briggs'.               *)
+   headline identities: Briggs and Briggs* eliminate the same copies on
+   every workload, and Briggs*'s aggregate peak graph memory is an
+   order of magnitude below Briggs'.                                   *)
 (* ------------------------------------------------------------------ *)
 
 type tables_row = {
@@ -1105,20 +1105,19 @@ let tables () =
       tr_colors_max = !colors;
     }
   in
-  let rows = List.map row_of P.with_fused in
-  (* Decision identity: the three graph coalescers eliminate exactly the
+  let rows = List.map row_of P.all in
+  (* Decision identity: the two graph coalescers eliminate exactly the
      same copies on every workload (Section 4.1's "identical code"). *)
   List.iter
     (fun (e : Workloads.Suite.entry) ->
       let el p = Hashtbl.find eliminated (P.name p, e.name) in
       let b = el P.Briggs and s = el P.Briggs_star in
-      let f = el P.Briggs_star_fused in
-      if b <> s || s <> f then
+      if b <> s then
         failwith
           (Printf.sprintf
              "tables: coalescing decisions diverge on %s (Briggs %d, \
-              Briggs* %d, fused %d)"
-             e.name b s f))
+              Briggs* %d)"
+             e.name b s))
     entries;
   (* Memory: aggregate peak graph bytes, Briggs over Briggs* — the ≥10×
      claim. Per-workload the mapping array can dominate tiny kernels, so

@@ -17,35 +17,30 @@ type t = {
    Blocks are seeded in postorder (successors first, the natural order for
    a backward problem); a block re-enters the worklist only when the
    live-in of one of its successors actually grew. *)
-let compute_renamed_into ~scratch ?obs ~find (f : Ir.func) cfg =
+let compute_into ~scratch ?obs (f : Ir.func) cfg =
   let n = Ir.num_blocks f in
   let nr = f.nregs in
   let bs () = Scratch.acquire_bitset scratch nr in
   let live_in = Array.init n (fun _ -> bs ()) in
   let live_out = Array.init n (fun _ -> bs ()) in
-  (* Upward-exposed uses and kills per block, with every register mapped
-     through [find] — this computes the liveness of the renamed program
-     without materializing it. φ arguments are charged to the predecessor
-     below, not here; φ targets are kills at the block top. *)
+  (* Upward-exposed uses and kills per block. φ arguments are charged to
+     the predecessor below, not here; φ targets are kills at the block
+     top. *)
   let gen = Array.init n (fun _ -> bs ()) in
   let kill = Array.init n (fun _ -> bs ()) in
   Array.iter
     (fun (b : Ir.block) ->
       let l = b.label in
-      List.iter (fun (p : Ir.phi) -> Bitset.add kill.(l) (find p.dst)) b.phis;
+      List.iter (fun (p : Ir.phi) -> Bitset.add kill.(l) p.dst) b.phis;
       List.iter
         (fun i ->
           List.iter
-            (fun r ->
-              let r = find r in
-              if not (Bitset.mem kill.(l) r) then Bitset.add gen.(l) r)
+            (fun r -> if not (Bitset.mem kill.(l) r) then Bitset.add gen.(l) r)
             (Ir.uses i);
-          Option.iter (fun d -> Bitset.add kill.(l) (find d)) (Ir.def i))
+          Option.iter (Bitset.add kill.(l)) (Ir.def i))
         b.body;
       List.iter
-        (fun r ->
-          let r = find r in
-          if not (Bitset.mem kill.(l) r) then Bitset.add gen.(l) r)
+        (fun r -> if not (Bitset.mem kill.(l) r) then Bitset.add gen.(l) r)
         (Ir.term_uses b.term))
     f.blocks;
   (* φ argument registers are uses at the end of the predecessor they flow
@@ -56,9 +51,7 @@ let compute_renamed_into ~scratch ?obs ~find (f : Ir.func) cfg =
         (fun (p : Ir.phi) ->
           List.iter
             (fun (pl, op) ->
-              List.iter
-                (fun r -> Bitset.add live_out.(pl) (find r))
-                (Ir.operand_uses op))
+              List.iter (Bitset.add live_out.(pl)) (Ir.operand_uses op))
             p.args)
         b.phis)
     f.blocks;
@@ -98,13 +91,7 @@ let compute_renamed_into ~scratch ?obs ~find (f : Ir.func) cfg =
   Option.iter (fun o -> Obs.add o Obs.Liveness_worklist_pops !pops) obs;
   { live_in; live_out }
 
-let compute_into ~scratch ?obs f cfg =
-  compute_renamed_into ~scratch ?obs ~find:Fun.id f cfg
-
 let compute ?obs f cfg = compute_into ~scratch:(Scratch.create ()) ?obs f cfg
-
-let compute_renamed ?obs ~find f cfg =
-  compute_renamed_into ~scratch:(Scratch.create ()) ?obs ~find f cfg
 
 let release scratch t =
   Array.iter (Scratch.release_bitset scratch) t.live_in;

@@ -24,27 +24,6 @@ val compute_into :
     analysis is no longer needed. When [obs] is given, the number of worklist
     pops is charged to [Obs.Liveness_worklist_pops]. *)
 
-val compute_renamed :
-  ?obs:Obs.t -> find:(Ir.reg -> Ir.reg) -> Ir.func -> Ir.Cfg.t -> t
-(** Liveness of the program obtained by mapping every register of [f]
-    through [find] (a total function on [0 .. nregs-1], e.g. a union-find
-    representative map), without materializing the renamed program. A def
-    of {e any} register in a class kills the whole class, exactly as it
-    would after rewriting — so the result equals [compute] of the rewritten
-    function. The fused Briggs* coalescer re-solves this each round in
-    place of a whole-function rewrite. Sets are indexed by representative
-    ids (still < [f.nregs]). *)
-
-val compute_renamed_into :
-  scratch:Support.Scratch.t ->
-  ?obs:Obs.t ->
-  find:(Ir.reg -> Ir.reg) ->
-  Ir.func ->
-  Ir.Cfg.t ->
-  t
-(** {!compute_renamed} with every bit vector acquired from [scratch];
-    pair with {!release}. *)
-
 val release : Support.Scratch.t -> t -> unit
 (** Return the result's live-in/live-out vectors to the arena. [t] must not
     be used afterwards. *)

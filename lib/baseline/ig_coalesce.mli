@@ -14,7 +14,9 @@
     + the graph is now stale, so repeat until a pass coalesces nothing.
 
     Both variants produce {e identical} final code; they differ only in the
-    size of the graph built each round — which Table 1 measures. *)
+    size of the graph built each round — which Table 1 measures. This is
+    the one graph coalescer: the [briggs] and [briggs-star] passes both run
+    it. *)
 
 type variant = Briggs | Briggs_star
 
@@ -35,9 +37,3 @@ val run : variant:variant -> Ir.func -> Ir.func * stats
 (** Raises [Invalid_argument] if the function still has φ-nodes. *)
 
 val run_exn : variant:variant -> Ir.func -> Ir.func
-
-val rewrite : Ir.func -> find:(Ir.reg -> Ir.reg) -> Ir.func
-(** Map every register through the live-range map [find] and drop the
-    copies that became the identity — the final materialization step this
-    module and the fused {!Briggs_star} coalescer share, so their outputs
-    are byte-identical whenever their union-finds agree. *)

@@ -32,24 +32,15 @@ let add_edge t a b =
    everything currently live, except that a copy's source is taken out of
    the live set first so the copy itself never creates the edge that would
    forbid coalescing it. *)
-let scan ?(find = Fun.id) (f : Ir.func) cfg live ~member ~record =
-  (* With [find], the walk behaves exactly as it would on the function
-     rewritten through [find]: every register read from the code is mapped
-     first ([live] must then be the renamed liveness, whose sets already
-     hold representative names). *)
+let scan (f : Ir.func) cfg live ~member ~record =
   (* Parameters are parallel definitions at the entry: each interferes with
      whatever is live into the entry and with its sibling parameters. *)
   let entry_in = Liveness.live_in live (Cfg.entry cfg) in
   List.iter
     (fun p ->
-      let p = find p in
       if member p then begin
         Bitset.iter (fun l -> if member l then record p l) entry_in;
-        List.iter
-          (fun q ->
-            let q = find q in
-            if q <> p && member q then record p q)
-          f.params
+        List.iter (fun q -> if q <> p && member q then record p q) f.params
       end)
     f.params;
   Array.iter
@@ -58,20 +49,19 @@ let scan ?(find = Fun.id) (f : Ir.func) cfg live ~member ~record =
         if b.phis <> [] then
           invalid_arg "Igraph: function still contains phi-nodes";
         let set = Bitset.copy (Liveness.live_out live b.label) in
-        List.iter (fun r -> Bitset.add set (find r)) (Ir.term_uses b.term);
+        List.iter (Bitset.add set) (Ir.term_uses b.term);
         List.iter
           (fun instr ->
             (match Ir.def instr with
             | Some d ->
-              let d = find d in
               (match instr with
-              | Ir.Copy { src = Ir.Reg s; _ } -> Bitset.remove set (find s)
+              | Ir.Copy { src = Ir.Reg s; _ } -> Bitset.remove set s
               | _ -> ());
               if member d then
                 Bitset.iter (fun l -> if member l then record d l) set;
               Bitset.remove set d
             | None -> ());
-            List.iter (fun r -> Bitset.add set (find r)) (Ir.uses instr))
+            List.iter (Bitset.add set) (Ir.uses instr))
           (List.rev b.body)
       end)
     f.blocks
@@ -89,7 +79,7 @@ let build_full (f : Ir.func) cfg live =
   scan f cfg live ~member:(fun _ -> true) ~record:(fun a b -> add_edge t a b);
   t
 
-let build_restricted_gen ?find (f : Ir.func) cfg live ~members =
+let build_restricted (f : Ir.func) cfg live ~members =
   let map = Array.make f.nregs (-1) in
   let n = ref 0 in
   List.iter
@@ -110,16 +100,10 @@ let build_restricted_gen ?find (f : Ir.func) cfg live ~members =
       mapping_bytes = 4 * f.nregs;
     }
   in
-  scan ?find f cfg live
+  scan f cfg live
     ~member:(fun r -> map.(r) >= 0)
     ~record:(fun a b -> add_edge t a b);
   t
-
-let build_restricted f cfg live ~members =
-  build_restricted_gen f cfg live ~members
-
-let build_restricted_renamed f cfg live ~find ~members =
-  build_restricted_gen ~find f cfg live ~members
 
 let interferes t a b = a <> b && Bit_matrix.get t.matrix (idx t a) (idx t b)
 

@@ -23,21 +23,6 @@ val build_restricted :
 (** Graph restricted to [members]; edges between non-members are not
     recorded. *)
 
-val build_restricted_renamed :
-  Ir.func ->
-  Ir.Cfg.t ->
-  Analysis.Liveness.t ->
-  find:(Ir.reg -> Ir.reg) ->
-  members:Ir.reg list ->
-  t
-(** {!build_restricted} of the program obtained by mapping every register
-    of [f] through [find], without materializing that program: [live] must
-    be the renamed liveness ({!Analysis.Liveness.compute_renamed} with the
-    same [find]) and [members] must already be representative names. Builds
-    the exact graph [build_restricted] would build on the rewritten
-    function — the engine of the fused Briggs* coalescer, which skips the
-    per-round whole-function rewrite. *)
-
 val interferes : t -> Ir.reg -> Ir.reg -> bool
 (** For the restricted build both registers must be members. *)
 

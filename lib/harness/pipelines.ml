@@ -4,11 +4,9 @@ let name = function
   | Standard -> "Standard"
   | New -> "New"
   | Briggs -> "Briggs"
-  | Briggs_star -> "Briggs*"
-  | Briggs_star_fused -> "Briggs*-fused"
+  | Briggs_star | Briggs_star_fused -> "Briggs*"
 
 let all = [ Standard; New; Briggs; Briggs_star ]
-let with_fused = all @ [ Briggs_star_fused ]
 
 type result = {
   func : Ir.func;
@@ -63,8 +61,7 @@ let convert ?scratch pipeline (f : Ir.func) =
     let out, (stats : Baseline.Ig_coalesce.stats) =
       match pipeline with
       | Briggs -> Baseline.Ig_coalesce.run ~variant:Briggs inst
-      | Briggs_star -> Baseline.Ig_coalesce.run ~variant:Briggs_star inst
-      | _ -> Baseline.Briggs_star.run inst
+      | _ -> Baseline.Ig_coalesce.run ~variant:Briggs_star inst
     in
     let peak = List.fold_left max 0 in
     {
@@ -78,11 +75,6 @@ let convert ?scratch pipeline (f : Ir.func) =
       ig_peak_nodes = peak stats.graph_nodes_per_round;
       ig_peak_edges = peak stats.graph_edges_per_round;
     }
-
-let convert_batch ?jobs pipeline funcs =
-  Engine.map ?jobs
-    (fun f -> convert ~scratch:(Support.Scratch.domain ()) pipeline f)
-    funcs
 
 let convert_batch_in pool pipeline funcs =
   Array.to_list
@@ -101,8 +93,7 @@ let spec_of = function
   | Standard -> "construct:pruned,standard"
   | New -> "construct:pruned,coalesce"
   | Briggs -> "construct:pruned,briggs"
-  | Briggs_star -> "construct:pruned,briggs-star"
-  | Briggs_star_fused -> "construct:pruned,briggs-star:fused"
+  | Briggs_star | Briggs_star_fused -> "construct:pruned,briggs-star"
 
 let compile_spec ?check spec f =
   match Pass.Spec.parse spec with

@@ -4,28 +4,28 @@
     - {b Standard}: pruned SSA with copy folding → naive φ-instantiation.
     - {b New}: pruned SSA with copy folding → the paper's coalescer.
     - {b Briggs} / {b Briggs_star}: Standard instantiation followed by the
-      interference-graph build/coalesce loop (full graph vs copy-restricted
-      graph; identical output).
-
-    A fifth conversion, {b Briggs_star_fused}, is the engineering variant
-    of Briggs* ({!Baseline.Briggs_star}): byte-identical decisions with the
-    per-round whole-function rewrite fused away. It is not one of the
-    paper's four ({!all}) but rides along in the bench tables
-    ({!with_fused}).
+      interference-graph build/coalesce loop {!Baseline.Ig_coalesce} (full
+      graph vs copy-restricted graph; identical output).
 
     Each conversion reports the modeled peak bytes of its distinguishing
     data structures, which is what Tables 1 and 3 compare. *)
 
-type pipeline = Standard | New | Briggs | Briggs_star | Briggs_star_fused
+type pipeline =
+  | Standard
+  | New
+  | Briggs
+  | Briggs_star
+  | Briggs_star_fused
+      (** Deprecated alias of {!Briggs_star}: every function here treats it
+          exactly as {!Briggs_star} (same name, spec and conversion). It
+          remains only because [bench/e2e/layers.ml] matches on it, and
+          goes with the next change to that benchmark. Not in {!all}. *)
 
 val name : pipeline -> string
 (** Display name, as used in table headers ("Standard", "Briggs*", ...). *)
 
 val all : pipeline list
 (** The paper's four conversions, in the order the tables list them. *)
-
-val with_fused : pipeline list
-(** {!all} plus {!Briggs_star_fused} — the bench tables' row order. *)
 
 type result = {
   func : Ir.func;  (** φ-free, validated *)
@@ -43,14 +43,10 @@ val convert : ?scratch:Support.Scratch.t -> pipeline -> Ir.func -> result
 (** Run the whole conversion (SSA construction included). [scratch] lets
     the New pipeline reuse analysis buffers across calls on one domain. *)
 
-val convert_batch : ?jobs:int -> pipeline -> Ir.func list -> result list
-(** Convert a batch of functions in parallel across [jobs] domains via
-    {!Engine}; results are in input order and identical to sequential
-    {!convert}. *)
-
 val convert_batch_in : Engine.Pool.t -> pipeline -> Ir.func list -> result list
-(** Same on an existing pool (the throughput benchmark reuses one pool
-    across many timed batches). *)
+(** Convert a batch of functions in parallel on an existing {!Engine.Pool}
+    (the throughput benchmark reuses one pool across many timed batches);
+    results are in input order and identical to sequential {!convert}. *)
 
 val dynamic_copies : result -> args:Ir.value list -> int
 (** Execute under the interpreter and count copies — the Table 4 metric. *)

@@ -176,31 +176,6 @@ let graph variant =
     ignore_arrays = [];
   }
 
-let graph_fused =
-  {
-    name = "briggs-star";
-    stage = "briggs*-fused";
-    span = "convert";
-    key = "briggs-star:fused";
-    shape = Conversion;
-    run =
-      (fun ctx f ->
-        let split = fst (Ir.Edge_split.run_cfg ?obs:ctx.obs f) in
-        let inst = Ssa.Destruct_naive.run_exn ?obs:ctx.obs split in
-        let g, s = Baseline.Briggs_star.run inst in
-        Option.iter
-          (fun o ->
-            Obs.add o Obs.Igraph_rounds s.rounds;
-            Obs.add o Obs.Igraph_coalesced s.coalesced;
-            Obs.add o Obs.Copies_eliminated s.coalesced)
-          ctx.obs;
-        ( g,
-          Printf.sprintf "%d rounds, %d coalesced, %d copies remain (fused)"
-            s.rounds s.coalesced s.copies_remaining ));
-    check_audit = None;
-    ignore_arrays = [];
-  }
-
 let regalloc ~registers =
   {
     name = "regalloc";
@@ -488,17 +463,10 @@ let () =
       {
         name = "briggs-star";
         doc = "naive instantiation + copy-restricted-graph coalescing";
-        arg = Some "fused";
+        arg = None;
         build =
-          (function
-          | None -> Ok (graph Baseline.Ig_coalesce.Briggs_star)
-          | Some "fused" -> Ok graph_fused
-          | Some a ->
-            Error
-              (Printf.sprintf
-                 "briggs-star: bad argument '%s' (the only argument is \
-                  ':fused', the rewrite-free engineering variant)"
-                 a));
+          no_arg "briggs-star" (fun () ->
+              graph Baseline.Ig_coalesce.Briggs_star);
       };
       {
         name = "sreedhar-i";

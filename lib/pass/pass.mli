@@ -105,14 +105,9 @@ val sreedhar_i : t
 
 val graph : Baseline.Ig_coalesce.variant -> t
 (** Spec names [briggs] and [briggs-star]: naive instantiation followed by
-    the rewrite-per-round {!Baseline.Ig_coalesce} loop. *)
-
-val graph_fused : t
-(** Spec form [briggs-star:fused]: the same pipeline position and the same
-    coalescing decisions as [briggs-star], but through
-    {!Baseline.Briggs_star} — the engineering variant that keeps one CFG
-    and re-solves liveness over union-find representatives instead of
-    materializing a rewrite every round. Stage label ["briggs*-fused"]. *)
+    {!Baseline.Ig_coalesce}'s rewrite-per-round build/coalesce loop, over
+    the full or the copy-restricted graph. This is the one graph coalescer;
+    neither spec name takes an argument. *)
 
 val regalloc : registers:int -> t
 (** Chaitin/Briggs allocation to [registers] colors; spec form

@@ -34,7 +34,7 @@
    except server.lock → conn.lock on registration):
      server.lock   — session table, stopping flag
      conn.lock     — FIFO, inflight count, ticket resolution
-     queue lock    — internal to Bqueue
+     queue lock    — internal to Support.Bqueue
      cache shards  — internal to Cache; compilation never holds any of
                      the above. *)
 
@@ -84,7 +84,7 @@ type t = {
   listen_fd : Unix.file_descr;
   bound : Unix.sockaddr;
   pool : Engine.Pool.t;
-  queue : (conn * ticket) Bqueue.t;
+  queue : (conn * ticket) Support.Bqueue.t;
   lock : Mutex.t;
   sessions : (int, session) Hashtbl.t;
   mutable next_id : int;
@@ -119,7 +119,7 @@ let counters (t : t) : counters =
     served = Obs.Contention.count t.served;
     shed = Obs.Contention.count t.shed;
     live_conns = locked t (fun () -> Hashtbl.length t.sessions);
-    queued = Bqueue.length t.queue;
+    queued = Support.Bqueue.length t.queue;
   }
 
 let cache_stats (t : t) =
@@ -186,7 +186,7 @@ let worker_loop (t : t) _slot =
   let compile = server_compile t in
   let stats () = stats_body t in
   let rec loop () =
-    match Bqueue.pop t.queue with
+    match Support.Bqueue.pop t.queue with
     | None -> ()
     | Some (conn, ticket) ->
       let reply =
@@ -231,7 +231,9 @@ let admit (t : t) (conn : conn) tag line =
   if under_limit then conn.inflight <- conn.inflight + 1;
   Condition.broadcast conn.cond;
   Mutex.unlock conn.lock;
-  let admitted = under_limit && Bqueue.try_push t.queue (conn, ticket) in
+  let admitted =
+    under_limit && Support.Bqueue.try_push t.queue (conn, ticket)
+  in
   if not admitted then begin
     Mutex.lock conn.lock;
     if under_limit then conn.inflight <- conn.inflight - 1;
@@ -378,7 +380,7 @@ let start ?(config = default_config) listen =
       listen_fd;
       bound = Unix.getsockname listen_fd;
       pool = Engine.Pool.create ~jobs:(max 1 config.jobs) ();
-      queue = Bqueue.create ~capacity:config.queue_capacity;
+      queue = Support.Bqueue.create ~capacity:config.queue_capacity;
       lock = Mutex.create ();
       sessions = Hashtbl.create 64;
       next_id = 0;
@@ -443,7 +445,7 @@ let stop (t : t) =
     drain ();
     (* 3. No producers left: close the queue, the worker loops return,
        the engine pool shuts its domains down. *)
-    Bqueue.close t.queue;
+    Support.Bqueue.close t.queue;
     Option.iter Thread.join t.pool_thread;
     Engine.Pool.shutdown t.pool;
     (try Unix.close t.wake_r with Unix.Unix_error _ -> ());

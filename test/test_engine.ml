@@ -368,7 +368,10 @@ let test_harness_convert_batch () =
       (Workloads.Suite.kernels ())
   in
   let expected = List.map (Harness.Pipelines.convert Harness.Pipelines.New) funcs in
-  let got = Harness.Pipelines.convert_batch ~jobs:3 Harness.Pipelines.New funcs in
+  let got =
+    Engine.Pool.with_pool ~jobs:3 (fun pool ->
+        Harness.Pipelines.convert_batch_in pool Harness.Pipelines.New funcs)
+  in
   List.iter2
     (fun (a : Harness.Pipelines.result) (b : Harness.Pipelines.result) ->
       checki "static copies agree" a.static_copies b.static_copies;

@@ -30,14 +30,14 @@ let test_table_rendering () =
   checkb "right-aligned numbers" true (contains s "x      1")
 
 let test_pipelines_consistent () =
-  (* The four pipelines (plus the fused Briggs* variant) on one kernel:
+  (* The four pipelines on one kernel:
      φ-free outputs, equivalent semantics, and Briggs graphs at least as
      big as Briggs*. *)
   let e = Workloads.Suite.find_exn "deseco" in
   let results =
     List.map
       (fun p -> (p, Harness.Pipelines.convert p e.func))
-      Harness.Pipelines.with_fused
+      Harness.Pipelines.all
   in
   let reference = Interp.run ~args:e.args e.func in
   List.iter
@@ -53,13 +53,8 @@ let test_pipelines_consistent () =
   let find p = List.assoc p results in
   let briggs = find Harness.Pipelines.Briggs in
   let star = find Harness.Pipelines.Briggs_star in
-  let fused = find Harness.Pipelines.Briggs_star_fused in
   checki "identical copy counts" briggs.static_copies star.static_copies;
-  checki "fused identical copy counts" star.static_copies fused.static_copies;
   checkb "graph rounds recorded" true (briggs.ig_rounds >= 1 && star.ig_rounds >= 1);
-  checki "fused same rounds as Briggs*" star.ig_rounds fused.ig_rounds;
-  checki "fused same peak nodes" star.ig_peak_nodes fused.ig_peak_nodes;
-  checki "fused same peak edges" star.ig_peak_edges fused.ig_peak_edges;
   checkb "restricted graph no bigger than full" true
     (star.ig_peak_nodes <= briggs.ig_peak_nodes
     && star.ig_peak_edges <= briggs.ig_peak_edges)
@@ -83,7 +78,7 @@ let test_allocated_pipelines_equiv () =
             (Array.for_all
                (fun (b : Ir.block) -> b.Ir.phis = [])
                r.output.Ir.blocks))
-        Harness.Pipelines.with_fused)
+        Harness.Pipelines.all)
     [ "deseco"; "tomcatv"; "rkf45" ]
 
 let test_dynamic_copies_helper () =

@@ -67,8 +67,11 @@ let test_spec_errors () =
     (contains (parse_err "construct,coalesce,regalloc") "register count");
   checkb "bad construct arg" true
     (contains (parse_err "construct:prunes,coalesce") "bad argument");
-  checkb "arg on argless pass" true
-    (contains (parse_err "construct,dce:hard,coalesce") "takes no argument");
+  List.iter
+    (fun spec ->
+      checkb ("arg on argless pass: " ^ spec) true
+        (contains (parse_err spec) "takes no argument"))
+    [ "construct,dce:hard,coalesce"; "construct:pruned,briggs-star:fused" ];
   checkb "empty spec" true (contains (parse_err "  ,  ") "empty")
 
 (* The config shim and the explicit pipeline are the same door: identical

@@ -16,29 +16,29 @@ let checks = Alcotest.(check string)
 (* ------------------------------------------------------------------ *)
 
 let test_bqueue_fifo () =
-  let q = Serve.Bqueue.create ~capacity:3 in
-  checki "capacity" 3 (Serve.Bqueue.capacity q);
-  checkb "push 1" true (Serve.Bqueue.try_push q 1);
-  checkb "push 2" true (Serve.Bqueue.try_push q 2);
-  checkb "push 3" true (Serve.Bqueue.try_push q 3);
-  checkb "full refuses" false (Serve.Bqueue.try_push q 4);
-  checki "length" 3 (Serve.Bqueue.length q);
-  checkb "fifo 1" true (Serve.Bqueue.pop q = Some 1);
-  checkb "fifo 2" true (Serve.Bqueue.pop q = Some 2);
-  checkb "room again" true (Serve.Bqueue.try_push q 5);
-  checkb "fifo 3" true (Serve.Bqueue.pop q = Some 3);
-  checkb "fifo 5" true (Serve.Bqueue.pop q = Some 5)
+  let q = Support.Bqueue.create ~capacity:3 in
+  checki "capacity" 3 (Support.Bqueue.capacity q);
+  checkb "push 1" true (Support.Bqueue.try_push q 1);
+  checkb "push 2" true (Support.Bqueue.try_push q 2);
+  checkb "push 3" true (Support.Bqueue.try_push q 3);
+  checkb "full refuses" false (Support.Bqueue.try_push q 4);
+  checki "length" 3 (Support.Bqueue.length q);
+  checkb "fifo 1" true (Support.Bqueue.pop q = Some 1);
+  checkb "fifo 2" true (Support.Bqueue.pop q = Some 2);
+  checkb "room again" true (Support.Bqueue.try_push q 5);
+  checkb "fifo 3" true (Support.Bqueue.pop q = Some 3);
+  checkb "fifo 5" true (Support.Bqueue.pop q = Some 5)
 
 let test_bqueue_close () =
-  let q = Serve.Bqueue.create ~capacity:2 in
-  checkb "push" true (Serve.Bqueue.try_push q 1);
+  let q = Support.Bqueue.create ~capacity:2 in
+  checkb "push" true (Support.Bqueue.try_push q 1);
   (* A consumer blocked before close must wake and drain. *)
   let got = ref [] and lock = Mutex.create () in
   let consumer =
     Thread.create
       (fun () ->
         let rec go () =
-          match Serve.Bqueue.pop q with
+          match Support.Bqueue.pop q with
           | Some x ->
             Mutex.lock lock;
             got := x :: !got;
@@ -50,18 +50,18 @@ let test_bqueue_close () =
       ()
   in
   Thread.delay 0.02;
-  Serve.Bqueue.close q;
+  Support.Bqueue.close q;
   Thread.join consumer;
-  checkb "closed" true (Serve.Bqueue.is_closed q);
+  checkb "closed" true (Support.Bqueue.is_closed q);
   checkb "drained before None" true (!got = [ 1 ]);
-  checkb "push after close refused" false (Serve.Bqueue.try_push q 2);
-  checkb "pop after close is None" true (Serve.Bqueue.pop q = None);
-  checkb "close is idempotent" true (Serve.Bqueue.close q = ())
+  checkb "push after close refused" false (Support.Bqueue.try_push q 2);
+  checkb "pop after close is None" true (Support.Bqueue.pop q = None);
+  checkb "close is idempotent" true (Support.Bqueue.close q = ())
 
 let test_bqueue_bad_capacity () =
   Alcotest.check_raises "capacity 0"
     (Invalid_argument "Bqueue.create: capacity must be >= 1") (fun () ->
-      ignore (Serve.Bqueue.create ~capacity:0))
+      ignore (Support.Bqueue.create ~capacity:0))
 
 (* ------------------------------------------------------------------ *)
 (* Cache.compute_through: read-through with in-flight dedup            *)
