@@ -9,6 +9,7 @@ open Cmdliner
    are printed as diagnostics on stderr, never as raw exception backtraces. *)
 let exit_parse_error = 2
 let exit_runtime_fault = 3
+let exit_internal_error = 125
 
 exception Input_error of string
 
@@ -34,6 +35,15 @@ let load path =
     | [] -> raise (Input_error (path ^ ": no functions in input"))
     | fs -> fs
     | exception Frontend.Parser.Error (msg, line) ->
+      raise (Input_error (Printf.sprintf "%s:%d: %s" path line msg))
+
+(* A corpus file as a producer; a line that does not parse is an input
+   error located at that line of the file. *)
+let read_corpus path =
+  let next = Workloads.Corpus.read_funcs path in
+  fun () ->
+    try next ()
+    with Ir.Parse.Error (msg, line) ->
       raise (Input_error (Printf.sprintf "%s:%d: %s" path line msg))
 
 let print_func title f =
@@ -129,7 +139,7 @@ let run_cmd =
         Printf.printf "%s: returned %s; %d instructions, %d copies executed\n"
           f.Ir.name
           (match o.return_value with
-          | Some v -> Format.asprintf "%a" Ir.Printer.pp_value v
+          | Some v -> Ir.Printer.value_to_string v
           | None -> "(nothing)")
           o.stats.instrs_executed o.stats.copies_executed)
       (load path);
@@ -970,7 +980,7 @@ let corpus_info_cmd =
         (fun (name, n) -> Printf.printf "  family %s %d\n" name n)
         (Workloads.Corpus.family_counts spec);
       if deep then begin
-        let next = Workloads.Corpus.read_funcs path in
+        let next = read_corpus path in
         let n = ref 0 in
         let rec loop () =
           match next () with
@@ -1069,7 +1079,7 @@ let corpus_compile_cmd =
     in
     let producer () =
       match input with
-      | Some path -> Workloads.Corpus.read_funcs path
+      | Some path -> read_corpus path
       | None ->
         Workloads.Corpus.producer
           { Workloads.Corpus.seed; total; mix = parse_mix mix }
@@ -1240,5 +1250,8 @@ let () =
     | Check.Failed msg ->
       Printf.eprintf "repro-cli: %s\n" msg;
       exit_runtime_fault
+    | e ->
+      Printf.eprintf "repro-cli: internal error: %s\n" (Printexc.to_string e);
+      exit_internal_error
   in
   exit code

@@ -61,7 +61,7 @@ let () =
   Printf.printf "semantics preserved: %b (both return %s)\n"
     (Interp.equivalent before after)
     (match after.return_value with
-    | Some v -> Format.asprintf "%a" Ir.Printer.pp_value v
+    | Some v -> Ir.Printer.value_to_string v
     | None -> "nothing");
   Printf.printf "dynamic copies executed: naive = %d, coalesced = %d\n"
     (Interp.run ~args naive).stats.copies_executed

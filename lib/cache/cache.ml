@@ -17,10 +17,10 @@ let format_version = "repro-cache/1"
 let fnv64 ~basis s =
   let prime = 0x100000001b3L in
   let h = ref basis in
-  String.iter
-    (fun c ->
-      h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) prime)
-    s;
+  for i = 0 to String.length s - 1 do
+    let c = Int64.of_int (Char.code (String.unsafe_get s i)) in
+    h := Int64.mul (Int64.logxor !h c) prime
+  done;
   !h
 
 let hash_content s =
@@ -29,16 +29,17 @@ let hash_content s =
     (fnv64 ~basis:0x6c62272e07bb0142L s)
 
 let key ~pipeline ~check (f : Ir.func) =
-  (* The '\000' separators keep the three components from aliasing each
-     other under concatenation; none of them can contain a NUL byte. *)
-  hash_content
-    (String.concat "\000"
-       [
-         format_version;
-         Pass.Pipeline.fingerprint pipeline;
-         (if check then "check" else "nocheck");
-         Ir.Printer.func_to_string f;
-       ])
+  (* The '\000' separators keep the components from aliasing each other
+     under concatenation; none of them can contain a NUL byte. *)
+  let b = Buffer.create 2048 in
+  Buffer.add_string b format_version;
+  Buffer.add_char b '\000';
+  Buffer.add_string b (Pass.Pipeline.fingerprint pipeline);
+  Buffer.add_char b '\000';
+  Buffer.add_string b (if check then "check" else "nocheck");
+  Buffer.add_char b '\000';
+  Ir.Printer.add_func b f;
+  hash_content (Buffer.contents b)
 
 (* ------------------------------------------------------------------ *)
 (* Stats                                                               *)
@@ -232,17 +233,17 @@ let serialize ~key (r : Pass.report) =
   Buffer.add_char b '\n';
   Buffer.add_string b ("key " ^ key ^ "\n");
   Buffer.add_string b "%%input\n";
-  Buffer.add_string b (Ir.Printer.func_to_string r.input);
+  Ir.Printer.add_func b r.input;
   Buffer.add_char b '\n';
   List.iter
     (fun (s : Pass.stage) ->
       Buffer.add_string b ("%%stage " ^ s.name ^ "\n");
       Buffer.add_string b ("%%note " ^ s.note ^ "\n");
-      Buffer.add_string b (Ir.Printer.func_to_string s.func);
+      Ir.Printer.add_func b s.func;
       Buffer.add_char b '\n')
     r.stages;
   Buffer.add_string b "%%output\n";
-  Buffer.add_string b (Ir.Printer.func_to_string r.output);
+  Ir.Printer.add_func b r.output;
   Buffer.add_char b '\n';
   Buffer.add_string b "%%end\n";
   Buffer.contents b

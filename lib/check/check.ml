@@ -20,7 +20,7 @@ let pp_run_outcome ppf = function
   | Returned (v, arrays) ->
     Format.fprintf ppf "returned %s"
       (match v with
-      | Some v -> Format.asprintf "%a" Ir.Printer.pp_value v
+      | Some v -> Ir.Printer.value_to_string v
       | None -> "(nothing)");
     List.iter
       (fun (name, cells) ->
@@ -36,7 +36,7 @@ let pp_run_outcome ppf = function
 let pp_mismatch ppf m =
   Format.fprintf ppf "@[<v>args (%s):@,  reference: %a@,  candidate: %a@]"
     (String.concat ", "
-       (List.map (fun v -> Format.asprintf "%a" Ir.Printer.pp_value v) m.args))
+       (List.map Ir.Printer.value_to_string m.args))
     pp_run_outcome m.reference pp_run_outcome m.candidate
 
 (* A fixed pool of magnitudes mixed by a deterministic formula: small

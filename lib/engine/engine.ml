@@ -190,7 +190,9 @@ module Stream = struct
      failing item) is recorded, later results are drained but not
      emitted, the producer stops pulling new input, and the exception is
      re-raised after the pool quiesces. A [consumer] exception is treated
-     the same way. *)
+     the same way, and so is a [producer] exception: it becomes the result
+     of the sequence number the producer was asked for, and the queue is
+     still closed, so no domain is left waiting in [pop]. *)
   let run_par pool ~window ~producer ~consumer f =
     let q = Support.Bqueue.create ~capacity:window in
     let ring = Array.make window None in
@@ -248,6 +250,12 @@ module Stream = struct
           | Some x ->
             Support.Bqueue.push q (!seq, x);
             incr seq
+          | exception e ->
+            (* The gate above keeps slot [!seq] free, so the failure takes
+               the place of the item that could not be read and reaches
+               the frontier after every item pulled before it. *)
+            submit !seq (Error e);
+            stop := true
       done;
       Support.Bqueue.close q
     in

@@ -85,7 +85,9 @@ module Stream : sig
       loop. If [f] raises, the exception of the lowest-sequence failing
       item is re-raised after in-flight work drains; results beyond that
       sequence are discarded unseen, and the producer stops early. A
-      [consumer] exception is handled the same way. Raises
+      [consumer] exception is handled the same way, and so is a
+      [producer] exception, which stands for the item it failed to
+      yield: every earlier result is still emitted. Raises
       [Invalid_argument] if [window < 1]. *)
 
   val of_list : 'a list -> unit -> 'a option

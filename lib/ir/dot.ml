@@ -10,24 +10,15 @@ let escape s =
     s;
   Buffer.contents buf
 
-let block_label ~instructions f (b : Mir.block) =
-  if not instructions then Printf.sprintf "b%d" b.label
-  else begin
-    let buf = Buffer.create 128 in
-    Buffer.add_string buf (Printf.sprintf "b%d:\n" b.label);
-    List.iter
-      (fun p ->
-        Buffer.add_string buf (Format.asprintf "%a\n" (Printer.pp_phi f) p))
-      b.phis;
-    List.iter
-      (fun i ->
-        Buffer.add_string buf (Format.asprintf "%a\n" (Printer.pp_instr f) i))
-      b.body;
-    Buffer.add_string buf (Format.asprintf "%a\n" (Printer.pp_terminator f) b.term);
-    Buffer.contents buf
-  end
+let block_label ~instructions f =
+  let lines = Printer.block_lines f in
+  fun (b : Mir.block) ->
+    if not instructions then Printf.sprintf "b%d" b.label
+    else
+      String.concat "\n" (Printf.sprintf "b%d:" b.label :: lines b) ^ "\n"
 
 let cfg ?(instructions = true) (f : Mir.func) =
+  let block_label = block_label ~instructions f in
   let buf = Buffer.create 1024 in
   Buffer.add_string buf
     (Printf.sprintf "digraph \"%s\" {\n  node [shape=box, fontname=monospace];\n"
@@ -36,7 +27,7 @@ let cfg ?(instructions = true) (f : Mir.func) =
     (fun (b : Mir.block) ->
       Buffer.add_string buf
         (Printf.sprintf "  b%d [label=\"%s\"%s];\n" b.label
-           (escape (block_label ~instructions f b))
+           (escape (block_label b))
            (if b.label = f.entry then ", penwidth=2" else ""));
       List.iter
         (fun s -> Buffer.add_string buf (Printf.sprintf "  b%d -> b%d;\n" b.label s))

@@ -1,6 +1,6 @@
 exception Error of string * int
 
-let fail line fmt = Format.kasprintf (fun m -> raise (Error (m, line))) fmt
+let fail line fmt = Printf.ksprintf (fun m -> raise (Error (m, line))) fmt
 
 (* ------------------------------------------------------------------ *)
 (* Line-based scanning: the printer emits one construct per line.      *)
@@ -13,22 +13,52 @@ type line = {
                         the entry label *)
 }
 
-let split_comment s =
-  match String.index_opt s '#' with
-  | Some i ->
-    ( String.sub s 0 i,
-      String.trim (String.sub s (i + 1) (String.length s - i - 1)) )
-  | None -> (s, "")
+(* One pass over the input: each line's code part is trimmed (the
+   whitespace set of String.trim) and cut at '#', and the text after '#'
+   is kept, trimmed, as the comment. Blank code lines are dropped. *)
+let is_space c = c = ' ' || c = '\012' || c = '\n' || c = '\r' || c = '\t'
+
+let trimmed s i j =
+  let i = ref i and j = ref j in
+  while !i < !j && is_space (String.unsafe_get s !i) do incr i done;
+  while !j > !i && is_space (String.unsafe_get s (!j - 1)) do decr j done;
+  (!i, !j)
 
 let lines_of_string s =
-  String.split_on_char '\n' s
-  |> List.mapi (fun i text -> (i + 1, text))
-  |> List.filter_map (fun (num, raw) ->
-         let code, comment = split_comment raw in
-         let text = String.trim code in
-         if text = "" then None else Some { num; text; comment })
+  let n = String.length s in
+  let rec go start num acc =
+    if start > n then List.rev acc
+    else begin
+      let stop =
+        match String.index_from_opt s start '\n' with Some e -> e | None -> n
+      in
+      let code_end = ref start in
+      while !code_end < stop && String.unsafe_get s !code_end <> '#' do
+        incr code_end
+      done;
+      let code_end = !code_end in
+      let i, j = trimmed s start code_end in
+      let acc =
+        if i = j then acc
+        else
+          let comment =
+            if code_end = stop then ""
+            else
+              let ci, cj = trimmed s (code_end + 1) stop in
+              String.sub s ci (cj - ci)
+          in
+          { num; text = String.sub s i (j - i); comment } :: acc
+      in
+      go (stop + 1) (num + 1) acc
+    end
+  in
+  go 0 1 []
 
 (* Tokens within a line: names, numbers, punctuation. *)
+let punct = function
+  | ':' -> ":" | ',' -> "," | '[' -> "[" | ']' -> "]" | '(' -> "(" | ')' -> ")"
+  | '{' -> "{" | _ -> "}"
+
 let tokenize_line l =
   let s = l.text in
   let n = String.length s in
@@ -48,7 +78,7 @@ let tokenize_line l =
     end
     else if c = ':' || c = ',' || c = '[' || c = ']' || c = '(' || c = ')'
             || c = '{' || c = '}' then begin
-      toks := String.make 1 c :: !toks;
+      toks := punct c :: !toks;
       incr i
     end
     else if is_num_start c then begin
@@ -92,17 +122,41 @@ let unops =
   [ ("neg", Mir.Neg); ("not", Mir.Not); ("i2f", Mir.Int_to_float);
     ("f2i", Mir.Float_to_int) ]
 
-let reserved =
-  [ "phi"; "jump"; "br"; "ret"; "func" ]
-  @ List.map fst binops @ List.map fst unops
+(* Every reserved word, by what it names; a register may be none of them. *)
+type mnemonic = Bin of Mir.binop | Un of Mir.unop | Keyword
+
+let mnemonics =
+  let t = Hashtbl.create 32 in
+  List.iter (fun k -> Hashtbl.replace t k Keyword) [ "phi"; "jump"; "br"; "ret"; "func" ];
+  List.iter (fun (k, op) -> Hashtbl.replace t k (Bin op)) binops;
+  List.iter (fun (k, op) -> Hashtbl.replace t k (Un op)) unops;
+  t
+
+let binop_of t =
+  match Hashtbl.find_opt mnemonics t with Some (Bin op) -> Some op | _ -> None
+
+let unop_of t =
+  match Hashtbl.find_opt mnemonics t with Some (Un op) -> Some op | _ -> None
 
 let is_label_tok t =
-  String.length t >= 2
-  && t.[0] = 'b'
-  && String.for_all (fun c -> c >= '0' && c <= '9') (String.sub t 1 (String.length t - 1))
+  let n = String.length t in
+  n >= 2
+  && String.unsafe_get t 0 = 'b'
+  &&
+  let rec digits i =
+    i >= n
+    || (let c = String.unsafe_get t i in
+        c >= '0' && c <= '9' && digits (i + 1))
+  in
+  digits 1
 
+(* Labels are b<digits>; one whose number overflows an int is an error,
+   not an exception. *)
 let label_of line t =
-  if is_label_tok t then int_of_string (String.sub t 1 (String.length t - 1))
+  if is_label_tok t then
+    match int_of_string_opt (String.sub t 1 (String.length t - 1)) with
+    | Some l -> l
+    | None -> fail line "block label %S out of range" t
   else fail line "expected a block label, found %S" t
 
 let is_number t =
@@ -110,7 +164,7 @@ let is_number t =
   && (t.[0] = '-' || (t.[0] >= '0' && t.[0] <= '9'))
 
 type state = {
-  mutable regs : (string * Mir.reg) list;
+  regs : (string, Mir.reg) Hashtbl.t;
   mutable next_reg : int;
 }
 
@@ -123,15 +177,15 @@ let value_of line t =
     | None -> fail line "bad literal %S" t)
 
 let reg_of st line t =
-  if List.mem t reserved then
-    fail line "register name %S collides with a mnemonic" t;
-  if is_label_tok t then fail line "register name %S looks like a label" t;
-  match List.assoc_opt t st.regs with
+  match Hashtbl.find_opt st.regs t with
   | Some r -> r
   | None ->
+    if Hashtbl.mem mnemonics t then
+      fail line "register name %S collides with a mnemonic" t;
+    if is_label_tok t then fail line "register name %S looks like a label" t;
     let r = st.next_reg in
     st.next_reg <- r + 1;
-    st.regs <- (t, r) :: st.regs;
+    Hashtbl.add st.regs t r;
     r
 
 let operand_of st line t =
@@ -164,20 +218,20 @@ let parse_code_line st (l : line) toks =
         | _ -> fail line "malformed phi argument list"
       in
       `Phi { Mir.dst = d; args = parse_args [] args }
-    | [ op; a; ","; b ] when List.mem_assoc op binops ->
+    | [ op; a; ","; b ] when binop_of op <> None ->
       `Instr
         (Mir.Binop
            {
-             op = List.assoc op binops;
+             op = Option.get (binop_of op);
              dst = reg_of st line dst;
              l = operand_of st line a;
              r = operand_of st line b;
            })
-    | [ op; a ] when List.mem_assoc op unops ->
+    | [ op; a ] when unop_of op <> None ->
       `Instr
         (Mir.Unop
            {
-             op = List.assoc op unops;
+             op = Option.get (unop_of op);
              dst = reg_of st line dst;
              src = operand_of st line a;
            })
@@ -195,10 +249,10 @@ let parse_code_line st (l : line) toks =
   | [] -> fail line "empty line"
 
 let parse_func (ls : line list) : Mir.func * line list =
-  let st = { regs = []; next_reg = 0 } in
+  let st = { regs = Hashtbl.create 64; next_reg = 0 } in
   (* Header: func NAME ( params ) {   — the printer also writes the entry in
-     a comment, which strip_comment removed; entry defaults to the first
-     block. *)
+     a comment, which lines_of_string set apart; entry defaults to the
+     first block. *)
   let header, rest =
     match ls with
     | h :: rest -> (h, rest)
@@ -217,13 +271,12 @@ let parse_func (ls : line list) : Mir.func * line list =
       (name, params [] rest)
     | _ -> fail header.num "expected 'func NAME(...) {'"
   in
-  (* Blocks until the closing brace. *)
-  let blocks : (int * Mir.phi list * Mir.instr list * Mir.terminator) list ref =
-    ref []
-  in
+  (* Blocks until the closing brace, in order, with the line of each
+     label. *)
+  let blocks : (int * Mir.block) list ref = ref [] in
   let rec parse_blocks ls =
     match ls with
-    | { text = "}"; _ } :: rest -> rest
+    | ({ text = "}"; _ } as close) :: rest -> (close.num, rest)
     | l :: rest -> (
       match tokenize_line l with
       | [ lbl; ":" ] ->
@@ -246,12 +299,16 @@ let parse_func (ls : line list) : Mir.func * line list =
             | `Term t -> (t, rest2))
         in
         let term, rest2 = body rest in
-        blocks := (label, List.rev !phis, List.rev !instrs, term) :: !blocks;
+        blocks :=
+          ( l.num,
+            { Mir.label; phis = List.rev !phis; body = List.rev !instrs; term }
+          )
+          :: !blocks;
         parse_blocks rest2
       | _ -> fail l.num "expected a block label")
     | [] -> fail 0 "missing closing '}'"
   in
-  let rest = parse_blocks rest in
+  let close, rest = parse_blocks rest in
   let blocks = List.rev !blocks in
   (match blocks with
   | [] -> fail header.num "function %s has no blocks" name
@@ -260,29 +317,45 @@ let parse_func (ls : line list) : Mir.func * line list =
      to the first block otherwise. *)
   let entry_override =
     match String.split_on_char ' ' header.comment with
-    | [ "entry"; lbl ] when is_label_tok lbl ->
-      Some (int_of_string (String.sub lbl 1 (String.length lbl - 1)))
+    | [ "entry"; lbl ] when is_label_tok lbl -> Some (label_of header.num lbl)
     | _ -> None
   in
-  let max_label = List.fold_left (fun m (l, _, _, _) -> max m l) 0 blocks in
+  (* The block array is indexed by label, so a label bounds its size. Every
+     printed block takes at least two lines, so a label below the
+     function's line count admits every printer output while keeping the
+     array linear in the input. *)
+  let span = close - header.num + 1 in
+  List.iter
+    (fun (num, (b : Mir.block)) ->
+      if b.label >= span then
+        fail num "block label b%d out of range for a %d-line function" b.label
+          span)
+    blocks;
+  let max_label =
+    List.fold_left (fun m (_, (b : Mir.block)) -> max m b.label) 0 blocks
+  in
+  let slots = Array.make (max_label + 1) None in
+  List.iter
+    (fun (num, (b : Mir.block)) ->
+      if Option.is_some slots.(b.label) then fail num "duplicate block label b%d" b.label;
+      slots.(b.label) <- Some b)
+    blocks;
   let arr =
-    Array.init (max_label + 1) (fun l ->
-        match List.find_opt (fun (l', _, _, _) -> l' = l) blocks with
-        | Some (_, phis, body, term) -> { Mir.label = l; phis; body; term }
+    Array.mapi
+      (fun l -> function
+        | Some b -> b
         | None -> { Mir.label = l; phis = []; body = []; term = Mir.Return None })
+      slots
   in
   let entry =
-    match entry_override with
-    | Some e -> e
-    | None -> (
-      match blocks with
-      | (l, _, _, _) :: _ -> l
-      | [] -> assert false)
+    match (entry_override, blocks) with
+    | Some e, _ -> e
+    | None, (_, b) :: _ -> b.label
+    | None, [] -> assert false
   in
   let hints =
-    List.fold_left
-      (fun acc (name, r) -> Support.Imap.add r name acc)
-      Support.Imap.empty st.regs
+    Hashtbl.fold (fun name r acc -> Support.Imap.add r name acc) st.regs
+      Support.Imap.empty
   in
   ( {
       Mir.name;

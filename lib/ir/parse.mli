@@ -19,8 +19,13 @@
     v}
 
     Registers are named; each distinct name becomes a register (and its
-    pretty-printing hint). Register names that collide with instruction
-    mnemonics ([add], [phi], [jump], …) are rejected. *)
+    pretty-printing hint), numbered in order of first occurrence. Register
+    names that collide with instruction mnemonics ([add], [phi], [jump],
+    …) are rejected. Block labels index the function's block array, so a
+    defined label must be below the function's line count (from [func]
+    to its closing brace) and appear once; gaps become empty [ret]
+    blocks. Parsing is linear in the input, and every malformed input,
+    however hostile, raises {!Error} with the offending line. *)
 
 exception Error of string * int
 (** Message and line number. *)

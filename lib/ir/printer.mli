@@ -1,27 +1,18 @@
-(** Textual rendering of the IR, for debugging, tests and examples. *)
+(** Textual rendering of the IR: one Buffer-based printer for the concrete
+    syntax {!Parse} reads back, used for debugging, tests, examples, the
+    corpus file format and the compile cache's content address. *)
 
-val pp_value : Format.formatter -> Mir.value -> unit
-(** A constant, as it appears in instruction operands. *)
-
-val pp_operand : Mir.func -> Format.formatter -> Mir.operand -> unit
-(** A register (by its name in [func]) or constant operand. *)
-
-val pp_instr : Mir.func -> Format.formatter -> Mir.instr -> unit
-(** One body instruction, without trailing newline. *)
-
-val pp_phi : Mir.func -> Format.formatter -> Mir.phi -> unit
-(** A phi as [x = phi(l1: a, l2: b)]. *)
-
-val pp_terminator : Mir.func -> Format.formatter -> Mir.terminator -> unit
-(** A block terminator (jump, branch, or return). *)
-
-val pp_block : Mir.func -> Format.formatter -> Mir.block -> unit
-(** A labelled block: phis, body, terminator, one instruction per line. *)
-
-val pp_func : Format.formatter -> Mir.func -> unit
-(** A whole function in the concrete syntax {!Parse} reads back. *)
+val add_func : Buffer.t -> Mir.func -> unit
+(** Append the canonical printed form of a function (no trailing newline). *)
 
 val func_to_string : Mir.func -> string
-(** {!pp_func} to a string — the canonical printed form: stable under
+(** {!add_func} to a fresh string — the canonical printed form: stable under
     print-parse round-trips (a test_ir property), and therefore what the
     compile cache hashes as the content of a function. *)
+
+val value_to_string : Mir.value -> string
+(** A constant as it appears in instruction operands ([%d] or [%g]). *)
+
+val block_lines : Mir.func -> Mir.block -> string list
+(** A block's φs, body and terminator, one unindented line each; apply it
+    to the function once to share the name table across its blocks. *)

@@ -167,7 +167,7 @@ let eval_request ~compile ~stats ~tag words =
               let o = Interp.run ~args:vals r.output in
               Printf.sprintf "%s=%s" r.output.Ir.name
                 (match o.return_value with
-                | Some v -> Format.asprintf "%a" Ir.Printer.pp_value v
+                | Some v -> Ir.Printer.value_to_string v
                 | None -> "(nothing)"))
             reports
         in

@@ -301,6 +301,7 @@ let write path spec =
 let read_funcs path =
   let ic = open_in_bin path in
   let closed = ref false in
+  let line = ref 0 in
   fun () ->
     if !closed then None
     else
@@ -309,4 +310,11 @@ let read_funcs path =
         closed := true;
         close_in ic;
         None
-      | Some line -> Some (Ir.Parse.func_of_string (decode_line line))
+      | Some text -> (
+        incr line;
+        (* One function per line: an error's line is the file's. *)
+        try Some (Ir.Parse.func_of_string (decode_line text))
+        with Ir.Parse.Error (msg, _) ->
+          closed := true;
+          close_in_noerr ic;
+          raise (Ir.Parse.Error (msg, !line)))

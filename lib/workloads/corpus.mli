@@ -85,8 +85,9 @@ val write_funcs : string -> (unit -> Ir.func option) -> int
 
 val read_funcs : string -> unit -> Ir.func option
 (** Stream functions back from a corpus file, one per call, closing the
-    file at the final [None]. Parse errors raise
-    {!Frontend.Parser.Error} as usual for {!Ir.Parse}. *)
+    file at the final [None]. A line that does not parse raises
+    {!Ir.Parse.Error} with that line's number in the file, and closes the
+    file too: later calls return [None]. *)
 
 (** {1 Manifest} *)
 

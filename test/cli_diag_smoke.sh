@@ -1,0 +1,45 @@
+#!/usr/bin/env bash
+# Located diagnostics on hostile input: an .ir file whose block label
+# overflows its function, and a corpus with one corrupted line read by
+# both `corpus info --deep` and `corpus compile -i`. Each must exit 2 and
+# print a FILE:LINE: diagnostic on stderr, never an uncaught exception
+# (whose exit code, 2, would look the same). Run via @cli-exit-codes.
+set -u
+
+CLI="$1"
+IR_FIXTURE="$2"
+fail() { echo "cli-diag-smoke: $1" >&2; exit 1; }
+
+dir=$(mktemp -d)
+cleanup() { rm -rf "$dir"; }
+trap cleanup EXIT
+
+# expect_diag PREFIX CMD...: CMD exits 2, its stderr starts a line with
+# "repro-cli: PREFIX" and holds no "Fatal error".
+expect_diag() {
+  local prefix="$1"
+  shift
+  "$@" >/dev/null 2>"$dir/err"
+  local code=$?
+  [ "$code" -eq 2 ] || fail "$* exited $code, want 2: $(cat "$dir/err")"
+  grep -q "^repro-cli: $prefix" "$dir/err" \
+    || fail "$*: no '$prefix' diagnostic: $(cat "$dir/err")"
+  if grep -q "Fatal error" "$dir/err"; then
+    fail "$*: uncaught exception: $(cat "$dir/err")"
+  fi
+}
+
+expect_diag "$IR_FIXTURE:5: block label b100000000000 out of range" \
+  "$CLI" dump "$IR_FIXTURE"
+
+corpus="$dir/bad.corpus"
+"$CLI" corpus gen --out "$corpus" --total 20 --seed 3 >/dev/null \
+  || fail "corpus gen failed"
+# Corrupt line 7's header: "func NAME(PARAMS) {" loses its ')'.
+sed -i '7s/) {/ {/' "$corpus"
+expect_diag "$corpus:7: malformed parameter list" \
+  "$CLI" corpus info --deep "$corpus"
+expect_diag "$corpus:7: malformed parameter list" \
+  "$CLI" corpus compile -i "$corpus" --jobs 2
+
+echo "cli-diag-smoke: ok"

@@ -308,3 +308,82 @@ let naive_loops cfg dom =
     end
   done;
   (depth, List.rev !headers)
+
+(* ------------------------------------------------------------------ *)
+(* Reference printer: the Format vertical-box printer the library used
+   before its Buffer printer. Cache keys hash printed text, so the
+   library's output must stay byte-identical to this one.              *)
+(* ------------------------------------------------------------------ *)
+
+module Ref_printer = struct
+  let pp_value ppf = function
+    | Ir.Int i -> Format.fprintf ppf "%d" i
+    | Ir.Float x -> Format.fprintf ppf "%g" x
+
+  let pp_reg (f : Ir.func) ppf r =
+    match Support.Imap.find_opt r f.hints with
+    | Some s -> Format.pp_print_string ppf s
+    | None -> Format.fprintf ppf "r%d" r
+
+  let pp_operand f ppf = function
+    | Ir.Reg r -> pp_reg f ppf r
+    | Ir.Const v -> pp_value ppf v
+
+  let binop_name = function
+    | Ir.Add -> "add" | Sub -> "sub" | Mul -> "mul" | Div -> "div"
+    | Mod -> "mod" | Flt_add -> "fadd" | Flt_sub -> "fsub"
+    | Flt_mul -> "fmul" | Flt_div -> "fdiv" | Lt -> "lt" | Le -> "le"
+    | Gt -> "gt" | Ge -> "ge" | Eq -> "eq" | Ne -> "ne" | And -> "and"
+    | Or -> "or"
+
+  let unop_name = function
+    | Ir.Neg -> "neg" | Not -> "not"
+    | Int_to_float -> "i2f" | Float_to_int -> "f2i"
+
+  let pp_instr f ppf = function
+    | Ir.Copy { dst; src } ->
+      Format.fprintf ppf "%a := %a" (pp_reg f) dst (pp_operand f) src
+    | Unop { op; dst; src } ->
+      Format.fprintf ppf "%a := %s %a" (pp_reg f) dst (unop_name op)
+        (pp_operand f) src
+    | Binop { op; dst; l; r } ->
+      Format.fprintf ppf "%a := %s %a, %a" (pp_reg f) dst (binop_name op)
+        (pp_operand f) l (pp_operand f) r
+    | Load { dst; arr; idx } ->
+      Format.fprintf ppf "%a := %s[%a]" (pp_reg f) dst arr (pp_operand f) idx
+    | Store { arr; idx; src } ->
+      Format.fprintf ppf "%s[%a] := %a" arr (pp_operand f) idx
+        (pp_operand f) src
+
+  let pp_phi f ppf (p : Ir.phi) =
+    Format.fprintf ppf "%a := phi" (pp_reg f) p.dst;
+    List.iter
+      (fun (l, op) -> Format.fprintf ppf " [b%d: %a]" l (pp_operand f) op)
+      p.args
+
+  let pp_terminator f ppf = function
+    | Ir.Jump l -> Format.fprintf ppf "jump b%d" l
+    | Branch { cond; if_true; if_false } ->
+      Format.fprintf ppf "br %a, b%d, b%d" (pp_operand f) cond if_true
+        if_false
+    | Return (Some op) -> Format.fprintf ppf "ret %a" (pp_operand f) op
+    | Return None -> Format.fprintf ppf "ret"
+
+  let pp_block f ppf (b : Ir.block) =
+    Format.fprintf ppf "@[<v 2>b%d:" b.label;
+    List.iter (fun p -> Format.fprintf ppf "@,%a" (pp_phi f) p) b.phis;
+    List.iter (fun i -> Format.fprintf ppf "@,%a" (pp_instr f) i) b.body;
+    Format.fprintf ppf "@,%a@]" (pp_terminator f) b.term
+
+  let pp_func ppf (f : Ir.func) =
+    Format.fprintf ppf "@[<v>func %s(%a) {  # entry b%d@," f.name
+      (Format.pp_print_list
+         ~pp_sep:(fun ppf () -> Format.fprintf ppf ", ")
+         (pp_reg f))
+      f.params f.entry;
+    Array.iter (fun b -> Format.fprintf ppf "%a@," (pp_block f) b) f.blocks;
+    Format.fprintf ppf "}@]"
+
+  let func_to_string f = Format.asprintf "%a" pp_func f
+  let value_to_string v = Format.asprintf "%a" pp_value v
+end

@@ -344,9 +344,32 @@ let prop_disk_roundtrip =
         && Ir.Printer.func_to_string r.input
            = Ir.Printer.func_to_string r'.input)
 
+(* Keys are content addresses that outlive a process: entries written to
+   disk by one build must hit in the next. These hex values pin the exact
+   bytes hashed (format version, pipeline fingerprint, check flag and the
+   printed function) for a kernel, a large routine and an SSA form. *)
+let test_key_pinned () =
+  let p = default_pipeline () in
+  let kernel = List.hd (Workloads.Suite.kernels ()) in
+  let big =
+    List.find
+      (fun (e : Workloads.Suite.entry) -> e.name = "big1200")
+      (Workloads.Suite.large ())
+  in
+  let key ?(check = false) f = Cache.key ~pipeline:p ~check f in
+  check Alcotest.string "kernel" "5991a309b0b048fa3ad0ade373fe9bcb"
+    (key kernel.func);
+  check Alcotest.string "big1200" "d2fad91e5b494aece4fde4a30dc17d3f"
+    (key big.func);
+  check Alcotest.string "big1200 checked" "0bcde9f40642422f41add86aa01016e0"
+    (key ~check:true big.func);
+  check Alcotest.string "kernel ssa" "83e5aa8b9176d93a31c4665eae932445"
+    (key (Ssa.Construct.run_exn kernel.func))
+
 let suite =
   [
     Alcotest.test_case "key sensitivity" `Quick test_key_sensitivity;
+    Alcotest.test_case "key pinned hex" `Quick test_key_pinned;
     Alcotest.test_case "lru eviction" `Quick test_lru_eviction;
     Alcotest.test_case "serialize roundtrip" `Quick test_serialize_roundtrip;
     Alcotest.test_case "deserialize rejects garbage" `Quick

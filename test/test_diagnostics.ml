@@ -1,8 +1,9 @@
 (* Golden validator diagnostics: one hand-built malformed function per error
    kind of Ir.Validate.structure, Ir.Validate.strictness and
-   Ssa.Ssa_validate, with the exact rendered `where: what` lines. These are
-   the lines the CLI prints before exiting 2 or 3, so any change to a
-   location or a message shows up here. *)
+   Ssa.Ssa_validate, with the exact rendered `where: what` lines, and one
+   malformed text per Ir.Parse.Error kind with its exact message and line.
+   These are the lines the CLI prints before exiting 2 or 3, so any change
+   to a location or a message shows up here. *)
 
 open Helpers
 
@@ -213,10 +214,113 @@ let test_ssa () =
     (Failure "SSA validation failed:\nundef/b0: use of r1, which has no definition")
     (fun () -> Ssa.Ssa_validate.check_exn f)
 
+(* ---- Ir.Parse ---------------------------------------------------- *)
+
+let parse_cases =
+  [
+    ( "unexpected character",
+      "func f() {\nb0:\n  x := 1 @ 2\n  ret\n}",
+      ("unexpected character '@'", 3) );
+    ( "expected a block label, found",
+      "func f() {\nb0:\n  jump x\n}",
+      ("expected a block label, found \"x\"", 3) );
+    ( "bad literal",
+      "func f() {\nb0:\n  x := 1.2.3\n  ret x\n}",
+      ("bad literal \"1.2.3\"", 3) );
+    ( "register collides with a mnemonic",
+      "func f() {\nb0:\n  add := 1\n  ret\n}",
+      ("register name \"add\" collides with a mnemonic", 3) );
+    ( "register looks like a label",
+      "func f() {\nb0:\n  b1 := neg 1\n  ret\n}",
+      ("register name \"b1\" looks like a label", 3) );
+    ( "malformed phi argument list",
+      "func f() {\nb0:\n  x := phi [b0 1]\n  ret\n}",
+      ("malformed phi argument list", 3) );
+    ( "malformed instruction",
+      "func f() {\nb0:\n  x := add 1\n  ret\n}",
+      ("malformed instruction", 3) );
+    ( "unexpected token",
+      "func f() {\nb0:\n  x := 1\n}",
+      ("unexpected token \"}\"", 4) );
+    ( "garbage after '{'",
+      "func f() { x\nb0:\n  ret\n}",
+      ("garbage after '{'", 1) );
+    ( "malformed parameter list",
+      "\nfunc f(a, b\nb0:\n  ret\n}",
+      ("malformed parameter list", 2) );
+    ( "expected a function header",
+      "fun f() {\nb0:\n  ret\n}",
+      ("expected 'func NAME(...) {'", 1) );
+    ( "unterminated block",
+      "func f() {\nb0:\n  ret\nb1:\n  x := 1",
+      ("unterminated block b1", 4) );
+    ( "phi after ordinary instructions",
+      "func f() {\nb0:\n  x := 1\n  y := phi [b0: x]\n  ret\n}",
+      ("phi after ordinary instructions", 4) );
+    ( "expected a block label",
+      "func f() {\n  ret\n}",
+      ("expected a block label", 2) );
+    ("missing closing brace", "func f() {\nb0:\n  ret\n", ("missing closing '}'", 0));
+    ( "no blocks",
+      "# header\nfunc f() {\n}",
+      ("function f has no blocks", 2) );
+    ( "not exactly one function",
+      "func f() {\nb0:\n  ret\n}\nfunc g() {\nb0:\n  ret\n}",
+      ("expected one function, got 2", 0) );
+    ("empty input", "", ("expected one function, got 0", 0));
+    (* Several faults on one line: the one reported is pinned too. *)
+    ( "branch: last label checked first",
+      "func f() {\nb0:\n  br add, x, y\n}",
+      ("expected a block label, found \"y\"", 3) );
+    ( "copy: source checked before destination",
+      "func f() {\nb0:\n  add := mul\n  ret\n}",
+      ("register name \"mul\" collides with a mnemonic", 3) );
+    ( "binop: right operand checked first",
+      "func f() {\nb0:\n  x := add mul, neg\n  ret\n}",
+      ("register name \"neg\" collides with a mnemonic", 3) );
+    ( "phi: operand checked before its label",
+      "func f() {\nb0:\n  x := phi [q: add]\n  ret\n}",
+      ("register name \"add\" collides with a mnemonic", 3) );
+  ]
+
+let parse_outcome s =
+  match Ir.Parse.func_of_string s with
+  | _ -> None
+  | exception Ir.Parse.Error (msg, line) -> Some (msg, line)
+
+let test_parse () =
+  List.iter
+    (fun (name, src, expected) ->
+      check
+        Alcotest.(option (pair string int))
+        name (Some expected) (parse_outcome src))
+    parse_cases
+
+(* Registers are numbered in order of first occurrence, reading each line's
+   operands right to left and a phi's destination before its arguments;
+   printing without hints shows the numbering. *)
+let test_parse_numbering () =
+  let f =
+    Ir.Parse.func_of_string
+      "func f(a, b) {\nb0:\n  x := add y, z\n  w := neg v\n  m[i] := j\n\
+      \  k := m[q]\n  br c, b1, b1\nb1:\n  t := phi [b0: u] [b1: s]\n\
+      \  ret t\n}"
+  in
+  checki "nregs" 15 f.Ir.nregs;
+  check Alcotest.string "numbering"
+    "func f(r0, r1) {  # entry b0\nb0:\n  r4 := add r3, r2\n  r6 := neg r5\n\
+    \  m[r8] := r7\n  r10 := m[r9]\n  br r11, b1, b1\nb1:\n\
+    \  r12 := phi [b0: r13] [b1: r14]\n  ret r12\n}"
+    (Ir.Printer.func_to_string { f with Ir.hints = Support.Imap.empty });
+  check Alcotest.(option string) "hint" (Some "z")
+    (Support.Imap.find_opt 2 f.Ir.hints)
+
 let suite =
   [
     Alcotest.test_case "structure messages" `Quick test_structure;
     Alcotest.test_case "strictness messages" `Quick test_strictness;
     Alcotest.test_case "check_exn rendering" `Quick test_check_exn;
     Alcotest.test_case "ssa messages" `Quick test_ssa;
+    Alcotest.test_case "parse messages" `Quick test_parse;
+    Alcotest.test_case "parse register numbering" `Quick test_parse_numbering;
   ]

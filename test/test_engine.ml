@@ -158,6 +158,54 @@ let test_stream_exception () =
           | exception Boom i -> checki "lowest failing index wins" 3 i))
     [ 1; 4 ]
 
+(* A producer that raises (a corpus reader on a malformed line) must end
+   the stream with its exception after every item read before it was
+   emitted, on every job count, and must not leave a domain waiting on the
+   queue. An item that fails earlier than the producer still wins. *)
+let test_stream_producer_exception () =
+  let exception Bad_input of int in
+  let exception Boom of int in
+  let producer fail_at =
+    let next = counting_producer 100 in
+    fun () ->
+      match next () with
+      | Some i when i = fail_at -> raise (Bad_input i)
+      | r -> r
+  in
+  List.iter
+    (fun jobs ->
+      Engine.Pool.with_pool ~jobs (fun pool ->
+          List.iter
+            (fun window ->
+              let seen = ref [] in
+              (match
+                 Engine.Stream.run pool ~window ~producer:(producer 37)
+                   ~consumer:(fun seq _ -> seen := seq :: !seen)
+                   (fun i -> i)
+               with
+              | () -> Alcotest.fail "expected the producer's exception"
+              | exception Bad_input i ->
+                checki "producer exception re-raised" 37 i);
+              check
+                Alcotest.(list int)
+                "items before the failure emitted in order"
+                (List.init 37 Fun.id) (List.rev !seen);
+              match
+                Engine.Stream.run pool ~window ~producer:(producer 37)
+                  ~consumer:(fun _ _ -> ())
+                  (fun i -> if i = 20 then raise (Boom i) else i)
+              with
+              | () -> Alcotest.fail "expected the stream to raise"
+              | exception Boom i -> checki "earlier item failure wins" 20 i)
+            [ 1; 4; 64 ];
+          (* The pool is still usable afterwards. *)
+          let n = ref 0 in
+          Engine.Stream.run pool ~producer:(counting_producer 10)
+            ~consumer:(fun _ _ -> incr n)
+            (fun i -> i);
+          checki "pool reusable after a producer failure" 10 !n))
+    [ 1; 2; 3 ]
+
 (* The admission gate: with window [w], the producer may run at most [w]
    items ahead of the emission frontier. The consumer runs under the
    stream's lock, so the produced count it reads is exact. *)
@@ -400,6 +448,8 @@ let suite =
       test_stream_in_order;
     Alcotest.test_case "stream: exception propagation" `Quick
       test_stream_exception;
+    Alcotest.test_case "stream: producer exception propagation" `Quick
+      test_stream_producer_exception;
     Alcotest.test_case "stream: window bounds in-flight items" `Quick
       test_stream_window_bound;
     Alcotest.test_case "stream: empty producer + window validation" `Quick

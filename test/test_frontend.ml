@@ -129,7 +129,7 @@ let test_lowering_arrays_and_floats () =
   in
   match (Interp.run ~args:[ Ir.Int 0 ] f).return_value with
   | Some (Ir.Int 7) -> ()
-  | Some v -> Alcotest.failf "got %s" (Format.asprintf "%a" Ir.Printer.pp_value v)
+  | Some v -> Alcotest.failf "got %s" (Ir.Printer.value_to_string v)
   | None -> Alcotest.fail "no return value"
 
 let test_source_copies_survive () =

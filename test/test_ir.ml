@@ -194,10 +194,42 @@ let test_parse_errors () =
   checkb "bad phi" true (fails "func f() {\nb0:\n  x := phi [b0 1]\n  ret\n}");
   checkb "no blocks" true (fails "func f() {\n}");
   checkb "phi after instr" true
-    (fails "func f() {\nb0:\n  x := 1\n  y := phi [b0: x]\n  ret\n}")
+    (fails "func f() {\nb0:\n  x := 1\n  y := phi [b0: x]\n  ret\n}");
+  (* Hostile block labels: each is a located Parse.Error, never a raw
+     Failure or an allocation sized by the label's value. *)
+  let error s =
+    match Ir.Parse.func_of_string s with
+    | _ -> None
+    | exception Ir.Parse.Error (msg, line) -> Some (msg, line)
+  in
+  let expect name src msg line =
+    check Alcotest.(option (pair string int)) name (Some (msg, line)) (error src)
+  in
+  let huge = "b99999999999999999999" in
+  expect "label overflows int" ("func f() {\n" ^ huge ^ ":\n  ret\n}")
+    (Printf.sprintf "block label %S out of range" huge) 2;
+  expect "jump target overflows int" ("func f() {\nb0:\n  jump " ^ huge ^ "\n}")
+    (Printf.sprintf "block label %S out of range" huge) 3;
+  expect "branch target overflows int"
+    ("func f(p) {\nb0:\n  br p, b0, " ^ huge ^ "\n}")
+    (Printf.sprintf "block label %S out of range" huge) 3;
+  expect "entry comment overflows int"
+    ("func f() {  # entry " ^ huge ^ "\nb0:\n  ret\n}")
+    (Printf.sprintf "block label %S out of range" huge) 1;
+  expect "label beyond the input" "func f() {\nb100000000000:\n  ret\n}"
+    "block label b100000000000 out of range for a 4-line function" 2;
+  expect "label beyond a 4-line function" "func f() {\nb3000000:\n  ret\n}"
+    "block label b3000000 out of range for a 4-line function" 2;
+  expect "duplicate label" "func f() {\nb0:\n  ret\nb0:\n  ret 1\n}"
+    "duplicate block label b0" 4;
+  (* The bound admits the sparsest labels a printed function can carry. *)
+  checkb "gap labels within the bound" false
+    (fails "func f() {\nb2:\n  jump b0\nb0:\n  ret\n}")
 
 (* Property: printer output always re-parses to a function that prints
-   identically, across the whole SSA pipeline. *)
+   identically, across the whole SSA pipeline, and parsing is a fixed point
+   too: a second print/parse gives back the same register numbering,
+   hints and register count. *)
 let prop_print_parse_roundtrip =
   QCheck.Test.make ~count:60 ~name:"print/parse round-trip"
     QCheck.(pair (int_bound 10_000) (int_range 10 50))
@@ -211,8 +243,165 @@ let prop_print_parse_roundtrip =
         (fun g ->
           let printed = Ir.Printer.func_to_string g in
           let reparsed = Ir.Parse.func_of_string printed in
-          Ir.Printer.func_to_string reparsed = printed)
+          let again = Ir.Parse.func_of_string (Ir.Printer.func_to_string reparsed) in
+          Ir.Printer.func_to_string reparsed = printed
+          && again.Ir.nregs = reparsed.Ir.nregs
+          && Support.Imap.equal String.equal again.Ir.hints reparsed.Ir.hints
+          && again.Ir.blocks = reparsed.Ir.blocks
+          && again.Ir.params = reparsed.Ir.params)
         stages)
+
+(* ---- The printer against its reference ---------------------------- *)
+
+(* [f] and everything the paper's four pipelines make of it. *)
+let with_outputs f =
+  f :: Ssa.Construct.run_exn f
+  :: List.map
+       (fun p -> (Harness.Pipelines.convert p f).Harness.Pipelines.func)
+       Harness.Pipelines.all
+
+let same_as_reference f =
+  Ir.Printer.func_to_string f = Ref_printer.func_to_string f
+
+let first_difference fs =
+  List.find_opt (fun f -> not (same_as_reference f)) fs
+  |> Option.map (fun (f : Ir.func) -> f.name)
+
+let test_printer_reference_suites () =
+  let entries =
+    Workloads.Suite.kernels () @ Workloads.Suite.adversarial ()
+  in
+  check Alcotest.(option string) "kernels + adversarial, all pipelines" None
+    (first_difference
+       (List.concat_map (fun (e : Workloads.Suite.entry) -> with_outputs e.func) entries));
+  check Alcotest.(option string) "large routines and their SSA forms" None
+    (first_difference
+       (List.concat_map
+          (fun (e : Workloads.Suite.entry) -> [ e.func; Ssa.Construct.run_exn e.func ])
+          (Workloads.Suite.large ())));
+  let spec = { Workloads.Corpus.seed = 11; total = 300; mix = Workloads.Corpus.default_mix } in
+  check Alcotest.(option string) "corpus slice" None
+    (first_difference (List.init spec.total (Workloads.Corpus.item spec)))
+
+(* Hand-built corner cases: %g floats (negative, exponent, integral,
+   non-finite), registers with no hint or outside [0, nregs), an empty
+   parameter list, no blocks, and lines far past Format's margin. *)
+let test_printer_reference_corners () =
+  let long = String.make 120 'v' in
+  let floats =
+    [ -1.5; 1e300; -2.5e-7; 2.0; -0.0; 0.1; 123456789.0; Float.nan;
+      Float.infinity; Float.neg_infinity ]
+  in
+  let body =
+    List.mapi (fun i x -> Ir.Copy { dst = i mod 3; src = Const (Float x) }) floats
+    @ [
+        Ir.Binop { op = Flt_mul; dst = 7; l = Reg 9; r = Const (Int (-4)) };
+        Ir.Store { arr = "m"; idx = Reg (-1); src = Const (Int min_int) };
+        Ir.Load { dst = 1; arr = long; idx = Const (Int max_int) };
+        Ir.Unop { op = Int_to_float; dst = 0; src = Reg 2 };
+      ]
+  in
+  let phi =
+    { Ir.dst = 1; args = List.init 30 (fun l -> (l, Ir.Reg (l mod 4))) }
+  in
+  let blocks =
+    [|
+      { Ir.label = 0; phis = []; body; term = Jump 1 };
+      { Ir.label = 1; phis = [ phi ]; body = []; term = Branch { cond = Reg 1; if_true = 0; if_false = 2 } };
+      { Ir.label = 2; phis = []; body = []; term = Return None };
+    |]
+  in
+  let fn ?(params = []) hints =
+    {
+      Ir.name = "corners";
+      params;
+      entry = 0;
+      blocks;
+      nregs = 4;
+      hints =
+        List.fold_left (fun m (r, s) -> Support.Imap.add r s m) Support.Imap.empty hints;
+    }
+  in
+  let cases =
+    [
+      ("no hints, no params", fn []);
+      ("long hints", fn ~params:[ 0; 3 ] [ (0, long); (1, "x"); (3, long ^ "3") ]);
+      ("empty function", { (fn []) with Ir.blocks = [||]; entry = 5 });
+    ]
+  in
+  List.iter
+    (fun (name, f) ->
+      check Alcotest.string name (Ref_printer.func_to_string f)
+        (Ir.Printer.func_to_string f))
+    cases;
+  List.iter
+    (fun x ->
+      check Alcotest.string (Printf.sprintf "value %h" x)
+        (Ref_printer.value_to_string (Ir.Float x))
+        (Ir.Printer.value_to_string (Ir.Float x)))
+    floats
+
+(* Property: byte identity on generated programs, their SSA forms, the
+   outputs of all four pipelines, and random (non-strict) CFGs. *)
+let prop_printer_reference =
+  QCheck.Test.make ~count:200 ~name:"printer = reference printer"
+    QCheck.(pair (int_bound 100_000) (int_range 5 60))
+    (fun (seed, size) ->
+      let rand = make_rand seed in
+      List.for_all same_as_reference
+        (random_cfg rand ~blocks:(1 + (size / 6)) ~regs:(1 + (size / 4))
+         :: with_outputs (random_program seed size)))
+
+(* ---- The parser under mutated text -------------------------------- *)
+
+type mutation = Truncate of int | Splice of int * int * int | Flip of int * char
+
+let mutate s = function
+  | Truncate i -> String.sub s 0 (i mod (String.length s + 1))
+  | Splice (i, j, k) ->
+    (* Move the text in [i, j) to position k. *)
+    let n = String.length s in
+    let i = i mod (n + 1) and j = j mod (n + 1) in
+    let i, j = (min i j, max i j) in
+    let cut = String.sub s 0 i ^ String.sub s j (n - j) in
+    let k = k mod (String.length cut + 1) in
+    String.sub cut 0 k ^ String.sub s i (j - i)
+    ^ String.sub cut k (String.length cut - k)
+  | Flip (i, c) ->
+    if s = "" then s
+    else String.mapi (fun p d -> if p = i mod String.length s then c else d) s
+
+let mutation_gen =
+  QCheck.Gen.(
+    let pos = int_bound 100_000 in
+    (* Bias the replacement bytes toward the syntax's own alphabet. *)
+    let syntax = "b0123456789:=,[]{}()# \n-.e" in
+    let byte = oneof [ map (String.get syntax) (int_bound (String.length syntax - 1)); char ] in
+    oneof
+      [
+        map (fun i -> Truncate i) pos;
+        map3 (fun i j k -> Splice (i, j, k)) pos pos pos;
+        map2 (fun i c -> Flip (i, c)) pos byte;
+      ])
+
+(* Property: every mutation of a printed function parses to a function or
+   raises Parse.Error; no other exception escapes. *)
+let prop_parse_mutations =
+  QCheck.Test.make ~count:500 ~name:"parse: mutated text is a function or Parse.Error"
+    QCheck.(
+      pair
+        (pair (int_bound 10_000) (int_range 5 30))
+        (make (Gen.list_size (Gen.int_range 1 4) mutation_gen)))
+    (fun ((seed, size), muts) ->
+      let f = random_program seed size in
+      let base =
+        Ir.Printer.func_to_string
+          (if seed mod 2 = 0 then f else Ssa.Construct.run_exn f)
+      in
+      let text = List.fold_left mutate base muts in
+      match Ir.Parse.funcs_of_string text with
+      | _ -> true
+      | exception Ir.Parse.Error _ -> true)
 
 let test_dot_export () =
   let f = counting_loop () in
@@ -233,6 +422,12 @@ let suite =
     Alcotest.test_case "parse: hand-written source" `Quick test_parse_roundtrip_hand;
     Alcotest.test_case "parse: error cases" `Quick test_parse_errors;
     QCheck_alcotest.to_alcotest prop_print_parse_roundtrip;
+    Alcotest.test_case "printer = reference on suites and corpus" `Quick
+      test_printer_reference_suites;
+    Alcotest.test_case "printer = reference on corner cases" `Quick
+      test_printer_reference_corners;
+    QCheck_alcotest.to_alcotest prop_printer_reference;
+    QCheck_alcotest.to_alcotest prop_parse_mutations;
     Alcotest.test_case "builder rejects unterminated" `Quick test_builder_unterminated;
     Alcotest.test_case "builder rejects double terminate" `Quick
       test_builder_double_terminate;
