@@ -8,11 +8,9 @@ type stats = {
 let run (f : Ir.func) =
   let cfg = Cfg.of_func f in
   let next = ref f.nregs in
-  let hints = ref f.hints in
   let fresh () =
     let r = !next in
     incr next;
-    hints := Support.Imap.add r (Printf.sprintf "cc%d" r) !hints;
     r
   in
   let copies = ref 0 in
@@ -48,7 +46,12 @@ let run (f : Ir.func) =
         })
       f.blocks
   in
-  ( { f with blocks; nregs = !next; hints = !hints },
+  (* The congruence-class names print as "cc<N>". *)
+  let names =
+    Ir.Names.temps f.names ~first:f.nregs ~numbered:true
+      (Array.make (!next - f.nregs) "cc")
+  in
+  ( { f with blocks; nregs = !next; names },
     { copies_inserted = !copies; names_introduced = !next - f.nregs } )
 
 let run_exn f = fst (run f)

@@ -184,7 +184,6 @@ let analyze ~options ~scratch ~cfg ?obs (f : Ir.func) : analysis =
     f.blocks;
   Scratch.release_int_array scratch seen_root;
   (* Phase 3 — dominance forests and the Figure-2 walk. *)
-  let dbg = Sys.getenv_opt "COALESCE_DEBUG" <> None in
   let forest_detached = ref 0 in
   let local_pairs = ref [] in
   let n_local_pairs = ref 0 in
@@ -215,10 +214,6 @@ let analyze ~options ~scratch ~cfg ?obs (f : Ir.func) : analysis =
           | [] -> ()
           | c :: rest ->
             queue := rest;
-            if dbg then
-              Printf.eprintf "check %s(b%d) vs %s(b%d): det=%b definite=%b\n"
-                (Ir.reg_name f node.var) node.block (Ir.reg_name f c.var) c.block
-                detached.(node.var) (definite node.var c);
             if detached.(node.var) then begin
               (* The parent fell earlier: the child roots its own subtree,
                  and the remaining children must still be drained. *)
@@ -297,9 +292,6 @@ let analyze ~options ~scratch ~cfg ?obs (f : Ir.func) : analysis =
         let hit =
           Interference.live_just_after ~into:local_buf f live ~reg:pvar ~at
         in
-        if dbg then
-          Printf.eprintf "local %s vs %s(b%d,%d): %b\n" (Ir.reg_name f pvar)
-            (Ir.reg_name f c.var) c.block c.def_index hit;
         if hit then begin
           let victim =
             if
@@ -364,15 +356,9 @@ let rewrite ~cfg ?obs (f : Ir.func) (a : analysis) =
     | Ir.Const _ as c -> c
   in
   let next = ref f.nregs in
-  let hints = ref f.hints in
-  let temps = ref 0 in
-  let fresh ?name () =
+  let fresh () =
     let r = !next in
     incr next;
-    incr temps;
-    (match name with
-    | Some s -> hints := Imap.add r (Printf.sprintf "%s%d" s r) !hints
-    | None -> ());
     r
   in
   (* The Waiting lists (Section 3.6): pending copies per edge. With critical
@@ -436,9 +422,13 @@ let rewrite ~cfg ?obs (f : Ir.func) (a : analysis) =
   in
   let params = List.map rename f.params in
   Option.iter (fun o -> Obs.add o Obs.Copies_inserted !copies) obs;
-  ( { f with params; blocks; nregs = !next; hints = !hints },
-    !copies,
-    !temps )
+  let temps = !next - f.nregs in
+  (* Parallel-copy temporaries print as "pcopy<N>". *)
+  let names =
+    Ir.Names.temps f.names ~first:f.nregs ~numbered:true
+      (Array.make temps "pcopy")
+  in
+  ({ f with params; blocks; nregs = !next; names }, !copies, temps)
 
 let run ?(options = default_options) ?scratch ?obs (f : Ir.func) =
   let scratch =

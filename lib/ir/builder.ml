@@ -12,7 +12,7 @@ type t = {
   mutable entry : Mir.label option;
   blocks : proto_block Vec.t;
   mutable next_reg : int;
-  mutable hints : string Imap.t;
+  names : string Vec.t;  (* by register; "" = unnamed *)
 }
 
 let create fname =
@@ -22,15 +22,13 @@ let create fname =
     entry = None;
     blocks = Vec.create ();
     next_reg = 0;
-    hints = Imap.empty;
+    names = Vec.create ();
   }
 
 let fresh_reg ?name t =
   let r = t.next_reg in
   t.next_reg <- r + 1;
-  (match name with
-  | Some n -> t.hints <- Imap.add r n t.hints
-  | None -> ());
+  Vec.push t.names (Option.value name ~default:"");
   r
 
 let add_param ?name t =
@@ -89,5 +87,5 @@ let finish t : Mir.func =
     entry;
     blocks;
     nregs = t.next_reg;
-    hints = t.hints;
+    names = Names.given (Vec.to_array t.names);
   }

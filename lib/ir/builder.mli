@@ -10,7 +10,8 @@ val create : string -> t
 (** [create name] starts a function called [name]. *)
 
 val fresh_reg : ?name:string -> t -> Mir.reg
-(** Mint a register, optionally with a pretty-printing hint. *)
+(** Mint a register, optionally with a name to print it by (an empty name
+    counts as none). *)
 
 val add_param : ?name:string -> t -> Mir.reg
 (** Mint a register and append it to the parameter list. *)

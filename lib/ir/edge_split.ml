@@ -27,12 +27,13 @@ let run_cfg ?cfg ?obs (f : Mir.func) =
       (fun o -> Obs.add o Obs.Critical_edges_split (List.length edges))
       obs;
     let n = Mir.num_blocks f in
+    let edges = Array.of_list edges in
     (* Assign a fresh label per critical edge. *)
-    let fresh = Hashtbl.create (List.length edges) in
-    List.iteri (fun i e -> Hashtbl.add fresh e (n + i)) edges;
+    let fresh = Hashtbl.create (Array.length edges) in
+    Array.iteri (fun i e -> Hashtbl.add fresh e (n + i)) edges;
     let blocks =
       Array.init
-        (n + List.length edges)
+        (n + Array.length edges)
         (fun l ->
           if l < n then begin
             let b = f.blocks.(l) in
@@ -64,8 +65,7 @@ let run_cfg ?cfg ?obs (f : Mir.func) =
             { b with term; phis }
           end
           else begin
-            let src, dst = List.nth edges (l - n) in
-            ignore src;
+            let _, dst = edges.(l - n) in
             { Mir.label = l; phis = []; body = []; term = Jump dst }
           end)
     in

@@ -4,6 +4,7 @@
 
 include Mir
 module Mir = Mir
+module Names = Names
 module Cfg = Cfg
 module Builder = Builder
 module Printer = Printer

@@ -43,7 +43,7 @@ type func = {
   entry : label;
   blocks : block array;
   nregs : int;
-  hints : string Support.Imap.t;
+  names : Names.t;
 }
 
 let def = function
@@ -129,10 +129,16 @@ let count_phi_args f =
   iter_phis f (fun _ p -> n := !n + List.length p.args);
   !n
 
-let reg_name f r =
-  match Support.Imap.find_opt r f.hints with
-  | Some s -> s
-  | None -> "r" ^ string_of_int r
+let rec name_in names r =
+  match Names.view names r with
+  | Names.Unnamed -> "r" ^ string_of_int r
+  | Given s -> s
+  | Version { base; origin; version } ->
+    name_in base origin ^ "." ^ string_of_int version
+  | Temp { prefix; numbered } ->
+    if numbered then prefix ^ string_of_int r else prefix
+
+let reg_name f r = name_in f.names r
 
 (* Word-count model of the in-memory representation: a block record and its
    two lists, ~6 words per instruction record plus operands, 4 words per phi

@@ -61,8 +61,7 @@ type func = {
   entry : label;
   blocks : block array;  (** [blocks.(l).label = l] for every [l]. *)
   nregs : int;  (** Registers are [0 .. nregs-1]. *)
-  hints : string Support.Imap.t;
-      (** Optional base names for pretty-printing registers. *)
+  names : Names.t;  (** How each register prints; see {!reg_name}. *)
 }
 
 (** {1 Instruction and terminator helpers} *)
@@ -116,7 +115,9 @@ val count_phi_args : func -> int
 (** Total number of φ arguments — the [n] of the paper's O(n·α(n)) bound. *)
 
 val reg_name : func -> reg -> string
-(** Pretty name for a register: its hint if any, else ["r<n>"]. *)
+(** A register's printed name, formatted from its {!Names.view}: a given
+    name as is, an SSA version as ["<origin name>.<version>"], a temporary
+    as its prefix (and number), and an unnamed register as ["r<n>"]. *)
 
 val estimated_bytes : func -> int
 (** Rough heap footprint of the function representation itself (blocks,

@@ -353,17 +353,15 @@ let parse_func (ls : line list) : Mir.func * line list =
     | None, (_, b) :: _ -> b.label
     | None, [] -> assert false
   in
-  let hints =
-    Hashtbl.fold (fun name r acc -> Support.Imap.add r name acc) st.regs
-      Support.Imap.empty
-  in
+  let names = Array.make st.next_reg "" in
+  Hashtbl.iter (fun name r -> names.(r) <- name) st.regs;
   ( {
       Mir.name;
       params;
       entry;
       blocks = arr;
       nregs = st.next_reg;
-      hints;
+      names = Names.given names;
     },
     rest )
 

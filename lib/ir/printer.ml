@@ -1,9 +1,8 @@
 (* One Buffer-based printer. Its output is the cache's content address
    (Cache.key hashes it), so every byte is a contract: two spaces of
    indentation inside a block, one construct per line, no trailing
-   newline. Register names are resolved once per function into an array
-   instead of one Imap lookup per occurrence, and nothing goes through
-   Format. *)
+   newline. Each register's name is formatted once per function into an
+   array, and nothing goes through Format. *)
 
 let binop_name = function
   | Mir.Add -> "add" | Sub -> "sub" | Mul -> "mul" | Div -> "div" | Mod -> "mod"

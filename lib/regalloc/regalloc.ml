@@ -270,11 +270,11 @@ let try_color_reference ~options ~is_temp (f : Ir.func) graph costs =
    a fresh temporary. Parameters are stored at function entry. *)
 let insert_spill_code (f : Ir.func) spills ~spill_array ~slot_of ~loads ~stores =
   let next = ref f.nregs in
-  let hints = ref f.hints in
-  let fresh base =
+  let prefixes = Vec.create () in
+  let fresh prefix =
     let r = !next in
     incr next;
-    hints := Imap.add r (Printf.sprintf "%s%d" base r) !hints;
+    Vec.push prefixes prefix;
     r
   in
   let is_spilled r = Imap.mem r spills in
@@ -356,16 +356,19 @@ let insert_spill_code (f : Ir.func) spills ~spill_array ~slot_of ~loads ~stores 
         { b with body; term })
       f.blocks
   in
-  { f with blocks; nregs = !next; hints = !hints }
+  (* Spill temporaries print as "ld<N>" and "st<N>". *)
+  let names =
+    Ir.Names.temps f.names ~first:f.nregs ~numbered:true (Vec.to_array prefixes)
+  in
+  { f with blocks; nregs = !next; names }
 
 let rewrite_to_colors (f : Ir.func) colors =
   let ncolors = 1 + Array.fold_left max (-1) colors in
   let color r = colors.(r) in
-  let hints =
-    List.fold_left
-      (fun acc c -> Imap.add c (Printf.sprintf "R%d" c) acc)
-      Imap.empty
-      (List.init (max 1 ncolors) (fun c -> c))
+  (* Colours print as "R<c>". *)
+  let names =
+    Ir.Names.temps Ir.Names.empty ~first:0 ~numbered:true
+      (Array.make (max 1 ncolors) "R")
   in
   let blocks =
     Array.map
@@ -387,7 +390,7 @@ let rewrite_to_colors (f : Ir.func) colors =
         { b with body; term })
       f.blocks
   in
-  ( { f with blocks; params = List.map color f.params; nregs = max 1 ncolors; hints },
+  ( { f with blocks; params = List.map color f.params; nregs = max 1 ncolors; names },
     ncolors )
 
 let run ?(options = default_options) (f0 : Ir.func) =

@@ -25,6 +25,7 @@ let run ?(pruning = Pruned) ?(fold_copies = true) ?obs (f : Ir.func) =
   (* Definition sites per original variable. Parameters count as definitions
      in the entry block. *)
   let def_blocks = Array.make f.nregs Iset.empty in
+  let reachable_defs = ref 0 in
   List.iter
     (fun p -> def_blocks.(p) <- Iset.add f.entry def_blocks.(p))
     f.params;
@@ -34,7 +35,9 @@ let run ?(pruning = Pruned) ?(fold_copies = true) ?obs (f : Ir.func) =
         List.iter
           (fun i ->
             Option.iter
-              (fun d -> def_blocks.(d) <- Iset.add b.label def_blocks.(d))
+              (fun d ->
+                incr reachable_defs;
+                def_blocks.(d) <- Iset.add b.label def_blocks.(d))
               (Ir.def i))
           b.body)
     f.blocks;
@@ -110,19 +113,19 @@ let run ?(pruning = Pruned) ?(fold_copies = true) ?obs (f : Ir.func) =
   done;
   (* Renaming: dominator-tree walk with a stack of current operands per
      original variable. Copy folding pushes the source operand instead of
-     minting a new name. *)
+     minting a new name. Each new register records its origin and version
+     number; its printed name is formatted only if someone prints it.
+     Parameters, φs and reachable definitions bound the names minted. *)
+  let bound = List.length f.params + !phis_inserted + !reachable_defs in
+  let origin_of = Array.make bound 0 in
+  let version_of = Array.make bound 0 in
   let next = ref 0 in
-  let hints = ref Imap.empty in
   let version = Array.make f.nregs 0 in
   let fresh_name v =
     let r = !next in
     incr next;
-    let base =
-      match Imap.find_opt v f.hints with
-      | Some s -> s
-      | None -> Printf.sprintf "r%d" v
-    in
-    hints := Imap.add r (Printf.sprintf "%s.%d" base version.(v)) !hints;
+    origin_of.(r) <- v;
+    version_of.(r) <- version.(v);
     version.(v) <- version.(v) + 1;
     r
   in
@@ -225,7 +228,9 @@ let run ?(pruning = Pruned) ?(fold_copies = true) ?obs (f : Ir.func) =
       params = new_params;
       blocks;
       nregs = !next;
-      hints = !hints;
+      names =
+        Ir.Names.versions ~base:f.names ~origin:origin_of ~version:version_of
+          ~count:!next;
     },
     { phis_inserted = !phis_inserted; copies_folded = !copies_folded } )
 

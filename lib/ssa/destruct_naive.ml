@@ -8,15 +8,9 @@ type stats = {
 let run ?obs (f : Ir.func) =
   let cfg = Cfg.of_func f in
   let next = ref f.nregs in
-  let hints = ref f.hints in
-  let temps = ref 0 in
-  let fresh ?name () =
+  let fresh () =
     let r = !next in
     incr next;
-    incr temps;
-    (match name with
-    | Some n -> hints := Support.Imap.add r n !hints
-    | None -> ());
     r
   in
   (* Pending copy lists per predecessor block — the paper's Waiting array. *)
@@ -57,7 +51,13 @@ let run ?obs (f : Ir.func) =
       f.blocks
   in
   Option.iter (fun o -> Obs.add o Obs.Copies_inserted !copies) obs;
-  ( { f with blocks; nregs = !next; hints = !hints },
-    { copies_inserted = !copies; temps_inserted = !temps } )
+  let temps = !next - f.nregs in
+  (* Parallel-copy temporaries print as a bare "pcopy". *)
+  let names =
+    Ir.Names.temps f.names ~first:f.nregs ~numbered:false
+      (Array.make temps "pcopy")
+  in
+  ( { f with blocks; nregs = !next; names },
+    { copies_inserted = !copies; temps_inserted = temps } )
 
 let run_exn ?obs f = fst (run ?obs f)

@@ -16,10 +16,10 @@ let check_distinct moves =
       Hashtbl.add seen m.dst ())
     moves
 
-let sequentialize ?obs ~(fresh : ?name:string -> unit -> Ir.reg) moves =
-  let fresh ?name () =
+let sequentialize ?obs ~(fresh : unit -> Ir.reg) moves =
+  let fresh () =
     Option.iter (fun o -> Obs.incr o Obs.Parallel_copy_temps) obs;
-    fresh ?name ()
+    fresh ()
   in
   let moves = real_moves moves in
   check_distinct moves;
@@ -78,7 +78,7 @@ let sequentialize ?obs ~(fresh : ?name:string -> unit -> Ir.reg) moves =
       if not (Hashtbl.mem emitted b) then begin
         (* b is part of a register cycle: save its current value in a fresh
            temporary so b becomes writable, then drain the cycle. *)
-        let t = fresh ~name:"pcopy" () in
+        let t = fresh () in
         emit t (Ir.Reg b);
         Hashtbl.replace loc b t;
         ready := [ b ];

@@ -17,15 +17,16 @@ type move = {
 
 val sequentialize :
   ?obs:Obs.t ->
-  fresh:(?name:string -> unit -> Ir.reg) ->
+  fresh:(unit -> Ir.reg) ->
   move list ->
   Ir.instr list
 (** [sequentialize ~fresh moves] is a list of [Copy] instructions whose
     sequential execution has the same effect as performing all [moves] at
     once. Destinations must be pairwise distinct. Identity moves are
-    dropped. [fresh] mints cycle-breaking temporaries. [obs] charges each
-    minted temporary to [Obs.Parallel_copy_temps]; the emitted copies are
-    counted by the callers, which know the conversion route. *)
+    dropped. [fresh] mints cycle-breaking temporaries; the caller names
+    them. [obs] charges each minted temporary to
+    [Obs.Parallel_copy_temps]; the emitted copies are counted by the
+    callers, which know the conversion route. *)
 
 val needs_temp : move list -> bool
 (** Whether the parallel copy contains a register cycle (and so

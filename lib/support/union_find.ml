@@ -56,18 +56,20 @@ let count_sets t =
   done;
   !c
 
+(* Members are bucketed by root in one pass from the top, so each bucket
+   comes out ascending; walking the roots from the top down then conses
+   the groups in ascending root order. *)
 let groups t =
   let n = length t in
-  let tbl = Hashtbl.create 16 in
+  let members = Array.make n [] in
   for i = n - 1 downto 0 do
     let r = find t i in
-    let members = try Hashtbl.find tbl r with Not_found -> [] in
-    Hashtbl.replace tbl r (i :: members)
+    members.(r) <- i :: members.(r)
   done;
-  Hashtbl.fold
-    (fun r members acc ->
-      match members with
-      | [] | [ _ ] -> acc
-      | _ -> (r, members) :: acc)
-    tbl []
-  |> List.sort compare
+  let acc = ref [] in
+  for r = n - 1 downto 0 do
+    match members.(r) with
+    | [] | [ _ ] -> ()
+    | m -> acc := (r, m) :: !acc
+  done;
+  !acc

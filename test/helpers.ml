@@ -263,6 +263,13 @@ let assert_equiv ?(args = run_args) name f g =
   let b = Interp.run ~args g in
   checkb (name ^ ": same semantics") true (outcomes_equal a b)
 
+(* Given register names from [(register, name)] pairs. *)
+let names_of_list pairs =
+  let n = List.fold_left (fun n (r, _) -> max n (r + 1)) 0 pairs in
+  let a = Array.make n "" in
+  List.iter (fun (r, s) -> a.(r) <- s) pairs;
+  Ir.Names.given a
+
 (* Random but *terminating and fault-free* programs via the mini-language
    generator. *)
 let random_program seed size =
@@ -320,10 +327,7 @@ module Ref_printer = struct
     | Ir.Int i -> Format.fprintf ppf "%d" i
     | Ir.Float x -> Format.fprintf ppf "%g" x
 
-  let pp_reg (f : Ir.func) ppf r =
-    match Support.Imap.find_opt r f.hints with
-    | Some s -> Format.pp_print_string ppf s
-    | None -> Format.fprintf ppf "r%d" r
+  let pp_reg (f : Ir.func) ppf r = Format.pp_print_string ppf (Ir.reg_name f r)
 
   let pp_operand f ppf = function
     | Ir.Reg r -> pp_reg f ppf r

@@ -9,16 +9,14 @@ open Helpers
 
 let blk ?(phis = []) ?(body = []) label term = { Ir.label; phis; body; term }
 
-let fn ?(params = []) ?(entry = 0) ?(hints = []) ~nregs name blocks =
+let fn ?(params = []) ?(entry = 0) ?(names = []) ~nregs name blocks =
   {
     Ir.name;
     params;
     entry;
     blocks = Array.of_list blocks;
     nregs;
-    hints =
-      List.fold_left (fun m (r, s) -> Support.Imap.add r s m) Support.Imap.empty
-        hints;
+    names = names_of_list names;
   }
 
 let render errs =
@@ -66,7 +64,7 @@ let structure_cases =
         "regs/b1: label b3 out of range";
       ] );
     ( "entry has predecessors and phis",
-      fn ~nregs:1 ~hints:[ (0, "x") ] "loopy"
+      fn ~nregs:1 ~names:[ (0, "x") ] "loopy"
         [
           blk 0 ~phis:[ { dst = 0; args = [ (1, Const (Int 0)) ] } ] (Jump 1);
           blk 1 (Jump 0);
@@ -74,7 +72,7 @@ let structure_cases =
       [ "loopy: entry block b0 has predecessors";
         "loopy: entry block b0 has phi-nodes" ] );
     ( "duplicate phi labels",
-      fn ~nregs:2 ~hints:[ (1, "x") ] "dup"
+      fn ~nregs:2 ~names:[ (1, "x") ] "dup"
         [
           blk 0 (Jump 1);
           blk 1
@@ -108,7 +106,7 @@ let test_structure () =
 let strictness_cases =
   [
     ( "use before assignment",
-      fn ~params:[ 0 ] ~nregs:3 ~hints:[ (0, "p"); (1, "x") ] "use"
+      fn ~params:[ 0 ] ~nregs:3 ~names:[ (0, "p"); (1, "x") ] "use"
         [
           blk 0 (Branch { cond = Reg 0; if_true = 1; if_false = 2 });
           blk 1 ~body:[ const 1 1 ] (Jump 2);
@@ -119,7 +117,7 @@ let strictness_cases =
       fn ~nregs:2 "term" [ blk 0 ~body:[ const 0 1 ] (ret 1) ],
       [ "term/b0: terminator uses r1 before definite assignment" ] );
     ( "phi argument",
-      fn ~params:[ 0 ] ~nregs:3 ~hints:[ (1, "y"); (2, "z") ] "phiarg"
+      fn ~params:[ 0 ] ~nregs:3 ~names:[ (1, "y"); (2, "z") ] "phiarg"
         [
           blk 0 (Branch { cond = Reg 0; if_true = 1; if_false = 2 });
           blk 1 ~body:[ const 1 1 ] (Jump 2);
@@ -166,7 +164,7 @@ let ssa_cases =
       [ "empty: function has no blocks"; "empty: entry label b0 out of range" ]
     );
     ( "multiple definitions",
-      fn ~params:[ 0 ] ~nregs:2 ~hints:[ (0, "p"); (1, "v") ] "multi"
+      fn ~params:[ 0 ] ~nregs:2 ~names:[ (0, "p"); (1, "v") ] "multi"
         [
           blk 0 ~body:[ const 1 1; const 0 2 ] (Jump 1);
           blk 1 ~phis:[ { dst = 1; args = [ (0, Reg 0) ] } ] (ret 1);
@@ -179,7 +177,7 @@ let ssa_cases =
       fn ~nregs:2 "undef" [ blk 0 ~body:[ copy 0 1 ] (ret 0) ],
       [ "undef/b0: use of r1, which has no definition" ] );
     ( "use not dominated",
-      fn ~params:[ 0 ] ~nregs:3 ~hints:[ (1, "a") ] "nodom"
+      fn ~params:[ 0 ] ~nregs:3 ~names:[ (1, "a") ] "nodom"
         [
           blk 0 (Branch { cond = Reg 0; if_true = 1; if_false = 2 });
           blk 1 ~body:[ const 1 1 ] (Jump 3);
@@ -298,7 +296,7 @@ let test_parse () =
 
 (* Registers are numbered in order of first occurrence, reading each line's
    operands right to left and a phi's destination before its arguments;
-   printing without hints shows the numbering. *)
+   printing without names shows the numbering. *)
 let test_parse_numbering () =
   let f =
     Ir.Parse.func_of_string
@@ -311,9 +309,8 @@ let test_parse_numbering () =
     "func f(r0, r1) {  # entry b0\nb0:\n  r4 := add r3, r2\n  r6 := neg r5\n\
     \  m[r8] := r7\n  r10 := m[r9]\n  br r11, b1, b1\nb1:\n\
     \  r12 := phi [b0: r13] [b1: r14]\n  ret r12\n}"
-    (Ir.Printer.func_to_string { f with Ir.hints = Support.Imap.empty });
-  check Alcotest.(option string) "hint" (Some "z")
-    (Support.Imap.find_opt 2 f.Ir.hints)
+    (Ir.Printer.func_to_string { f with Ir.names = Ir.Names.empty });
+  check Alcotest.string "name" "z" (Ir.reg_name f 2)
 
 let suite =
   [

@@ -229,7 +229,7 @@ let test_parse_errors () =
 (* Property: printer output always re-parses to a function that prints
    identically, across the whole SSA pipeline, and parsing is a fixed point
    too: a second print/parse gives back the same register numbering,
-   hints and register count. *)
+   register names and register count. *)
 let prop_print_parse_roundtrip =
   QCheck.Test.make ~count:60 ~name:"print/parse round-trip"
     QCheck.(pair (int_bound 10_000) (int_range 10 50))
@@ -246,7 +246,9 @@ let prop_print_parse_roundtrip =
           let again = Ir.Parse.func_of_string (Ir.Printer.func_to_string reparsed) in
           Ir.Printer.func_to_string reparsed = printed
           && again.Ir.nregs = reparsed.Ir.nregs
-          && Support.Imap.equal String.equal again.Ir.hints reparsed.Ir.hints
+          && List.for_all
+               (fun r -> Ir.reg_name again r = Ir.reg_name reparsed r)
+               (List.init reparsed.Ir.nregs Fun.id)
           && again.Ir.blocks = reparsed.Ir.blocks
           && again.Ir.params = reparsed.Ir.params)
         stages)
@@ -311,15 +313,14 @@ let test_printer_reference_corners () =
       { Ir.label = 2; phis = []; body = []; term = Return None };
     |]
   in
-  let fn ?(params = []) hints =
+  let fn ?(params = []) names =
     {
       Ir.name = "corners";
       params;
       entry = 0;
       blocks;
       nregs = 4;
-      hints =
-        List.fold_left (fun m (r, s) -> Support.Imap.add r s m) Support.Imap.empty hints;
+      names = names_of_list names;
     }
   in
   let cases =

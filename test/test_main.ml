@@ -4,6 +4,9 @@
 let () =
   Alcotest.run "repro"
     [
+      (* First: "stream: bounded memory vs materialized" compares heap
+         growth, which depends on the GC state earlier suites leave. *)
+      ("engine", Test_engine.suite);
       ("support", Test_support.suite);
       ("ir", Test_ir.suite);
       ("diagnostics", Test_diagnostics.suite);
@@ -28,8 +31,8 @@ let () =
       ("pass", Test_pass.suite);
       ("check", Test_check.suite);
       ("harness", Test_harness.suite);
-      ("engine", Test_engine.suite);
       ("obs", Test_obs.suite);
       ("cache", Test_cache.suite);
+      ("digests", Test_digests.suite);
       ("serve", Test_serve.suite);
     ]

@@ -41,8 +41,7 @@ let env_equal a b ~on =
 
 let fresh_from n =
   let next = ref n in
-  fun ?name () ->
-    ignore name;
+  fun () ->
     let r = !next in
     incr next;
     r
