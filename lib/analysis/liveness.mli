@@ -14,35 +14,37 @@
 type t
 
 val compute : ?obs:Obs.t -> Ir.func -> Ir.Cfg.t -> t
-(** Worklist dataflow to a fixpoint, allocating fresh bit vectors. *)
+(** Worklist dataflow to a fixpoint, allocating fresh matrices. *)
 
 val compute_into :
   scratch:Support.Scratch.t -> ?obs:Obs.t -> Ir.func -> Ir.Cfg.t -> t
-(** Like {!compute}, but every bit vector — the result sets as well as the
-    per-block gen/kill temporaries and the worklist — is acquired from
-    [scratch]. Pair with {!release} to recycle the result's vectors once the
-    analysis is no longer needed. When [obs] is given, the number of worklist
-    pops is charged to [Obs.Liveness_worklist_pops]. *)
+(** Like {!compute}, but the four per-block sets — live-in, live-out and the
+    gen/kill temporaries — are rows of four {!Support.Bitset.Matrix}es, one
+    buffer each, acquired from [scratch] with the worklist arrays. Pair with
+    {!release} to recycle the result's two matrices once the analysis is no
+    longer needed. When [obs] is given, the number of worklist pops is
+    charged to [Obs.Liveness_worklist_pops]. *)
 
 val release : Support.Scratch.t -> t -> unit
-(** Return the result's live-in/live-out vectors to the arena. [t] must not
-    be used afterwards. *)
+(** Return the live-in/live-out matrices to the arena. [t] must not be used
+    afterwards. *)
 
 val live_in : t -> Ir.label -> Support.Bitset.t
-(** Do not mutate the returned set. *)
+(** A view of the block's row. Do not mutate the returned set. *)
 
 val live_out : t -> Ir.label -> Support.Bitset.t
-(** Do not mutate the returned set. *)
+(** A view of the block's row. Do not mutate the returned set. *)
 
 val live_in_mem : t -> Ir.label -> Ir.reg -> bool
-(** Membership in {!live_in} without materializing the set. *)
+(** Membership in {!live_in}, read from the row without a view. *)
 
 val live_out_mem : t -> Ir.label -> Ir.reg -> bool
-(** Membership in {!live_out} without materializing the set. *)
+(** Membership in {!live_out}, read from the row without a view. *)
 
 val memory_bytes : t -> int
-(** Total bytes of the live-in/live-out bit vectors, for the memory
-    accounting experiments. *)
+(** Bytes of the live-in/live-out rows, 2 × blocks × ⌈registers/8⌉: the
+    paper's bit-vector model (Table 3), for the memory accounting
+    experiments. *)
 
 val interfere_at_bounds : t -> Ir.reg -> Ir.label -> Ir.reg -> Ir.label -> bool
 (** [interfere_at_bounds t v1 b1 v2 b2], with [b1]/[b2] the defining blocks:

@@ -66,6 +66,7 @@ let collect_copies (f : Ir.func) cfg depth_of =
   List.stable_sort (fun (d1, _, _) (d2, _, _) -> compare d2 d1) (List.rev !copies)
 
 let run ~variant (f : Ir.func) =
+  let scratch = Scratch.domain () in
   Array.iter
     (fun (b : Ir.block) ->
       if b.phis <> [] then invalid_arg "Ig_coalesce: function has phi-nodes")
@@ -81,23 +82,27 @@ let run ~variant (f : Ir.func) =
   let graph_edges = ref [] in
   let liveness_bytes = ref 0 in
   let continue_ = ref true in
+  (* The previous round's graph, whose bit matrix the next round reuses. *)
+  let last = ref None in
   while !continue_ do
     incr rounds;
     let cur = rewrite_with f (Union_find.find uf) in
     let cfg = Cfg.of_func cur in
-    let live = Liveness.compute cur cfg in
+    let live = Liveness.compute_into ~scratch cur cfg in
     liveness_bytes := max !liveness_bytes (Liveness.memory_bytes live);
     let copies = collect_copies cur cfg (Loops.depth loops) in
     let graph =
       match variant with
-      | Briggs -> Igraph.build_full cur cfg live
+      | Briggs -> Igraph.build_full ?reuse:!last cur cfg live
       | Briggs_star ->
         let members =
           List.concat_map (fun (_, d, s) -> [ d; s ]) copies
           |> List.sort_uniq compare
         in
-        Igraph.build_restricted cur cfg live ~members
+        Igraph.build_restricted ?reuse:!last cur cfg live ~members
     in
+    Liveness.release scratch live;
+    last := Some graph;
     graph_bytes := Igraph.memory_bytes graph :: !graph_bytes;
     graph_nodes := Igraph.num_nodes graph :: !graph_nodes;
     graph_edges := Igraph.num_edges graph :: !graph_edges;

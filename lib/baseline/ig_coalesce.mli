@@ -34,6 +34,9 @@ type stats = {
 }
 
 val run : variant:variant -> Ir.func -> Ir.func * stats
-(** Raises [Invalid_argument] if the function still has φ-nodes. *)
+(** Each round's liveness matrices come from the calling domain's arena
+    and go back to it once the round's graph is built; each round's graph
+    takes over the previous round's bit-matrix storage. Raises
+    [Invalid_argument] if the function still has φ-nodes. *)
 
 val run_exn : variant:variant -> Ir.func -> Ir.func

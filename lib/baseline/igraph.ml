@@ -43,12 +43,13 @@ let scan (f : Ir.func) cfg live ~member ~record =
         List.iter (fun q -> if q <> p && member q then record p q) f.params
       end)
     f.params;
+  let set = Bitset.create f.nregs in
   Array.iter
     (fun (b : Ir.block) ->
       if Cfg.reachable cfg b.label then begin
         if b.phis <> [] then
           invalid_arg "Igraph: function still contains phi-nodes";
-        let set = Bitset.copy (Liveness.live_out live b.label) in
+        Bitset.blit ~src:(Liveness.live_out live b.label) ~dst:set;
         List.iter (Bitset.add set) (Ir.term_uses b.term);
         List.iter
           (fun instr ->
@@ -66,10 +67,10 @@ let scan (f : Ir.func) cfg live ~member ~record =
       end)
     f.blocks
 
-let build_full (f : Ir.func) cfg live =
+let build_full ?reuse (f : Ir.func) cfg live =
   let t =
     {
-      matrix = Bit_matrix.create f.nregs;
+      matrix = Bit_matrix.create ?reuse:(Option.map (fun g -> g.matrix) reuse) f.nregs;
       index = None;
       nodes = f.nregs;
       edges = 0;
@@ -79,7 +80,7 @@ let build_full (f : Ir.func) cfg live =
   scan f cfg live ~member:(fun _ -> true) ~record:(fun a b -> add_edge t a b);
   t
 
-let build_restricted (f : Ir.func) cfg live ~members =
+let build_restricted ?reuse (f : Ir.func) cfg live ~members =
   let map = Array.make f.nregs (-1) in
   let n = ref 0 in
   List.iter
@@ -91,7 +92,7 @@ let build_restricted (f : Ir.func) cfg live ~members =
     members;
   let t =
     {
-      matrix = Bit_matrix.create !n;
+      matrix = Bit_matrix.create ?reuse:(Option.map (fun g -> g.matrix) reuse) !n;
       index = Some map;
       nodes = !n;
       edges = 0;

@@ -15,13 +15,15 @@
 
 type t
 
-val build_full : Ir.func -> Ir.Cfg.t -> Analysis.Liveness.t -> t
-(** Graph over all registers. The function must have no φ-nodes. *)
+val build_full : ?reuse:t -> Ir.func -> Ir.Cfg.t -> Analysis.Liveness.t -> t
+(** Graph over all registers. The function must have no φ-nodes. [reuse], a
+    graph that is no longer needed, lends its bit matrix's storage (see
+    {!Support.Bit_matrix.create}). *)
 
 val build_restricted :
-  Ir.func -> Ir.Cfg.t -> Analysis.Liveness.t -> members:Ir.reg list -> t
+  ?reuse:t -> Ir.func -> Ir.Cfg.t -> Analysis.Liveness.t -> members:Ir.reg list -> t
 (** Graph restricted to [members]; edges between non-members are not
-    recorded. *)
+    recorded. [reuse] as for {!build_full}. *)
 
 val interferes : t -> Ir.reg -> Ir.reg -> bool
 (** For the restricted build both registers must be members. *)

@@ -194,18 +194,23 @@ let analyze ~options ~scratch ~cfg ?obs (f : Ir.func) : analysis =
     || Liveness.live_in_mem live c.block p.var
     || p.block = c.block
   in
-  List.iter
-    (fun (_, members) ->
-      let attached =
-        List.filter_map
-          (fun m ->
-            if detached.(m) then None
-            else
-              let s = site m in
-              Some (m, s.Interference.block, s.Interference.index))
-          members
-      in
-      let forest = DF.build dom attached in
+  (* Every class's forest at once: one preorder sort for the function. *)
+  let forests =
+    DF.build_all dom
+      (Array.of_list
+         (List.map
+            (fun (_, members) ->
+              List.filter_map
+                (fun m ->
+                  if detached.(m) then None
+                  else
+                    let s = site m in
+                    Some (m, s.Interference.block, s.Interference.index))
+                members)
+            groups))
+  in
+  Array.iter
+    (fun forest ->
       total_forest_nodes := !total_forest_nodes + DF.size forest;
       let rec process_node (node : DF.node) =
         let queue = ref node.children in
@@ -266,9 +271,12 @@ let analyze ~options ~scratch ~cfg ?obs (f : Ir.func) : analysis =
         drain ()
       in
       List.iter process_node forest)
-    groups;
-  (* Phase 4 — local interferences (Section 3.4): one backward walk per
-     deferred pair, from the dominated definition's block. *)
+    forests;
+  (* Phase 4 — local interferences (Section 3.4). Whether the parent is
+     live just after the child's definition depends only on liveness, so
+     every deferred pair is answered up front, with one backward walk per
+     block that has pairs; the detach decisions below then consult the
+     answers. *)
   let local_detached = ref 0 in
   (* Victim choice here is constrained by Lemma 3.1: interference facts
      transfer only along chains of still-attached members, so removing the
@@ -283,16 +291,21 @@ let analyze ~options ~scratch ~cfg ?obs (f : Ir.func) : analysis =
       (fun (c : DF.node) -> (not detached.(c.var)) || has_attached_descendant c)
       n.children
   in
+  let pairs = Array.of_list (List.rev !local_pairs) in
   let local_buf = Scratch.acquire_bitset scratch f.nregs in
-  List.iter
-    (fun (pvar, (c : DF.node)) ->
+  let live_after =
+    Interference.live_just_after_all ~into:local_buf f live
+      (Array.map
+         (fun (pvar, (c : DF.node)) ->
+           (pvar, { Interference.block = c.block; index = c.def_index }))
+         pairs)
+  in
+  Scratch.release_bitset scratch local_buf;
+  Array.iteri
+    (fun k (pvar, (c : DF.node)) ->
       if (not detached.(pvar)) && not detached.(c.var) then begin
-        let at = { Interference.block = c.block; index = c.def_index } in
         oincr Obs.Local_interference_checks;
-        let hit =
-          Interference.live_just_after ~into:local_buf f live ~reg:pvar ~at
-        in
-        if hit then begin
+        if live_after.(k) then begin
           let victim =
             if
               options.victim_heuristic
@@ -306,8 +319,7 @@ let analyze ~options ~scratch ~cfg ?obs (f : Ir.func) : analysis =
           oincr Obs.Local_detaches
         end
       end)
-    (List.rev !local_pairs);
-  Scratch.release_bitset scratch local_buf;
+    pairs;
   (* Phase 5 — renaming (Section 3.5): one name per class. *)
   let rename = Array.init f.nregs (fun r -> r) in
   let final_classes = ref [] in

@@ -31,7 +31,15 @@ type t = node list
 val build : Analysis.Dominance.t -> (Ir.reg * Ir.label * int) list -> t
 (** [build dom members] constructs the forest for [members] given as
     [(variable, defining block, definition index)] triples. All blocks must
-    be reachable. O(|S| log |S|) from the sort; the walk itself is linear. *)
+    be reachable. O(|S| + the largest member preorder number), plus a sort
+    of any members that share a block. *)
+
+val build_all :
+  Analysis.Dominance.t -> (Ir.reg * Ir.label * int) list array -> t array
+(** One forest per member list, each identical to {!build}'s, with the
+    members of all lists sorted in one counting sort: O(total members +
+    blocks) for a whole function's congruence classes, not O(blocks) per
+    class. *)
 
 val iter_edges : t -> (node -> node -> unit) -> unit
 (** Apply to every (parent, child) edge, depth-first. *)

@@ -23,9 +23,19 @@ val live_just_after :
 (** Is [reg] live immediately after the given definition point? For a φ/
     parameter site ([index = -1]) the point is "after all φ definitions at
     the top of the block". Implemented as a backward walk from the block's
-    live-out — the Section 3.4 local check. [?into] supplies a reusable
-    working bitset (capacity = the function's register count, contents
-    clobbered), making the query allocation-free on hot paths. *)
+    live-out — the Section 3.4 local check — as a single query of
+    {!live_just_after_all}. [?into] supplies a reusable working bitset
+    (capacity = the function's register count, contents clobbered).
+    Raises [Invalid_argument] if [at.index] is below [-1] or not below the
+    block's body length. *)
+
+val live_just_after_all :
+  ?into:Support.Bitset.t ->
+  Ir.func -> Analysis.Liveness.t -> (Ir.reg * def_site) array -> bool array
+(** [live_just_after_all f live queries] answers every [(reg, at)] query
+    as {!live_just_after} would, with one backward walk per block that has
+    queries (Section 3.4), rather than one per query. Answer [k] belongs to
+    query [k]. Raises [Invalid_argument] as {!live_just_after} does. *)
 
 val precise :
   Ir.func ->

@@ -128,7 +128,8 @@ let lower (fn : Ast.func) =
   (* Strictness (Definition 2.1): initialize exactly the variables that are
      live into the entry block, as the paper prescribes. *)
   let cfg = Ir.Cfg.of_func f0 in
-  let live = Analysis.Liveness.compute f0 cfg in
+  let scratch = Support.Scratch.domain () in
+  let live = Analysis.Liveness.compute_into ~scratch f0 cfg in
   let entry_live = Analysis.Liveness.live_in live f0.entry in
   let params = f0.params in
   let inits =
@@ -138,6 +139,7 @@ let lower (fn : Ast.func) =
         else Ir.Copy { dst = r; src = Const (Int 0) } :: acc)
       entry_live []
   in
+  Analysis.Liveness.release scratch live;
   let blocks =
     Array.map
       (fun (blk : Ir.block) ->

@@ -14,44 +14,75 @@ let err where fmt = Format.kasprintf (fun what -> { where; what }) fmt
 let loc (f : Mir.func) l = Printf.sprintf "%s/b%d" f.name l
 
 (* The structural checks, and on success the CFG they built: [strictness]'s
-   walk needs the same graph, so [run] hands it on instead of rebuilding. *)
+   walk and [Ssa.Ssa_validate] need the same graph, so they take it from
+   here instead of rebuilding it. Operands are matched in place and lists
+   walked by direct recursion, so a valid function costs its CFG and two
+   label-indexed stamp arrays, not a list or closure per instruction. *)
 let structure_cfg (f : Mir.func) =
   let errors = ref [] in
   let add e = errors := e :: !errors in
   let n = Mir.num_blocks f in
   if n = 0 then add (err f.name "function has no blocks");
-  let check_label at l =
+  let label at l =
     if l < 0 || l >= n then add (err (loc f at) "label b%d out of range" l)
   in
-  let check_reg at r =
+  let reg at r =
     if r < 0 || r >= f.nregs then add (err (loc f at) "register %d out of range" r)
+  in
+  let operand at = function Mir.Reg r -> reg at r | Mir.Const _ -> () in
+  let rec body at = function
+    | [] -> ()
+    | (i : Mir.instr) :: rest ->
+      (match i with
+      | Copy { dst; src } | Unop { dst; src; _ } ->
+        operand at src;
+        reg at dst
+      | Binop { dst; l; r; _ } ->
+        operand at l;
+        operand at r;
+        reg at dst
+      | Load { dst; idx; _ } ->
+        operand at idx;
+        reg at dst
+      | Store { idx; src; _ } ->
+        operand at idx;
+        operand at src);
+      body at rest
+  in
+  let rec args at = function
+    | [] -> ()
+    | (pl, op) :: rest ->
+      label at pl;
+      operand at op;
+      args at rest
+  in
+  let rec phis at = function
+    | [] -> ()
+    | (p : Mir.phi) :: rest ->
+      reg at p.dst;
+      args at p.args;
+      phis at rest
   in
   if f.entry < 0 || f.entry >= n then begin
     add (err f.name "entry label b%d out of range" f.entry);
     Error (List.rev !errors)
   end
   else begin
-    Array.iteri
-      (fun l (b : Mir.block) ->
-        if b.label <> l then
-          add (err (loc f l) "block label field is b%d, expected b%d" b.label l);
-        List.iter (check_label l) (Mir.successors b.term);
-        List.iter (check_reg l) (Mir.term_uses b.term);
-        List.iter
-          (fun i ->
-            List.iter (check_reg l) (Mir.uses i);
-            Option.iter (check_reg l) (Mir.def i))
-          b.body;
-        List.iter
-          (fun (p : Mir.phi) ->
-            check_reg l p.dst;
-            List.iter
-              (fun (pl, op) ->
-                check_label l pl;
-                List.iter (check_reg l) (Mir.operand_uses op))
-              p.args)
-          b.phis)
-      f.blocks;
+    for l = 0 to n - 1 do
+      let b = f.blocks.(l) in
+      if b.label <> l then
+        add (err (loc f l) "block label field is b%d, expected b%d" b.label l);
+      (match b.term with
+      | Jump s -> label l s
+      | Branch { cond; if_true; if_false } ->
+        label l if_true;
+        label l if_false;
+        operand l cond
+      | Return (Some op) -> operand l op
+      | Return None -> ());
+      body l b.body;
+      phis l b.phis
+    done;
     if !errors <> [] then Error (List.rev !errors)
     else begin
       let cfg = Cfg.of_func f in
@@ -59,26 +90,56 @@ let structure_cfg (f : Mir.func) =
         add (err f.name "entry block b%d has predecessors" f.entry);
       if f.blocks.(f.entry).phis <> [] then
         add (err f.name "entry block b%d has phi-nodes" f.entry);
-      Array.iter
-        (fun (b : Mir.block) ->
-          if Cfg.reachable cfg b.label then begin
-            let preds = Cfg.preds_list cfg b.label in
-            List.iter
-              (fun (p : Mir.phi) ->
-                let arg_labels = List.map fst p.args in
-                let sorted = List.sort_uniq compare arg_labels in
-                if List.length sorted <> List.length arg_labels then
-                  add (err (loc f b.label) "phi for %s has duplicate argument labels"
-                         (Mir.reg_name f p.dst));
-                if sorted <> preds then
-                  add (err (loc f b.label)
-                         "phi for %s has argument labels [%s], predecessors are [%s]"
-                         (Mir.reg_name f p.dst)
-                         (String.concat ";" (List.map string_of_int sorted))
-                         (String.concat ";" (List.map string_of_int preds))))
-              b.phis
-          end)
-        f.blocks;
+      (* φ labels against predecessors, with two stamp arrays:
+         [pred_of.(p) = l] marks [p] as a predecessor of block [l], and
+         [seen.(pl) = k] marks label [pl] as met in the [k]-th φ. The labels must be exactly the predecessors: no label
+         twice, none that is not a predecessor, and as many as there are
+         predecessors. *)
+      let pred_of = Array.make n (-1) in
+      let seen = Array.make n (-1) in
+      let stamp = ref 0 in
+      (* Distinct labels of the current φ, and how many of them are not
+         predecessors. *)
+      let distinct = ref 0 and strays = ref 0 in
+      let rec scan l = function
+        | [] -> ()
+        | (pl, _) :: rest ->
+          if seen.(pl) <> !stamp then begin
+            seen.(pl) <- !stamp;
+            incr distinct;
+            if pred_of.(pl) <> l then incr strays
+          end;
+          scan l rest
+      in
+      let check_phi l npreds (p : Mir.phi) =
+        incr stamp;
+        distinct := 0;
+        strays := 0;
+        scan l p.args;
+        if !distinct < List.length p.args then
+          add (err (loc f l) "phi for %s has duplicate argument labels"
+                 (Mir.reg_name f p.dst));
+        if !strays > 0 || !distinct <> npreds then begin
+          let labels = List.sort_uniq compare (List.map fst p.args) in
+          let show ls = String.concat ";" (List.map string_of_int ls) in
+          add (err (loc f l)
+                 "phi for %s has argument labels [%s], predecessors are [%s]"
+                 (Mir.reg_name f p.dst) (show labels)
+                 (show (Cfg.preds_list cfg l)))
+        end
+      in
+      for l = 0 to n - 1 do
+        match f.blocks.(l).phis with
+        | [] -> ()
+        | phis ->
+          if Cfg.reachable cfg l then begin
+            let npreds = Cfg.num_preds cfg l in
+            for i = 0 to npreds - 1 do
+              pred_of.(Cfg.pred cfg l i) <- l
+            done;
+            List.iter (check_phi l npreds) phis
+          end
+      done;
       if !errors = [] then Ok cfg else Error (List.rev !errors)
     end
   end
@@ -86,97 +147,120 @@ let structure_cfg (f : Mir.func) =
 let structure f =
   match structure_cfg f with Ok _ -> [] | Error errs -> errs
 
+module M = Bitset.Matrix
+
 (* Definite assignment: forward must-analysis. IN(b) = ∩ OUT(p) over
    predecessors; a φ defines its target at block entry; a φ argument is a use
    at the end of the corresponding predecessor. Runs on a structurally valid
-   function and its CFG. The per-block sets are dense bitsets, so the cost is
-   linear in blocks + instructions plus (blocks × registers / 64) word steps
-   per round. *)
+   function and its CFG. OUT and GEN are rows of two matrices from the
+   domain's scratch arena, each with one spare row: row [n] of [out] is the
+   working set, row [n] of [gen] the parameters. The cost is linear in
+   blocks + instructions plus (blocks × registers / 64) word steps per
+   round, and a valid function allocates no list, option or closure per
+   instruction. *)
 let definite_assignment (f : Mir.func) cfg =
   let errors = ref [] in
   let add e = errors := e :: !errors in
   let n = Mir.num_blocks f in
-  let out =
-    Array.init n (fun _ ->
-        let s = Bitset.create f.nregs in
-        Bitset.fill s;
-        s)
+  let scratch = Scratch.domain () in
+  let out = Scratch.acquire_matrix scratch ~rows:(n + 1) f.nregs in
+  let gen = Scratch.acquire_matrix scratch ~rows:(n + 1) f.nregs in
+  let live = n and params = n in
+  M.fill out;
+  let def l (i : Mir.instr) =
+    match i with
+    | Copy { dst; _ } | Unop { dst; _ } | Binop { dst; _ } | Load { dst; _ } ->
+      M.add gen l dst
+    | Store _ -> ()
   in
-  let gen = Array.init n (fun _ -> Bitset.create f.nregs) in
   Array.iter
     (fun (b : Mir.block) ->
-      List.iter (fun (p : Mir.phi) -> Bitset.add gen.(b.label) p.dst) b.phis;
-      List.iter
-        (fun i -> Option.iter (Bitset.add gen.(b.label)) (Mir.def i))
-        b.body)
+      List.iter (fun (p : Mir.phi) -> M.add gen b.label p.dst) b.phis;
+      List.iter (def b.label) b.body)
     f.blocks;
-  let entry_in = Bitset.create f.nregs in
-  List.iter (Bitset.add entry_in) f.params;
-  (* Overwrite [dst] with IN(l). *)
-  let meet dst l =
-    if l = f.entry then Bitset.blit ~src:entry_in ~dst
-    else if Cfg.num_preds cfg l = 0 then Bitset.clear dst
+  List.iter (M.add gen params) f.params;
+  (* Overwrite the working row with IN(l). *)
+  let meet l =
+    if l = f.entry then M.blit out live gen params
+    else if Cfg.num_preds cfg l = 0 then M.clear out live
     else begin
-      Bitset.blit ~src:out.(Cfg.pred cfg l 0) ~dst;
+      M.blit out live out (Cfg.pred cfg l 0);
       for i = 1 to Cfg.num_preds cfg l - 1 do
-        Bitset.inter_into ~dst out.(Cfg.pred cfg l i)
+        M.inter_into out live out (Cfg.pred cfg l i)
       done
     end
   in
   let rpo = Cfg.reverse_postorder cfg in
-  let live = Bitset.create f.nregs in
   let changed = ref true in
   while !changed do
     changed := false;
     Array.iter
       (fun l ->
-        meet live l;
-        ignore (Bitset.union_into ~dst:live gen.(l));
-        if not (Bitset.equal live out.(l)) then begin
-          Bitset.blit ~src:live ~dst:out.(l);
+        meet l;
+        ignore (M.union_into out live gen l);
+        if not (M.equal out live out l) then begin
+          M.blit out l out live;
           changed := true
         end)
       rpo
   done;
   (* Re-walk each block tracking point-wise definedness. *)
+  let defined r = M.mem out live r in
+  let use l r =
+    if not (defined r) then
+      add (err (loc f l) "use of %s before definite assignment" (Mir.reg_name f r))
+  in
+  let use_op l = function Mir.Reg r -> use l r | Mir.Const _ -> () in
+  let rec walk l = function
+    | [] -> ()
+    | (i : Mir.instr) :: rest ->
+      (match i with
+      | Copy { dst; src } | Unop { dst; src; _ } ->
+        use_op l src;
+        M.add out live dst
+      | Binop { dst; l = a; r = c; _ } ->
+        use_op l a;
+        use_op l c;
+        M.add out live dst
+      | Load { dst; idx; _ } ->
+        use_op l idx;
+        M.add out live dst
+      | Store { idx; src; _ } ->
+        use_op l idx;
+        use_op l src);
+      walk l rest
+  in
+  (* φ arguments of successor [s] flowing out of [l] are uses at the end of
+     [l]. *)
+  let rec phi_args l s (p : Mir.phi) = function
+    | [] -> ()
+    | (pl, op) :: rest ->
+      (match op with
+      | Mir.Reg r when pl = l && not (defined r) ->
+        add (err (loc f l) "phi argument %s (for %s in b%d) not definitely assigned"
+               (Mir.reg_name f r) (Mir.reg_name f p.dst) s)
+      | Mir.Reg _ | Mir.Const _ -> ());
+      phi_args l s p rest
+  in
   Array.iter
     (fun l ->
       let b = f.blocks.(l) in
-      meet live l;
-      List.iter (fun (p : Mir.phi) -> Bitset.add live p.dst) b.phis;
-      List.iter
-        (fun i ->
-          List.iter
-            (fun r ->
-              if not (Bitset.mem live r) then
-                add (err (loc f l) "use of %s before definite assignment"
-                       (Mir.reg_name f r)))
-            (Mir.uses i);
-          Option.iter (Bitset.add live) (Mir.def i))
-        b.body;
-      List.iter
-        (fun r ->
-          if not (Bitset.mem live r) then
-            add (err (loc f l) "terminator uses %s before definite assignment"
-                   (Mir.reg_name f r)))
-        (Mir.term_uses b.term);
-      (* φ arguments of successors are uses at the end of this block. *)
-      Cfg.iter_succs cfg l (fun s ->
-          List.iter
-            (fun (p : Mir.phi) ->
-              List.iter
-                (fun (pl, op) ->
-                  if pl = l then
-                    List.iter
-                      (fun r ->
-                        if not (Bitset.mem live r) then
-                          add (err (loc f l)
-                                 "phi argument %s (for %s in b%d) not definitely assigned"
-                                 (Mir.reg_name f r) (Mir.reg_name f p.dst) s))
-                      (Mir.operand_uses op))
-                p.args)
-            f.blocks.(s).phis))
+      meet l;
+      List.iter (fun (p : Mir.phi) -> M.add out live p.dst) b.phis;
+      walk l b.body;
+      (match b.term with
+      | Branch { cond = Mir.Reg r; _ } | Return (Some (Mir.Reg r)) ->
+        if not (defined r) then
+          add (err (loc f l) "terminator uses %s before definite assignment"
+                 (Mir.reg_name f r))
+      | Branch _ | Jump _ | Return _ -> ());
+      for i = 0 to Cfg.num_succs cfg l - 1 do
+        let s = Cfg.succ cfg l i in
+        List.iter (fun (p : Mir.phi) -> phi_args l s p p.args) f.blocks.(s).phis
+      done)
     rpo;
+  Scratch.release_matrix scratch out;
+  Scratch.release_matrix scratch gen;
   List.rev !errors
 
 let strictness (f : Mir.func) =

@@ -18,6 +18,10 @@ val structure : Mir.func -> error list
     entry has no predecessors, φ arguments keyed exactly by the block's
     predecessors, no φ in the entry block. *)
 
+val structure_cfg : Mir.func -> (Cfg.t, error list) result
+(** {!structure}, returning on success the CFG the checks built, for a
+    later check that needs the same graph. *)
+
 val strictness : Mir.func -> error list
 (** Definite-assignment check over reachable code: every register use (in
     instruction bodies, terminators, and as φ arguments at the end of the

@@ -405,13 +405,16 @@ let run ?(options = default_options) (f0 : Ir.func) =
   let spill_array = fresh_spill_array f0 in
   (* Loop depths once per run: rounds only rewrite block bodies. *)
   let weights = block_weights f0 (Cfg.of_func f0) in
+  (* Every round's liveness matrices come from the domain's arena. *)
+  let scratch = Scratch.domain () in
   let rec round f i =
     if i > options.max_rounds then
       raise (Out_of_rounds (Printf.sprintf "%s: no %d-coloring after %d rounds"
                f0.Ir.name options.registers options.max_rounds));
     let cfg = Cfg.of_func f in
-    let live = Liveness.compute f cfg in
+    let live = Liveness.compute_into ~scratch f cfg in
     let graph = Igraph.build_full f cfg live in
+    Liveness.release scratch live;
     let costs = spill_costs f ~weights in
     match try_color ~options ~is_temp:(fun r -> r >= f0.Ir.nregs) f graph costs with
     | Ok colors -> (f, colors, i)

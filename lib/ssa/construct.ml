@@ -41,10 +41,13 @@ let run ?(pruning = Pruned) ?(fold_copies = true) ?obs (f : Ir.func) =
               (Ir.def i))
           b.body)
     f.blocks;
-  (* Pruning predicate: does variable v need a φ at block l? *)
-  let needs_phi =
+  (* Pruning predicate: does variable v need a φ at block l? Pruned
+     placement asks liveness, whose rows come from the domain's scratch
+     arena and go back to it once the φs are placed. *)
+  let scratch = Scratch.domain () in
+  let needs_phi, live =
     match pruning with
-    | Minimal -> fun _v _l -> true
+    | Minimal -> ((fun _v _l -> true), None)
     | Semi_pruned ->
       (* Non-local names: upward-exposed in some block. [killed.(u) = l]
          stamps u as defined earlier in block l — a dense stand-in for a
@@ -65,10 +68,10 @@ let run ?(pruning = Pruned) ?(fold_copies = true) ?obs (f : Ir.func) =
             (fun u -> if killed.(u) <> l then nonlocal.(u) <- true)
             (Ir.term_uses b.term))
         f.blocks;
-      fun v _l -> nonlocal.(v)
+      ((fun v _l -> nonlocal.(v)), None)
     | Pruned ->
-      let live = Liveness.compute ?obs f cfg in
-      fun v l -> Liveness.live_in_mem live l v
+      let live = Liveness.compute_into ~scratch ?obs f cfg in
+      ((fun v l -> Liveness.live_in_mem live l v), Some live)
   in
   (* Iterated dominance frontier: standard worklist per variable. The
      pending φs live in a label-indexed array — labels are dense ids.
@@ -111,6 +114,7 @@ let run ?(pruning = Pruned) ?(fold_copies = true) ?obs (f : Ir.func) =
       done
     end
   done;
+  Option.iter (Liveness.release scratch) live;
   (* Renaming: dominator-tree walk with a stack of current operands per
      original variable. Copy folding pushes the source operand instead of
      minting a new name. Each new register records its origin and version

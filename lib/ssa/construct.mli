@@ -27,8 +27,10 @@ val run :
   Ir.func * stats
 (** Convert a strict function to SSA form. Default [pruning] is [Pruned],
     default [fold_copies] is [true]. The input must pass
-    {!Ir.Validate.run}. [obs] charges [Obs.Phis_inserted] and
-    [Obs.Copies_folded] (and the pruning liveness pass, when run). *)
+    {!Ir.Validate.run}. Pruned placement draws its liveness matrices from
+    the calling domain's scratch arena and returns them before renaming.
+    [obs] charges [Obs.Phis_inserted] and [Obs.Copies_folded] (and the
+    pruning liveness pass, when run). *)
 
 val run_exn :
   ?pruning:pruning -> ?fold_copies:bool -> ?obs:Obs.t -> Ir.func -> Ir.func

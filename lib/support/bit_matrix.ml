@@ -1,14 +1,21 @@
+(* The matrix uses the first [nbytes] bytes of [bits], which may be longer
+   when the buffer is reused from a larger matrix. *)
 type t = {
   bits : Bytes.t;
   size : int;
+  nbytes : int;
 }
 
 (* Pair (i, j) with i > j is stored at triangular index i*(i-1)/2 + j. *)
 
-let create n =
+let create ?reuse n =
   if n < 0 then invalid_arg "Bit_matrix.create";
-  let nbits = n * (n - 1) / 2 in
-  { bits = Bytes.make ((nbits + 7) / 8) '\000'; size = n }
+  let nbytes = ((n * (n - 1) / 2) + 7) / 8 in
+  match reuse with
+  | Some m when Bytes.length m.bits >= nbytes ->
+    Bytes.fill m.bits 0 nbytes '\000';
+    { bits = m.bits; size = n; nbytes }
+  | Some _ | None -> { bits = Bytes.make nbytes '\000'; size = n; nbytes }
 
 let size t = t.size
 
@@ -33,7 +40,7 @@ let get t i j =
     Char.code (Bytes.unsafe_get t.bits (k lsr 3)) land (1 lsl (k land 7)) <> 0
   end
 
-let clear t = Bytes.fill t.bits 0 (Bytes.length t.bits) '\000'
+let clear t = Bytes.fill t.bits 0 t.nbytes '\000'
 
 let count t =
   let popcount_byte c =
@@ -41,10 +48,12 @@ let count t =
     loop (Char.code c) 0
   in
   let n = ref 0 in
-  Bytes.iter (fun c -> n := !n + popcount_byte c) t.bits;
+  for b = 0 to t.nbytes - 1 do
+    n := !n + popcount_byte (Bytes.get t.bits b)
+  done;
   !n
 
-let memory_bytes t = Bytes.length t.bits
+let memory_bytes t = t.nbytes
 
 let pp ppf t =
   Format.fprintf ppf "@[<v>";

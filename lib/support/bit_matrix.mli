@@ -7,8 +7,10 @@
 
 type t
 
-val create : int -> t
-(** [create n] is the empty relation over [0 .. n-1]. *)
+val create : ?reuse:t -> int -> t
+(** [create n] is the empty relation over [0 .. n-1]. With [reuse], a
+    matrix that is no longer needed, its storage is cleared and taken over
+    when it is long enough, and [reuse] must not be used afterwards. *)
 
 val size : t -> int
 

@@ -7,6 +7,7 @@ type stats = {
 
 type t = {
   bitsets : (int, Bitset.t list) Hashtbl.t;  (* capacity -> free buffers *)
+  mutable buffers : Bytes.t list;  (* free byte buffers, shortest first *)
   arrays : (int, int array list) Hashtbl.t;  (* length -> free buffers *)
   mutable bitset_hits : int;
   mutable bitset_misses : int;
@@ -21,6 +22,7 @@ let max_free_per_key = 32
 let create () =
   {
     bitsets = Hashtbl.create 16;
+    buffers = [];
     arrays = Hashtbl.create 16;
     bitset_hits = 0;
     bitset_misses = 0;
@@ -47,6 +49,38 @@ let release_bitset t b =
   let free = Option.value ~default:[] (Hashtbl.find_opt t.bitsets n) in
   if List.length free < max_free_per_key then
     Hashtbl.replace t.bitsets n (b :: free)
+
+(* Matrix buffers are one pool of any length: a matrix takes the shortest
+   free buffer that holds it and uses a prefix. A function's analyses hold
+   at most four matrices at once, so the pool settles at a few buffers as
+   long as the largest function seen, whatever the mix of sizes; it never
+   keeps more than [max_free_buffers], dropping the shortest. *)
+let max_free_buffers = 4
+let max_pooled_bytes = 1 lsl 16
+
+let acquire_bytes t need =
+  match List.find_opt (fun b -> Bytes.length b >= need) t.buffers with
+  | Some b ->
+    t.buffers <- List.filter (fun b' -> b' != b) t.buffers;
+    t.bitset_hits <- t.bitset_hits + 1;
+    b
+  | None ->
+    t.bitset_misses <- t.bitset_misses + 1;
+    Bytes.create need
+
+let release_bytes t b =
+  let rec insert = function
+    | [] -> [ b ]
+    | b' :: rest when Bytes.length b' < Bytes.length b -> b' :: insert rest
+    | l -> b :: l
+  in
+  let free = if Bytes.length b > max_pooled_bytes then t.buffers else insert t.buffers in
+  t.buffers <- (if List.length free > max_free_buffers then List.tl free else free)
+
+let acquire_matrix t ~rows n =
+  Bitset.Matrix.on_buffer (acquire_bytes t (rows * ((n + 7) / 8))) ~rows n
+
+let release_matrix t m = release_bytes t (Bitset.Matrix.buffer m)
 
 let acquire_int_array t n fill =
   match Hashtbl.find_opt t.arrays n with
@@ -75,6 +109,7 @@ let stats t =
 
 let clear t =
   Hashtbl.reset t.bitsets;
+  t.buffers <- [];
   Hashtbl.reset t.arrays;
   t.bitset_hits <- 0;
   t.bitset_misses <- 0;

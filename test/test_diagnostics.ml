@@ -89,6 +89,44 @@ let structure_cases =
         ],
       [ "mism/b2: phi for r1 has argument labels [2], predecessors are [0;1]" ]
     );
+    ( "phi misses a predecessor",
+      fn ~params:[ 0 ] ~nregs:2 ~names:[ (1, "m") ] "miss"
+        [
+          blk 0 (Branch { cond = Reg 0; if_true = 1; if_false = 2 });
+          blk 1 (Jump 2);
+          blk 2 ~phis:[ { dst = 1; args = [ (1, Reg 0) ] } ] (ret 1);
+        ],
+      [ "miss/b2: phi for m has argument labels [1], predecessors are [0;1]" ] );
+    ( "phi has a stray label",
+      fn ~params:[ 0 ] ~nregs:2 "stray"
+        [
+          blk 0 (Branch { cond = Reg 0; if_true = 1; if_false = 2 });
+          blk 1 (Jump 2);
+          blk 2
+            ~phis:[ { dst = 1; args = [ (0, Reg 0); (2, Reg 0); (1, Reg 0) ] } ]
+            (ret 1);
+        ],
+      [
+        "stray/b2: phi for r1 has argument labels [0;1;2], predecessors are \
+         [0;1]";
+      ] );
+    ( "duplicate label and a missing predecessor",
+      fn ~params:[ 0 ] ~nregs:3 "dupmiss"
+        [
+          blk 0 (Branch { cond = Reg 0; if_true = 1; if_false = 2 });
+          blk 1 (Jump 2);
+          blk 2
+            ~phis:
+              [
+                { dst = 1; args = [ (0, Reg 0); (1, Reg 0) ] };
+                { dst = 2; args = [ (0, Reg 0); (0, Const (Int 1)) ] };
+              ]
+            (ret 1);
+        ],
+      [
+        "dupmiss/b2: phi for r2 has duplicate argument labels";
+        "dupmiss/b2: phi for r2 has argument labels [0], predecessors are [0;1]";
+      ] );
   ]
 
 let test_structure () =

@@ -68,6 +68,41 @@ b2:
   let dom = Analysis.Dominance.compute f cfg in
   checkb "precise agrees" true (Core.Interference.precise f dom live sites x y)
 
+let test_live_just_after_out_of_range () =
+  (* A definition point outside its block's body is a caller error: it
+     must raise, not loop or answer. *)
+  let f =
+    Ir.Parse.func_of_string
+      {|
+func f(p) {  # entry b0
+b0:
+  x := add p, 1
+  y := add p, 2
+  ret y
+}
+|}
+  in
+  let live = Analysis.Liveness.compute f (Ir.Cfg.of_func f) in
+  List.iter
+    (fun index ->
+      let raised =
+        try
+          ignore
+            (Core.Interference.live_just_after f live ~reg:1
+               ~at:Core.Interference.{ block = 0; index });
+          false
+        with Invalid_argument _ -> true
+      in
+      checkb (Printf.sprintf "index %d raises" index) true raised)
+    [ -2; 2; 5 ];
+  Alcotest.check_raises "in a batch with a valid query"
+    (Invalid_argument "Interference.live_just_after: index 7 outside block 0")
+    (fun () ->
+      ignore
+        (Core.Interference.live_just_after_all f live
+           [| (1, Core.Interference.{ block = 0; index = 0 });
+              (1, Core.Interference.{ block = 0; index = 7 }) |]))
+
 let test_return_none_function () =
   let f = Frontend.Lower.compile_one "func f(n) { a[0] = n; }" in
   let o = Interp.run ~args:[ Ir.Int 5 ] f in
@@ -179,6 +214,8 @@ let suite =
       test_branch_both_arms_same_target;
     Alcotest.test_case "terminator uses count for liveness" `Quick
       test_terminator_keeps_value_alive;
+    Alcotest.test_case "live_just_after rejects a point outside the block"
+      `Quick test_live_just_after_out_of_range;
     Alcotest.test_case "void function" `Quick test_return_none_function;
     Alcotest.test_case "four-deep loop nest" `Quick test_deep_loop_nest;
     Alcotest.test_case "unreachable code" `Quick test_unreachable_code_through_pipeline;

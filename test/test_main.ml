@@ -11,6 +11,7 @@ let () =
       ("ir", Test_ir.suite);
       ("diagnostics", Test_diagnostics.suite);
       ("analysis", Test_analysis.suite);
+      ("dataflow", Test_dataflow.suite);
       ("parallel-copy", Test_parallel_copy.suite);
       ("ssa", Test_ssa.suite);
       ("forest+interference", Test_forest.suite);
