@@ -361,11 +361,59 @@ let analyze ~options ~scratch ~cfg ?obs (f : Ir.func) : analysis =
     a_memory = memory;
   }
 
+(* [List.map] that returns [l] itself when [f] returns every element
+   unchanged, and otherwise shares the longest unchanged tail. *)
+let rec map_shared f l =
+  match l with
+  | [] -> l
+  | x :: tl ->
+    let x' = f x in
+    let tl' = map_shared f tl in
+    if x' == x && tl' == tl then l else x' :: tl'
+
 let rewrite ~cfg ?obs (f : Ir.func) (a : analysis) =
   let rename r = a.rename.(r) in
-  let rename_op = function
-    | Ir.Reg r -> Ir.Reg (rename r)
-    | Ir.Const _ as c -> c
+  (* Renaming keeps every operand, instruction and terminator it leaves
+     unchanged, so the output shares them with the SSA input (and a
+     cached report holds them once). *)
+  let rename_op op =
+    match op with
+    | Ir.Reg r ->
+      let r' = rename r in
+      if r' = r then op else Ir.Reg r'
+    | Ir.Const _ -> op
+  in
+  let rename_instr (i : Ir.instr) =
+    match i with
+    | Copy { dst; src } ->
+      let dst' = rename dst and src' = rename_op src in
+      if dst' = dst && src' == src then i else Copy { dst = dst'; src = src' }
+    | Unop { op; dst; src } ->
+      let dst' = rename dst and src' = rename_op src in
+      if dst' = dst && src' == src then i
+      else Unop { op; dst = dst'; src = src' }
+    | Binop { op; dst; l; r } ->
+      let dst' = rename dst and l' = rename_op l and r' = rename_op r in
+      if dst' = dst && l' == l && r' == r then i
+      else Binop { op; dst = dst'; l = l'; r = r' }
+    | Load { dst; arr; idx } ->
+      let dst' = rename dst and idx' = rename_op idx in
+      if dst' = dst && idx' == idx then i
+      else Load { dst = dst'; arr; idx = idx' }
+    | Store { arr; idx; src } ->
+      let idx' = rename_op idx and src' = rename_op src in
+      if idx' == idx && src' == src then i
+      else Store { arr; idx = idx'; src = src' }
+  in
+  let rename_term (t : Ir.terminator) =
+    match t with
+    | Jump _ | Return None -> t
+    | Branch { cond; if_true; if_false } ->
+      let cond' = rename_op cond in
+      if cond' == cond then t else Branch { cond = cond'; if_true; if_false }
+    | Return (Some op) ->
+      let op' = rename_op op in
+      if op' == op then t else Return (Some op')
   in
   let next = ref f.nregs in
   let fresh () =
@@ -421,15 +469,16 @@ let rewrite ~cfg ?obs (f : Ir.func) (a : analysis) =
   let blocks =
     Array.map
       (fun (b : Ir.block) ->
-        let body =
-          List.map
-            (fun i ->
-              Ir.map_instr_def rename (Ir.map_instr_uses (fun r -> Ir.Reg (rename r)) i))
-            b.body
-        in
-        let body = seq at_start.(b.label) @ body @ seq at_end.(b.label) in
-        let term = Ir.map_term_uses (fun r -> Ir.Reg (rename r)) b.term in
-        { b with phis = []; body; term })
+        let body = map_shared rename_instr b.body in
+        (* End-of-block copies are sequentialized before start-of-block
+           ones: the order fixes the numbers of parallel-copy temporaries. *)
+        let last = seq at_end.(b.label) in
+        let first = seq at_start.(b.label) in
+        let body = match last with [] -> first @ body | _ -> first @ body @ last in
+        let term = rename_term b.term in
+        match b.phis with
+        | [] when body == b.body && term == b.term -> b
+        | _ -> { b with phis = []; body; term })
       f.blocks
   in
   let params = List.map rename f.params in

@@ -155,15 +155,17 @@ let batch_cached_in pool ~check ?obs cache passes (inputs : Ir.func list) =
     List.length (List.filter (fun (_, _, hit) -> Option.is_none hit) probed)
   in
   Cache.note_dedup cache (misses - List.length miss_reps);
-  let compiled =
-    List.combine (List.map fst miss_reps)
-      (batch_uncached_in pool ~check ?obs passes (List.map snd miss_reps))
-  in
-  List.iter (fun (key, r) -> Cache.store cache key r) compiled;
+  let compiled = Hashtbl.create (List.length miss_reps) in
+  List.iter2
+    (fun (key, _) r ->
+      Cache.store cache key r;
+      Hashtbl.replace compiled key r)
+    miss_reps
+    (batch_uncached_in pool ~check ?obs passes (List.map snd miss_reps));
   let report_of key hit =
     match hit with
     | Some r -> r
-    | None -> List.assoc key compiled
+    | None -> Hashtbl.find compiled key
   in
   let reports = List.map (fun (key, _, hit) -> report_of key hit) probed in
   Option.iter (fun o -> Cache.record_extras cache ~since o) obs;

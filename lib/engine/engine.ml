@@ -157,8 +157,8 @@ end
 module Stream = struct
   let default_window = 64
 
-  (* jobs = 1: no queue, no ring — a plain pull/compute/emit loop. This is
-     also the semantic reference the parallel path must match. *)
+  (* jobs = 1: no feed lock, no ring — a plain pull/compute/emit loop.
+     This is also the semantic reference the parallel path must match. *)
   let run_seq ~producer ~consumer f =
     let rec loop seq =
       match producer () with
@@ -169,32 +169,34 @@ module Stream = struct
     in
     loop 0
 
-  (* The parallel path. One domain of the pool (the caller, which claims
-     body index 0 first) pulls items from [producer] and pushes
-     (seq, item) pairs through a bounded queue; every domain — the
-     producer included, once the input is exhausted — pops, computes, and
-     hands the result to [submit]. [submit] parks results in a
-     [window]-sized ring indexed by [seq mod window] and advances the
-     in-order emission frontier under one mutex, calling [consumer] for
-     each result as it becomes the frontier.
+  (* The parallel path. There is no producer domain: every domain of the
+     pool loops take/compute/submit. [take] runs under the feed mutex, so
+     [producer] is never called concurrently; it waits at the admission
+     gate, calls [producer], and hands out the next sequence number.
+     [submit] parks results in a [window]-sized ring indexed by
+     [seq mod window] and advances the in-order emission frontier under
+     one mutex, calling [consumer] for each result as it becomes the
+     frontier. A domain takes an item only when it is free to compute
+     it, so an item's wait between admission and compute is one
+     producer call, and every domain reads input as well as computing.
 
-     Memory is bounded by construction, not by luck: the producer is
-     admission-gated — it waits while [seq - next_emit >= window] — so
-     every live sequence number (queued, computing, or parked) lies in
-     [next_emit, next_emit + window). That both caps the number of
-     results alive at once and guarantees distinct live sequences map to
-     distinct ring slots.
+     Memory is bounded by construction, not by luck: admission waits
+     while [seq - next_emit >= window], so every live sequence number
+     (computing or parked) lies in [next_emit, next_emit + window). That
+     both caps the number of results alive at once and guarantees
+     distinct live sequences map to distinct ring slots. A full window
+     cannot deadlock: the domain waiting at the gate holds no item, and
+     the frontier item computes on another domain, whose [submit] needs
+     only the emission lock.
 
      Errors keep the frontier semantics of the batch API: the first
      exception to {e reach the frontier} (equivalently, the lowest-seq
      failing item) is recorded, later results are drained but not
-     emitted, the producer stops pulling new input, and the exception is
+     emitted, the feed stops taking new input, and the exception is
      re-raised after the pool quiesces. A [consumer] exception is treated
      the same way, and so is a [producer] exception: it becomes the result
-     of the sequence number the producer was asked for, and the queue is
-     still closed, so no domain is left waiting in [pop]. *)
+     of the sequence number the producer was asked for. *)
   let run_par pool ~window ~producer ~consumer f =
-    let q = Support.Bqueue.create ~capacity:window in
     let ring = Array.make window None in
     let lock = Mutex.create () in
     let space = Condition.create () in
@@ -223,45 +225,54 @@ module Stream = struct
       if !advanced then Condition.broadcast space;
       Mutex.unlock lock
     in
-    let work () =
-      let rec loop () =
-        match Support.Bqueue.pop q with
-        | None -> ()
-        | Some (seq, x) ->
-          submit seq (try Ok (f x) with e -> Error e);
-          loop ()
+    (* The feed: guarded by [feed], taken before [lock] when both are
+       held. *)
+    let feed = Mutex.create () in
+    let next_seq = ref 0 in
+    let exhausted = ref false in
+    let take () =
+      Mutex.lock feed;
+      let item =
+        if !exhausted then None
+        else begin
+          let seq = !next_seq in
+          Mutex.lock lock;
+          while !first_error = None && seq - !next_emit >= window do
+            Condition.wait space lock
+          done;
+          let failed = !first_error <> None in
+          Mutex.unlock lock;
+          if failed then (
+            exhausted := true;
+            None)
+          else
+            match producer () with
+            | None ->
+              exhausted := true;
+              None
+            | Some x ->
+              next_seq := seq + 1;
+              Some (seq, x)
+            | exception e ->
+              (* The gate above keeps slot [seq] free, so the failure takes
+                 the place of the item that could not be read and reaches
+                 the frontier after every item pulled before it. *)
+              exhausted := true;
+              submit seq (Error e);
+              None
+        end
       in
-      loop ()
+      Mutex.unlock feed;
+      item
     in
-    let produce () =
-      let seq = ref 0 in
-      let stop = ref false in
-      while not !stop do
-        Mutex.lock lock;
-        while !first_error = None && !seq - !next_emit >= window do
-          Condition.wait space lock
-        done;
-        let failed = !first_error <> None in
-        Mutex.unlock lock;
-        if failed then stop := true
-        else
-          match producer () with
-          | None -> stop := true
-          | Some x ->
-            Support.Bqueue.push q (!seq, x);
-            incr seq
-          | exception e ->
-            (* The gate above keeps slot [!seq] free, so the failure takes
-               the place of the item that could not be read and reaches
-               the frontier after every item pulled before it. *)
-            submit !seq (Error e);
-            stop := true
-      done;
-      Support.Bqueue.close q
+    let rec work () =
+      match take () with
+      | None -> ()
+      | Some (seq, x) ->
+        submit seq (try Ok (f x) with e -> Error e);
+        work ()
     in
-    Pool.run_workers pool (fun i ->
-        if i = 0 then produce ();
-        work ());
+    Pool.run_workers pool (fun _ -> work ());
     match !first_error with Some e -> raise e | None -> ()
 
   let run pool ?(window = default_window) ~producer ~consumer f =

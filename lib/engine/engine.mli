@@ -56,17 +56,18 @@ val default_jobs : unit -> int
 (** Streaming execution over the pool — the core the batch API is a façade
     over.
 
-    A producer iterator feeds the pool through a bounded
-    {!Support.Bqueue}; results are handed to a consumer callback {e in
-    input order} from a bounded reorder window. Total memory in flight is
-    [O(window)] items regardless of how many items the producer yields,
-    which is what lets a 10⁶-function corpus flow through a fixed-size
-    heap: the producer is admission-gated against the emission frontier,
-    so at most [window] items are ever queued, computing, or parked
+    Every domain of the pool pulls its next item from a producer
+    iterator itself, one call at a time under a feed lock, computes it,
+    and parks the result in a bounded reorder window, from which a
+    consumer callback receives results {e in input order}. Total memory
+    in flight is [O(window)] items regardless of how many items the
+    producer yields, which is what lets a 10⁶-function corpus flow
+    through a fixed-size heap: admission is gated against the emission
+    frontier, so at most [window] items are ever computing or parked
     awaiting reordering. *)
 module Stream : sig
   val default_window : int
-  (** Reorder-window (and queue-capacity) default: 64. *)
+  (** Reorder-window default: 64. *)
 
   val run :
     Pool.t ->
@@ -78,8 +79,10 @@ module Stream : sig
   (** [run pool ~producer ~consumer f] pulls items from [producer] until
       it yields [None], computes [f] on pool domains, and calls
       [consumer seq result] for sequence numbers [0, 1, 2, ...] in order.
-      [producer] is only ever called from one domain at a time and needs
-      no internal locking; [consumer] runs under the stream's emission
+      [producer] may be called from any domain of the pool, but only
+      one call at a time (under the stream's feed lock, so each call
+      happens after the previous one returned), and needs no internal
+      locking; [consumer] runs under the stream's emission
       lock (never concurrently with itself) but may run on any domain.
       With a 1-job pool this is exactly a sequential pull/compute/emit
       loop. If [f] raises, the exception of the lowest-sequence failing

@@ -163,8 +163,10 @@ let is_number t =
   String.length t > 0
   && (t.[0] = '-' || (t.[0] >= '0' && t.[0] <= '9'))
 
+(* Each register name maps to its one [Reg r] operand, which every
+   occurrence of the name shares. *)
 type state = {
-  regs : (string, Mir.reg) Hashtbl.t;
+  regs : (string, Mir.operand) Hashtbl.t;
   mutable next_reg : int;
 }
 
@@ -176,20 +178,23 @@ let value_of line t =
     | Some x -> Mir.Float x
     | None -> fail line "bad literal %S" t)
 
-let reg_of st line t =
+let reg_operand st line t =
   match Hashtbl.find_opt st.regs t with
-  | Some r -> r
+  | Some op -> op
   | None ->
     if Hashtbl.mem mnemonics t then
       fail line "register name %S collides with a mnemonic" t;
     if is_label_tok t then fail line "register name %S looks like a label" t;
-    let r = st.next_reg in
-    st.next_reg <- r + 1;
-    Hashtbl.add st.regs t r;
-    r
+    let op = Mir.Reg st.next_reg in
+    st.next_reg <- st.next_reg + 1;
+    Hashtbl.add st.regs t op;
+    op
+
+let reg_of st line t =
+  match reg_operand st line t with Mir.Reg r -> r | Mir.Const _ -> assert false
 
 let operand_of st line t =
-  if is_number t then Mir.Const (value_of line t) else Mir.Reg (reg_of st line t)
+  if is_number t then Mir.Const (value_of line t) else reg_operand st line t
 
 (* Parse one body line that has already been split into tokens. Returns
    `Phi, `Instr or `Term. *)
@@ -354,7 +359,9 @@ let parse_func (ls : line list) : Mir.func * line list =
     | None, [] -> assert false
   in
   let names = Array.make st.next_reg "" in
-  Hashtbl.iter (fun name r -> names.(r) <- name) st.regs;
+  Hashtbl.iter
+    (fun name op -> match op with Mir.Reg r -> names.(r) <- name | Mir.Const _ -> ())
+    st.regs;
   ( {
       Mir.name;
       params;

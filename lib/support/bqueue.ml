@@ -1,17 +1,14 @@
-(* A bounded multi-producer multi-consumer queue — the backpressure hinge
-   shared by the serve path and the streaming batch engine. Two producer
-   disciplines coexist: [try_push] never blocks (a full or closed queue
-   refuses the item and the caller sheds it — the server's busy-reply
-   story), while [push] blocks until space frees up (the streaming
-   producer's bounded-memory story). Consumers block until an item
-   arrives or the queue is closed and drained. *)
+(* A bounded multi-producer multi-consumer queue — the serve path's
+   admission hinge. [try_push] never blocks: a full or closed queue
+   refuses the item and the caller sheds it (the server's busy-reply
+   story). Consumers block until an item arrives or the queue is closed
+   and drained. *)
 
 type 'a t = {
   capacity : int;
   q : 'a Queue.t;
   lock : Mutex.t;
   nonempty : Condition.t;
-  nonfull : Condition.t;
   mutable closed : bool;
 }
 
@@ -22,7 +19,6 @@ let create ~capacity =
     q = Queue.create ();
     lock = Mutex.create ();
     nonempty = Condition.create ();
-    nonfull = Condition.create ();
     closed = false;
   }
 
@@ -39,32 +35,17 @@ let try_push t x =
         true
       end)
 
-let push t x =
-  locked t (fun () ->
-      while (not t.closed) && Queue.length t.q >= t.capacity do
-        Condition.wait t.nonfull t.lock
-      done;
-      if t.closed then invalid_arg "Bqueue.push: queue is closed";
-      Queue.add x t.q;
-      Condition.signal t.nonempty)
-
 let pop t =
   locked t (fun () ->
       while Queue.is_empty t.q && not t.closed do
         Condition.wait t.nonempty t.lock
       done;
-      if Queue.is_empty t.q then None
-      else begin
-        let x = Queue.take t.q in
-        Condition.signal t.nonfull;
-        Some x
-      end)
+      if Queue.is_empty t.q then None else Some (Queue.take t.q))
 
 let close t =
   locked t (fun () ->
       t.closed <- true;
-      Condition.broadcast t.nonempty;
-      Condition.broadcast t.nonfull)
+      Condition.broadcast t.nonempty)
 
 let length t = locked t (fun () -> Queue.length t.q)
 let capacity t = t.capacity

@@ -1,14 +1,11 @@
 (** Bounded multi-producer multi-consumer queue.
 
-    The admission-control primitive shared by the serve subsystem and the
-    streaming batch engine. Producers choose their discipline per call:
-    {!try_push} {e never blocks} — it refuses when the queue is at
-    capacity (or closed), which is the server's signal to shed the
-    request with a busy reply — while {!push} {e blocks} until space
-    frees up, which is how the streaming producer gets backpressure
-    instead of unbounded buffering. Consumers block in {!pop} until work
-    arrives or the queue is closed and drained. All operations are safe
-    from any thread or domain. *)
+    The serve subsystem's admission-control primitive. {!try_push}
+    {e never blocks}: it refuses when the queue is at capacity (or
+    closed), which is the server's signal to shed the request with a
+    busy reply. Consumers block in {!pop} until work arrives or the
+    queue is closed and drained. All operations are safe from any thread
+    or domain. *)
 
 type 'a t
 
@@ -20,19 +17,14 @@ val try_push : 'a t -> 'a -> bool
 (** Enqueue without blocking: [false] when the queue is full or closed
     (the item is not enqueued — shed it), [true] otherwise. *)
 
-val push : 'a t -> 'a -> unit
-(** Enqueue, blocking while the queue is full. Raises [Invalid_argument]
-    if the queue is (or becomes, while waiting) closed — a closed queue
-    accepts no more work under either discipline. *)
-
 val pop : 'a t -> 'a option
 (** Block until an item is available and dequeue it; [None] once the
     queue is closed {e and} drained — the consumer's signal to exit. *)
 
 val close : 'a t -> unit
-(** Refuse all future pushes and wake every blocked producer and
-    consumer. Items already queued are still delivered ([pop] drains
-    before returning [None]). Idempotent. *)
+(** Refuse all future pushes and wake every blocked consumer. Items
+    already queued are still delivered ([pop] drains before returning
+    [None]). Idempotent. *)
 
 val length : 'a t -> int
 (** Items currently queued (racy snapshot, exact under the lock). *)

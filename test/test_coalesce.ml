@@ -209,6 +209,44 @@ let test_rotation_cycle_gets_temp () =
       assert_equiv ~args:[ Ir.Int n ] (Printf.sprintf "rot n=%d" n) f out)
     [ 0; 1; 2; 3; 7 ]
 
+(* Renaming shares what it leaves alone: every SSA instruction that the
+   coalescer does not rename is, physically, an instruction of the output
+   (so a cached report holds it once), and so is every block body that
+   neither renaming nor copy insertion changes. *)
+let test_output_shares_ssa () =
+  let kept = ref 0 and bodies = ref 0 in
+  List.iter
+    (fun (e : Workloads.Suite.entry) ->
+      let r = Driver.Pipeline.compile e.func in
+      let ssa =
+        (List.find (fun (s : Driver.Pipeline.stage) -> s.name = "ssa") r.stages)
+          .func
+      in
+      Array.iter
+        (fun (b : Ir.block) ->
+          let out = (Ir.block r.output b.label).body in
+          List.iter
+            (fun i ->
+              if List.mem i out then begin
+                incr kept;
+                checkb
+                  (Printf.sprintf "%s b%d: unrenamed instruction shared" e.name
+                     b.label)
+                  true
+                  (List.memq i out)
+              end)
+            b.body;
+          if out = b.body && out <> [] then begin
+            incr bodies;
+            checkb
+              (Printf.sprintf "%s b%d: unchanged body shared" e.name b.label)
+              true (out == b.body)
+          end)
+        ssa.blocks)
+    (Lazy.force kernels @ Workloads.Suite.large ());
+  checkb "some instructions are kept" true (!kept > 0);
+  checkb "some bodies are kept" true (!bodies > 0)
+
 let suite =
   [
     Alcotest.test_case "virtual swap (figures 3-4)" `Quick test_virtual_swap;
@@ -227,4 +265,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_all_prunings_coalesce_correctly;
     Alcotest.test_case "stats accounting" `Quick test_stats_accounting;
     Alcotest.test_case "rotation cycle" `Quick test_rotation_cycle_gets_temp;
+    Alcotest.test_case "output shares unrenamed SSA instructions" `Quick
+      test_output_shares_ssa;
   ]

@@ -208,7 +208,9 @@ let test_stream_producer_exception () =
 
 (* The admission gate: with window [w], the producer may run at most [w]
    items ahead of the emission frontier. The consumer runs under the
-   stream's lock, so the produced count it reads is exact. *)
+   stream's lock, so the produced count it reads is exact. Every tenth
+   item takes real time: a domain takes an item only when it is free to
+   compute it, so with instant items nothing would run ahead. *)
 let test_stream_window_bound () =
   let window = 4 in
   Engine.Pool.with_pool ~jobs:4 (fun pool ->
@@ -227,7 +229,9 @@ let test_stream_window_bound () =
         ~consumer:(fun seq _ ->
           let ahead = !produced - seq in
           if ahead > !max_ahead then max_ahead := ahead)
-        (fun i -> i);
+        (fun i ->
+          if i mod 10 = 0 then Unix.sleepf 0.0005;
+          i);
       checkb
         (Printf.sprintf "in-flight items bounded by the window (saw %d)"
            !max_ahead)
@@ -236,6 +240,29 @@ let test_stream_window_bound () =
       (* The bound is also tight: a 4-domain pool should actually run
          ahead of the frontier, not degenerate to lock-step. *)
       checkb "pipeline actually overlaps" true (!max_ahead >= 2))
+
+(* No domain is a dedicated reader: on a 2-domain pool, items 0 and 1
+   run at the same time while the producer still has input. Each waits
+   until both have started; a stream whose producer domain computes only
+   after the input ends runs item 1 only after item 0 has timed out. *)
+let test_stream_producer_domain_computes () =
+  Engine.Pool.with_pool ~jobs:2 (fun pool ->
+      let started = Atomic.make 0 in
+      let met = Array.make 2 false in
+      Engine.Stream.run pool ~producer:(counting_producer 1000)
+        ~consumer:(fun _ _ -> ())
+        (fun i ->
+          if i < 2 then begin
+            Atomic.incr started;
+            let deadline = Unix.gettimeofday () +. 5. in
+            while Atomic.get started < 2 && Unix.gettimeofday () < deadline do
+              Unix.sleepf 0.0002
+            done;
+            met.(i) <- Atomic.get started >= 2
+          end;
+          i);
+      checkb "item 0 saw item 1 start" true met.(0);
+      checkb "item 1 saw item 0 start" true met.(1))
 
 let test_stream_empty_and_bad_window () =
   Engine.Pool.with_pool ~jobs:3 (fun pool ->
@@ -452,6 +479,8 @@ let suite =
       test_stream_producer_exception;
     Alcotest.test_case "stream: window bounds in-flight items" `Quick
       test_stream_window_bound;
+    Alcotest.test_case "stream: the producer's domain computes before the input ends"
+      `Quick test_stream_producer_domain_computes;
     Alcotest.test_case "stream: empty producer + window validation" `Quick
       test_stream_empty_and_bad_window;
     QCheck_alcotest.to_alcotest prop_stream_equals_batch;

@@ -226,6 +226,44 @@ let test_parse_errors () =
   checkb "gap labels within the bound" false
     (fails "func f() {\nb2:\n  jump b0\nb0:\n  ret\n}")
 
+(* The parser hands out one [Reg r] operand per register, which every
+   occurrence of the register's name shares. *)
+let test_parse_shares_reg_operands () =
+  List.iter
+    (fun (e : Workloads.Suite.entry) ->
+      let text = Ir.Printer.func_to_string (Ssa.Construct.run_exn e.func) in
+      let f = Ir.Parse.func_of_string text in
+      let first = Hashtbl.create 64 in
+      let uses = ref 0 and unshared = ref 0 in
+      let visit op =
+        match op with
+        | Ir.Reg r -> (
+          incr uses;
+          match Hashtbl.find_opt first r with
+          | None -> Hashtbl.add first r op
+          | Some op0 -> if op0 != op then incr unshared)
+        | Ir.Const _ -> ()
+      in
+      Array.iter
+        (fun (b : Ir.block) ->
+          List.iter (fun (p : Ir.phi) -> List.iter (fun (_, op) -> visit op) p.args) b.phis;
+          List.iter
+            (function
+              | Ir.Copy { src; _ } | Ir.Unop { src; _ } -> visit src
+              | Ir.Binop { l; r; _ } -> visit l; visit r
+              | Ir.Load { idx; _ } -> visit idx
+              | Ir.Store { idx; src; _ } -> visit idx; visit src)
+            b.body;
+          match b.term with
+          | Ir.Branch { cond; _ } -> visit cond
+          | Ir.Return (Some op) -> visit op
+          | Ir.Jump _ | Ir.Return None -> ())
+        f.blocks;
+      checkb (e.name ^ ": a register is used more than once") true
+        (!uses > Hashtbl.length first);
+      checki (e.name ^ ": Reg operands not shared") 0 !unshared)
+    (Workloads.Suite.kernels ())
+
 (* Property: printer output always re-parses to a function that prints
    identically, across the whole SSA pipeline, and parsing is a fixed point
    too: a second print/parse gives back the same register numbering,
@@ -422,6 +460,8 @@ let suite =
     Alcotest.test_case "dot export" `Quick test_dot_export;
     Alcotest.test_case "parse: hand-written source" `Quick test_parse_roundtrip_hand;
     Alcotest.test_case "parse: error cases" `Quick test_parse_errors;
+    Alcotest.test_case "parse: one Reg operand per register" `Quick
+      test_parse_shares_reg_operands;
     QCheck_alcotest.to_alcotest prop_print_parse_roundtrip;
     Alcotest.test_case "printer = reference on suites and corpus" `Quick
       test_printer_reference_suites;
