@@ -19,31 +19,23 @@ let idx t r =
       invalid_arg "Igraph: register is not a member of the restricted graph";
     i
 
-let add_edge t a b =
-  if a <> b then begin
-    let ia = idx t a and ib = idx t b in
-    if not (Bit_matrix.get t.matrix ia ib) then begin
-      Bit_matrix.set t.matrix ia ib;
-      t.edges <- t.edges + 1
-    end
-  end
-
 (* Chaitin's backward walk: at each definition, the target interferes with
    everything currently live, except that a copy's source is taken out of
    the live set first so the copy itself never creates the edge that would
-   forbid coalescing it. *)
-let scan (f : Ir.func) cfg live ~member ~record =
+   forbid coalescing it. [def d s] records the interferences of [d] with
+   every other register of [s]. *)
+let scan (f : Ir.func) cfg live ~def =
+  let set = Bitset.create f.nregs in
   (* Parameters are parallel definitions at the entry: each interferes with
-     whatever is live into the entry and with its sibling parameters. *)
+     whatever is live into the entry and with its sibling parameters, which
+     [set] holds until the first block's live-out replaces them. *)
   let entry_in = Liveness.live_in live (Cfg.entry cfg) in
+  List.iter (Bitset.add set) f.params;
   List.iter
     (fun p ->
-      if member p then begin
-        Bitset.iter (fun l -> if member l then record p l) entry_in;
-        List.iter (fun q -> if q <> p && member q then record p q) f.params
-      end)
+      def p entry_in;
+      def p set)
     f.params;
-  let set = Bitset.create f.nregs in
   Array.iter
     (fun (b : Ir.block) ->
       if Cfg.reachable cfg b.label then begin
@@ -58,8 +50,7 @@ let scan (f : Ir.func) cfg live ~member ~record =
               (match instr with
               | Ir.Copy { src = Ir.Reg s; _ } -> Bitset.remove set s
               | _ -> ());
-              if member d then
-                Bitset.iter (fun l -> if member l then record d l) set;
+              def d set;
               Bitset.remove set d
             | None -> ());
             List.iter (Bitset.add set) (Ir.uses instr))
@@ -77,7 +68,8 @@ let build_full ?reuse (f : Ir.func) cfg live =
       mapping_bytes = 0;
     }
   in
-  scan f cfg live ~member:(fun _ -> true) ~record:(fun a b -> add_edge t a b);
+  scan f cfg live ~def:(fun d set ->
+      t.edges <- t.edges + Bit_matrix.union_set t.matrix d set);
   t
 
 let build_restricted ?reuse (f : Ir.func) cfg live ~members =
@@ -101,33 +93,23 @@ let build_restricted ?reuse (f : Ir.func) cfg live ~members =
       mapping_bytes = 4 * f.nregs;
     }
   in
-  scan f cfg live
-    ~member:(fun r -> map.(r) >= 0)
-    ~record:(fun a b -> add_edge t a b);
+  scan f cfg live ~def:(fun d set ->
+      let i = map.(d) in
+      if i >= 0 then t.edges <- t.edges + Bit_matrix.union_set ~map t.matrix i set);
   t
 
 let interferes t a b = a <> b && Bit_matrix.get t.matrix (idx t a) (idx t b)
 
 let neighbors t r =
-  let ir = idx t r in
   let acc = ref [] in
-  for x = t.nodes - 1 downto 0 do
-    if x <> ir && Bit_matrix.get t.matrix ir x then acc := x :: !acc
-  done;
-  !acc
+  Bit_matrix.iter_row (fun x -> acc := x :: !acc) t.matrix (idx t r);
+  List.rev !acc
 
-let degree t r = List.length (neighbors t r)
+let degree t r = Bit_matrix.row_count t.matrix (idx t r)
 
 let merge t ~into b =
-  let ia = idx t into and ib = idx t b in
-  if ia <> ib then
-    for x = 0 to t.nodes - 1 do
-      if x <> ia && Bit_matrix.get t.matrix ib x && not (Bit_matrix.get t.matrix ia x)
-      then begin
-        Bit_matrix.set t.matrix ia x;
-        t.edges <- t.edges + 1
-      end
-    done
+  t.edges <- t.edges + Bit_matrix.union_row t.matrix ~into:(idx t into) (idx t b)
+
 let num_nodes t = t.nodes
 let num_edges t = t.edges
 let matrix_bytes t = Bit_matrix.memory_bytes t.matrix

@@ -151,10 +151,13 @@ let add_span t name seconds =
     Hashtbl.add t.span_acc name (ref seconds);
     t.span_order <- name :: t.span_order
 
+(* Seconds on the monotonic clock, which a wall-clock step cannot move. *)
+let now_s () = Int64.to_float (Monotonic_clock.now ()) /. 1e9
+
 let span t name f =
-  let t0 = Unix.gettimeofday () in
+  let t0 = now_s () in
   Fun.protect
-    ~finally:(fun () -> add_span t name (Unix.gettimeofday () -. t0))
+    ~finally:(fun () -> add_span t name (now_s () -. t0))
     f
 
 let add_extra t name n =

@@ -10,7 +10,7 @@
     Recorders are {e not} thread-safe: parallel drivers give every task
     its own recorder and {!merge} them at the join (counter addition is
     commutative, so totals are independent of scheduling). Counters are
-    deterministic for a fixed input; spans are wall-clock and are never
+    deterministic for a fixed input; spans are elapsed times and are never
     compared by the golden tests. *)
 
 type counter =
@@ -72,9 +72,9 @@ val get : t -> counter -> int
 (** Current value of one canonical counter. *)
 
 val span : t -> string -> (unit -> 'a) -> 'a
-(** [span t name f] runs [f], adding its wall-clock duration to the span
-    [name] (accumulating across calls). Re-raises [f]'s exceptions, still
-    charging the time spent. *)
+(** [span t name f] runs [f], adding its elapsed time on the monotonic
+    clock to the span [name] (accumulating across calls). Re-raises [f]'s
+    exceptions, still charging the time spent. *)
 
 val add_span : t -> string -> float -> unit
 (** Add [seconds] to the named span directly. *)

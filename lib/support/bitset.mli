@@ -57,6 +57,11 @@ val blit : src:t -> dst:t -> unit
 val iter : (int -> unit) -> t -> unit
 (** Iterate elements in increasing order. *)
 
+val next : t -> int -> int
+(** [next s i] is the least element of [s] at or above [i], or [-1] if
+    there is none: a loop over [s] that needs no closure. Zero words are
+    skipped whole. Raises [Invalid_argument] if [i < 0]. *)
+
 val fold : (int -> 'a -> 'a) -> t -> 'a -> 'a
 
 val elements : t -> int list

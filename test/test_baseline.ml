@@ -115,6 +115,44 @@ let test_merge () =
   Baseline.Igraph.merge g ~into:x y;
   checkb "x keeps z edge" true (Baseline.Igraph.interferes g x z)
 
+(* Property: on graphs of random programs, [neighbors] and [degree] agree
+   with a naive [interferes] filter over every register, before and after
+   a [merge]; the merge adds exactly [b]'s other neighbors to [a] and
+   counts them in [num_edges]. *)
+let prop_neighbors_and_merge =
+  QCheck.Test.make ~count:40 ~name:"igraph neighbors, degree and merge match naive scan"
+    QCheck.(triple (int_bound 10_000) (int_range 5 60) (pair (int_bound 1000) (int_bound 1000)))
+    (fun (seed, size, (ra, rb)) ->
+      let f = random_program seed size in
+      let inst =
+        Ssa.Destruct_naive.run_exn (Ir.Edge_split.run (Ssa.Construct.run_exn f))
+      in
+      let g = graph_of inst in
+      let n = inst.Ir.nregs in
+      let all = List.init n Fun.id in
+      let naive r = List.filter (fun x -> Baseline.Igraph.interferes g r x) all in
+      let agrees () =
+        List.for_all
+          (fun r ->
+            let expected = naive r in
+            Baseline.Igraph.neighbors g r = expected
+            && Baseline.Igraph.degree g r = List.length expected)
+          all
+      in
+      let a = ra mod n and b = rb mod n in
+      let before_a = naive a and before_b = naive b in
+      let edges = Baseline.Igraph.num_edges g in
+      agrees ()
+      &&
+      (Baseline.Igraph.merge g ~into:a b;
+       let expected =
+         if a = b then before_a
+         else List.sort_uniq compare (before_a @ List.filter (( <> ) a) before_b)
+       in
+       naive a = expected
+       && Baseline.Igraph.num_edges g - edges = List.length expected - List.length before_a
+       && agrees ()))
+
 let instantiate (e : Workloads.Suite.entry) =
   Ssa.Destruct_naive.run_exn (Ir.Edge_split.run (Ssa.Construct.run_exn e.func))
 
@@ -233,6 +271,73 @@ let prop_variants_byte_identical =
       in
       Ir.Printer.func_to_string out_b = Ir.Printer.func_to_string out_s)
 
+(* The graph coalescer's decisions, pinned: for Briggs and Briggs* over
+   Suite.large plus one generated function of size 2400, the rounds, the
+   coalesced and remaining copies, and each round's graph nodes, edges and
+   bytes (the numbers behind the tables' ig_peak_* columns). A change to
+   the graph's representation must leave every figure as it is. *)
+let pinned_ig_stats =
+  (* name, variant, rounds, coalesced, copies_remaining,
+     nodes, edges and bytes per round *)
+  Baseline.Ig_coalesce.
+  [
+    ("big300", Briggs, 3, 394, 260,
+     [ 1130; 1130; 1130 ], [ 14621; 9096; 9079 ], [ 79736; 79736; 79736 ]);
+    ("big300", Briggs_star, 3, 394, 260,
+     [ 499; 65; 64 ], [ 6632; 728; 713 ], [ 20052; 4780; 4772 ]);
+    ("big600", Briggs, 3, 638, 454,
+     [ 1746; 1746; 1746 ], [ 21022; 12618; 12585 ], [ 190424; 190424; 190424 ]);
+    ("big600", Briggs_star, 3, 638, 454,
+     [ 821; 106; 105 ], [ 10013; 1020; 1009 ], [ 49061; 7680; 7667 ]);
+    ("big1200", Briggs, 2, 1001, 764,
+     [ 3132; 3132 ], [ 37878; 24764 ], [ 612894; 612894 ]);
+    ("big1200", Briggs_star, 2, 1001, 764,
+     [ 1318; 181 ], [ 16084; 1867 ], [ 121016; 14565 ]);
+    ("num250", Briggs, 2, 51, 15,
+     [ 3668; 3668 ], [ 59462; 58624 ], [ 840660; 840660 ]);
+    ("num250", Briggs_star, 2, 51, 15,
+     [ 84; 0 ], [ 1073; 0 ], [ 15108; 14672 ]);
+    ("num500", Briggs, 2, 52, 16,
+     [ 7291; 7291 ], [ 120372; 119540 ], [ 3321962; 3321962 ]);
+    ("num500", Briggs_star, 2, 52, 16,
+     [ 86; 0 ], [ 1104; 0 ], [ 29621; 29164 ]);
+    ("big2400", Briggs, 3, 2890, 1898,
+     [ 7726; 7726; 7726 ], [ 102248; 61564; 61519 ], [ 3730210; 3730210; 3730210 ]);
+    ("big2400", Briggs_star, 3, 2890, 1898,
+     [ 3629; 397; 394 ], [ 48856; 4621; 4579 ], [ 853780; 40730; 40582 ]);
+  ]
+
+let big2400 =
+  lazy
+    (Workloads.Generator.generate_ir
+       { Workloads.Generator.seed = 104; size = 2400; num_vars = 16; max_depth = 4 })
+
+let test_ig_stats_pinned () =
+  let funcs =
+    List.map (fun (e : Workloads.Suite.entry) -> (e.name, e.func)) (Workloads.Suite.large ())
+    @ [ ("big2400", Lazy.force big2400) ]
+  in
+  let ints = Alcotest.(list int) in
+  List.iter
+    (fun (name, variant, rounds, coalesced, remaining, nodes, edges, bytes) ->
+      let inst =
+        Ssa.Destruct_naive.run_exn
+          (Ir.Edge_split.run (Ssa.Construct.run_exn (List.assoc name funcs)))
+      in
+      let _, (s : Baseline.Ig_coalesce.stats) = Baseline.Ig_coalesce.run ~variant inst in
+      let what field =
+        Printf.sprintf "%s %s: %s" name
+          (if variant = Baseline.Ig_coalesce.Briggs then "briggs" else "briggs*")
+          field
+      in
+      checki (what "rounds") rounds s.rounds;
+      checki (what "coalesced") coalesced s.coalesced;
+      checki (what "copies remaining") remaining s.copies_remaining;
+      check ints (what "nodes per round") nodes s.graph_nodes_per_round;
+      check ints (what "edges per round") edges s.graph_edges_per_round;
+      check ints (what "bytes per round") bytes s.graph_bytes_per_round)
+    pinned_ig_stats
+
 let suite =
   [
     Alcotest.test_case "igraph: basic edges" `Quick test_igraph_straight;
@@ -242,6 +347,7 @@ let suite =
     Alcotest.test_case "igraph: restricted build" `Quick test_igraph_restricted;
     Alcotest.test_case "igraph: rejects phis" `Quick test_igraph_rejects_phis;
     Alcotest.test_case "igraph: merge keeps edges" `Quick test_merge;
+    QCheck_alcotest.to_alcotest prop_neighbors_and_merge;
     Alcotest.test_case "briggs = briggs* on kernels" `Slow test_briggs_equals_star;
     Alcotest.test_case "briggs* correct on kernels" `Slow test_briggs_correct;
     QCheck_alcotest.to_alcotest prop_briggs_random;
@@ -249,4 +355,6 @@ let suite =
     Alcotest.test_case "ig_coalesce: rejects phis" `Quick
       test_ig_coalesce_rejects_phis;
     QCheck_alcotest.to_alcotest prop_variants_byte_identical;
+    Alcotest.test_case "ig_coalesce: decisions and graph sizes pinned" `Slow
+      test_ig_stats_pinned;
   ]

@@ -214,6 +214,195 @@ let prop_bit_matrix =
             (List.init 15 Fun.id))
         (List.init 15 Fun.id))
 
+(* Oracle for [Bit_matrix.union_row]: Chaitin's row OR bit by bit, two
+   checked probes per node, as [Baseline.Igraph.merge] once did it. *)
+let union_row_oracle m ~into:a b =
+  let added = ref 0 in
+  if a <> b then
+    for x = 0 to Support.Bit_matrix.size m - 1 do
+      if x <> a && Support.Bit_matrix.get m b x && not (Support.Bit_matrix.get m a x)
+      then begin
+        Support.Bit_matrix.set m a x;
+        incr added
+      end
+    done;
+  !added
+
+let bit_matrix_sizes = [| 0; 1; 2; 7; 8; 9; 15; 16; 17; 63; 64; 65; 127; 128; 129 |]
+
+(* A random matrix of size [n] with pair density [pct]%, twice: one for
+   the row operation under test, one for the oracle. *)
+let random_matrices ~seed ~pct n =
+  let st = Random.State.make [| seed |] in
+  let m = Support.Bit_matrix.create n and o = Support.Bit_matrix.create n in
+  for i = 0 to n - 1 do
+    for j = 0 to i - 1 do
+      if Random.State.int st 100 < pct then begin
+        Support.Bit_matrix.set m i j;
+        Support.Bit_matrix.set o i j
+      end
+    done
+  done;
+  (m, o)
+
+let same_pairs m o =
+  let n = Support.Bit_matrix.size m in
+  List.for_all
+    (fun i ->
+      List.for_all
+        (fun j -> Support.Bit_matrix.get m i j = Support.Bit_matrix.get o i j)
+        (List.init n Fun.id))
+    (List.init n Fun.id)
+
+let raises_invalid f =
+  try
+    ignore (f ());
+    false
+  with Invalid_argument _ -> true
+
+(* Property: [union_row] leaves the same matrix as the oracle, for a row
+   above, below and equal to its target, and returns exactly the growth
+   of [count]; rows out of range raise. *)
+let prop_union_row =
+  QCheck.Test.make ~count:300 ~name:"bit matrix union_row matches bit-by-bit oracle"
+    QCheck.(
+      quad (int_bound (Array.length bit_matrix_sizes - 1)) (int_bound 100_000)
+        (int_bound 100) (pair (int_bound 1000) (int_bound 1000)))
+    (fun (si, seed, pct, (ra, rb)) ->
+      let module M = Support.Bit_matrix in
+      let n = bit_matrix_sizes.(si) in
+      let cases =
+        if n = 0 then []
+        else
+          let a = ra mod n and b = rb mod n in
+          let lo = min a b and hi = max a b in
+          let distinct = if lo = hi then [] else [ (lo, hi); (hi, lo) ] in
+          (a, a) :: distinct
+      in
+      List.for_all
+        (fun (a, b) ->
+          let m, o = random_matrices ~seed ~pct n in
+          let before = M.count m in
+          let added = M.union_row m ~into:a b in
+          let expected = union_row_oracle o ~into:a b in
+          added = expected && M.count m - before = added && same_pairs m o)
+        cases
+      && (let m = M.create n in
+          raises_invalid (fun () -> M.union_row m ~into:n 0)
+          && raises_invalid (fun () -> M.union_row m ~into:0 n)
+          && raises_invalid (fun () -> M.union_row m ~into:(-1) 0)
+          && raises_invalid (fun () -> M.union_row m ~into:0 (-1))
+          && raises_invalid (fun () -> M.row_count m n)
+          && raises_invalid (fun () -> M.iter_row ignore m (-1))))
+
+(* Property: [iter_row] yields exactly the [get]-scan of each row, in
+   increasing order, and [row_count] its length. *)
+let prop_row_walk =
+  QCheck.Test.make ~count:300 ~name:"bit matrix row walk matches get scan"
+    QCheck.(
+      triple (int_bound (Array.length bit_matrix_sizes - 1)) (int_bound 100_000)
+        (int_bound 100))
+    (fun (si, seed, pct) ->
+      let module M = Support.Bit_matrix in
+      let n = bit_matrix_sizes.(si) in
+      let m, _ = random_matrices ~seed ~pct n in
+      List.for_all
+        (fun i ->
+          let walked = ref [] in
+          M.iter_row (fun x -> walked := x :: !walked) m i;
+          let scanned = List.filter (fun x -> M.get m i x) (List.init n Fun.id) in
+          List.rev !walked = scanned && M.row_count m i = List.length scanned)
+        (List.init n Fun.id))
+
+(* Property: [union_set] leaves the same matrix as a [set] per element of
+   the set (through the map when there is one) and returns the growth of
+   [count]; a map that is too short or points past the matrix raises. *)
+let prop_union_set =
+  QCheck.Test.make ~count:300 ~name:"bit matrix union_set matches per-pair set"
+    QCheck.(
+      quad (int_bound (Array.length bit_matrix_sizes - 1)) (int_bound 100_000)
+        (pair (int_bound 100) (int_bound 100)) (pair (int_bound 1000) bool))
+    (fun (si, seed, (pct, set_pct), (ri, mapped)) ->
+      let module M = Support.Bit_matrix in
+      let n = bit_matrix_sizes.(si) in
+      n = 0
+      ||
+      let m, o = random_matrices ~seed ~pct n in
+      let st = Random.State.make [| seed; 1 |] in
+      (* Mapped: a set over 2n registers, half of them non-members. *)
+      let cap = if mapped then 2 * n else n in
+      let map =
+        Array.init cap (fun r -> if r mod 2 = 0 then (r / 2 * 7) mod n else -1)
+      in
+      let s = Support.Bitset.create cap in
+      for r = 0 to cap - 1 do
+        if Random.State.int st 100 < set_pct then Support.Bitset.add s r
+      done;
+      let i = ri mod n in
+      let before = M.count m in
+      let added = if mapped then M.union_set ~map m i s else M.union_set m i s in
+      let expected = ref 0 in
+      Support.Bitset.iter
+        (fun r ->
+          let x = if mapped then map.(r) else r in
+          if x >= 0 && x <> i && not (M.get o i x) then begin
+            M.set o i x;
+            incr expected
+          end)
+        s;
+      added = !expected
+      && M.count m - before = added
+      && same_pairs m o
+      && raises_invalid (fun () -> M.union_set m n s)
+      && raises_invalid (fun () -> M.union_set m i (Support.Bitset.create (n + 1)))
+      && raises_invalid (fun () -> M.union_set ~map:[||] m i (Support.Bitset.create 1))
+      && raises_invalid (fun () ->
+             M.union_set ~map:[| n |] m i (Support.Bitset.of_list 1 [ 0 ])))
+
+(* Property: [Bitset.iter], and a loop over [Bitset.next], yield in
+   increasing order exactly what a [mem] scan finds, on stand-alone sets
+   and on every row of a [Bitset.Matrix]. *)
+let prop_bitset_iter =
+  let capacities = [| 0; 1; 7; 8; 9; 63; 64; 65; 127; 128; 129; 1000 |] in
+  QCheck.Test.make ~count:300 ~name:"bitset iter and next match mem scan"
+    QCheck.(triple (int_bound (Array.length capacities - 1)) (int_bound 100_000) (int_bound 100))
+    (fun (ci, seed, pct) ->
+      let module B = Support.Bitset in
+      let cap = capacities.(ci) in
+      let st = Random.State.make [| seed |] in
+      let iterated s =
+        let acc = ref [] in
+        B.iter (fun x -> acc := x :: !acc) s;
+        List.rev !acc
+      in
+      let scanned s = List.filter (B.mem s) (List.init cap Fun.id) in
+      let set = B.create cap in
+      for x = 0 to cap - 1 do
+        if Random.State.int st 100 < pct then B.add set x
+      done;
+      let rows = 3 in
+      let m =
+        B.Matrix.on_buffer (Bytes.create (rows * ((cap + 7) / 8))) ~rows cap
+      in
+      for r = 0 to rows - 1 do
+        for x = 0 to cap - 1 do
+          if Random.State.int st 100 < pct then B.Matrix.add m r x
+        done
+      done;
+      let stepped s =
+        let rec from i acc =
+          match B.next s i with
+          | -1 -> List.rev acc
+          | x -> from (x + 1) (x :: acc)
+        in
+        from 0 []
+      in
+      let agree s =
+        let expected = scanned s in
+        iterated s = expected && stepped s = expected && B.next s (cap + 8) = -1
+      in
+      agree set && List.for_all (fun r -> agree (B.Matrix.row m r)) (List.init rows Fun.id))
+
 let test_vec () =
   let v = Support.Vec.create () in
   checki "empty" 0 (Support.Vec.length v);
@@ -313,6 +502,10 @@ let suite =
     QCheck_alcotest.to_alcotest prop_bitset_matches_set;
     Alcotest.test_case "bit matrix" `Quick test_bit_matrix;
     QCheck_alcotest.to_alcotest prop_bit_matrix;
+    QCheck_alcotest.to_alcotest prop_union_row;
+    QCheck_alcotest.to_alcotest prop_row_walk;
+    QCheck_alcotest.to_alcotest prop_union_set;
+    QCheck_alcotest.to_alcotest prop_bitset_iter;
     Alcotest.test_case "vec" `Quick test_vec;
     Alcotest.test_case "vec recycling" `Quick test_vec_recycle;
     Alcotest.test_case "csr adjacency" `Quick test_csr;
