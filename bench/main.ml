@@ -5,14 +5,13 @@
    byte-accurate models of the distinguishing data structures.
 
    Usage: main.exe [table1|table2|table3|table4|table5|scaling|ablation|
-                    destruction|passes|regalloc|throughput|cache|analysis|serve|
-                    corpus|tables|metrics|all]
+                    destruction|passes|regalloc|throughput|cache|serve|corpus|
+                    tables|metrics|all]
           main.exe --fast ...     (shorter Bechamel quotas, noisier numbers)
           main.exe --json ...     (also write BENCH_10.json: per-target wall
                                    times + the four-pipeline "tables"
                                    evaluation + throughput + cache cold/warm +
-                                   the analysis-core comparisons + the
-                                   streaming-corpus memory study,
+                                   the streaming-corpus memory study,
                                    machine-readable)
 
    Expected shapes (what the paper's tables show and ours must reproduce):
@@ -663,145 +662,6 @@ let regalloc_study () =
           t "new_cp"; t "big_cp" ] ])
 
 (* ------------------------------------------------------------------ *)
-(* Extension: the dense analysis core — iterative (CHK) vs DSU
-   (Lengauer–Tarjan) dominators on the adversarial CFG families, and
-   hashtbl-shaped vs dense bit-vector liveness over the whole suite,
-   with minor-heap allocation words per run.                            *)
-(* ------------------------------------------------------------------ *)
-
-(* (bench, input, variant, seconds, minor_words) rows, kept for the JSON
-   emitter. *)
-let analysis_results : (string * string * string * float * float) list ref =
-  ref []
-
-(* Average minor-heap words allocated per call — the allocation half of
-   the dense-representation claim; wall time alone can hide a solver that
-   wins by churning the minor heap. *)
-let minor_words_per_run thunk =
-  ignore (thunk ());
-  let reps = 10 in
-  let before = Gc.minor_words () in
-  for _ = 1 to reps do
-    ignore (thunk ())
-  done;
-  (Gc.minor_words () -. before) /. float_of_int reps
-
-let analysis_bench () =
-  analysis_results := [];
-  let record bench input variant seconds words =
-    analysis_results :=
-      (bench, input, variant, seconds, words) :: !analysis_results
-  in
-  let rows = ref [] in
-  (* Dominators on the degenerate families where the iterative solver's
-     intersect walks go quadratic. These sizes are only ever analyzed,
-     never interpreted, so the loop nest can be deep. We time the idom
-     solve proper ([Dominance.idoms_into], arena recycled) — the derived
-     frontiers are algorithm-independent and themselves quadratic in size
-     on these graphs, so timing the full [compute] would mostly measure
-     work the two solvers share. *)
-  let scratch = Support.Scratch.create () in
-  List.iter
-    (fun (shape, size) ->
-      let f = Workloads.Generator.adversarial shape ~size in
-      let cfg = Ir.Cfg.of_func f in
-      let solve alg () =
-        Support.Scratch.release_int_array scratch
-          (Analysis.Dominance.idoms_into ~algorithm:alg ~scratch cfg)
-      in
-      let label =
-        Printf.sprintf "%s%d" (Workloads.Generator.shape_name shape) size
-      in
-      let t_chk =
-        M.seconds ~quota_s:!quota ~name:("dom-chk/" ^ label)
-          (solve Analysis.Dominance.Chk)
-      in
-      let t_dsu =
-        M.seconds ~quota_s:!quota ~name:("dom-dsu/" ^ label)
-          (solve Analysis.Dominance.Dsu)
-      in
-      let w_chk = minor_words_per_run (solve Analysis.Dominance.Chk) in
-      let w_dsu = minor_words_per_run (solve Analysis.Dominance.Dsu) in
-      record "dominators" label "chk" t_chk w_chk;
-      record "dominators" label "dsu" t_dsu w_dsu;
-      rows :=
-        [
-          "dominators";
-          label;
-          string_of_int (Ir.num_blocks f);
-          T.fmt_seconds t_chk;
-          T.fmt_seconds t_dsu;
-          T.fmt_ratio (t_chk /. t_dsu);
-          Printf.sprintf "%.0f" w_chk;
-          Printf.sprintf "%.0f" w_dsu;
-        ]
-        :: !rows)
-    [
-      (Workloads.Generator.Comb, 512);
-      (Workloads.Generator.Skewed_ladder, 512);
-      (Workloads.Generator.Dense_diamonds, 256);
-      (Workloads.Generator.Deep_loop_nest, 300);
-    ];
-  (* Liveness over the whole suite in SSA form: the deliberately
-     Hashtbl-shaped reference against the dense bit-vector solver the
-     pipeline uses — the batch analysis throughput the dense core buys. *)
-  let batch =
-    List.map
-      (fun (e : Workloads.Suite.entry) ->
-        let ssa = Ssa.Construct.run_exn e.func in
-        (ssa, Ir.Cfg.of_func ssa))
-      (kernels_and_large ())
-  in
-  let nfuncs = List.length batch in
-  let nblocks =
-    List.fold_left (fun acc (f, _) -> acc + Ir.num_blocks f) 0 batch
-  in
-  let run_hashtbl () =
-    List.iter
-      (fun (f, cfg) -> ignore (Analysis.Liveness_ref.compute f cfg))
-      batch
-  in
-  let run_dense () =
-    List.iter (fun (f, cfg) -> ignore (Analysis.Liveness.compute f cfg)) batch
-  in
-  let t_hash =
-    M.seconds ~quota_s:!quota ~name:"liveness-hashtbl/suite" run_hashtbl
-  in
-  let t_dense =
-    M.seconds ~quota_s:!quota ~name:"liveness-dense/suite" run_dense
-  in
-  let per_fn w = w /. float_of_int nfuncs in
-  let w_hash = per_fn (minor_words_per_run run_hashtbl) in
-  let w_dense = per_fn (minor_words_per_run run_dense) in
-  record "liveness" "suite-batch" "hashtbl" t_hash w_hash;
-  record "liveness" "suite-batch" "dense" t_dense w_dense;
-  rows :=
-    [
-      "liveness";
-      Printf.sprintf "suite-batch (%d fns)" nfuncs;
-      string_of_int nblocks;
-      T.fmt_seconds t_hash;
-      T.fmt_seconds t_dense;
-      T.fmt_ratio (t_hash /. t_dense);
-      Printf.sprintf "%.0f" w_hash;
-      Printf.sprintf "%.0f" w_dense;
-    ]
-    :: !rows;
-  analysis_results := List.rev !analysis_results;
-  T.print
-    ~title:
-      "Analysis core: CHK vs DSU dominators on adversarial CFGs, and \
-       hashtbl vs dense liveness over the SSA'd suite (minor words = \
-       allocation per solve; liveness words are per function)"
-    ~header:
-      [
-        "bench"; "input"; "blocks"; "base t"; "new t"; "base/new";
-        "base minor w"; "new minor w";
-      ]
-    (List.rev !rows)
-
-
-(* ------------------------------------------------------------------ *)
 (* Extension: the concurrent socket server under load — throughput,    *)
 (* client-observed latency percentiles, dedup collapse, busy shedding. *)
 (* ------------------------------------------------------------------ *)
@@ -1260,17 +1120,6 @@ let emit_json ~path ~fast timings =
         (if i = List.length cr - 1 then "" else ","))
     cr;
   out "  ],\n";
-  out "  \"analysis\": [\n";
-  let ar = !analysis_results in
-  List.iteri
-    (fun i (bench, input, variant, seconds, words) ->
-      out
-        "    {\"bench\": %S, \"input\": %S, \"variant\": %S, \"seconds\": \
-         %.9f, \"minor_words\": %.1f}%s\n"
-        bench input variant seconds words
-        (if i = List.length ar - 1 then "" else ","))
-    ar;
-  out "  ],\n";
   out "  \"corpus\": [\n";
   let co = !corpus_results in
   List.iteri
@@ -1330,7 +1179,6 @@ let () =
     | "passes" -> timed name pass_pipelines
     | "throughput" -> timed name throughput
     | "cache" -> timed name cache_bench
-    | "analysis" -> timed name analysis_bench
     | "serve" -> timed name serve_bench
     | "corpus" -> timed name corpus_bench
     | "tables" -> timed name tables
@@ -1340,7 +1188,7 @@ let () =
         [
           "table1"; "table2"; "table3"; "table4"; "scaling"; "ablation";
           "destruction"; "passes"; "regalloc"; "throughput"; "cache";
-          "analysis"; "serve"; "corpus"; "tables"; "metrics";
+          "serve"; "corpus"; "tables"; "metrics";
         ]
     | other ->
       Printf.eprintf "unknown target %S\n" other;

@@ -46,8 +46,10 @@ let read_corpus path =
     with Ir.Parse.Error (msg, line) ->
       raise (Input_error (Printf.sprintf "%s:%d: %s" path line msg))
 
+(* The title and any stats line are '#' comments, so a dump reads back
+   as IR text. *)
 let print_func title f =
-  Printf.printf "==== %s ====\n%s\n\n" title (Ir.Printer.func_to_string f)
+  Printf.printf "# ==== %s ====\n%s\n\n" title (Ir.Printer.func_to_string f)
 
 let stage_names = [ "cfg"; "ssa"; "standard"; "new"; "briggs"; "briggs-star" ]
 
@@ -82,8 +84,8 @@ let dump_cmd =
           Ir.Validate.check_exn f;
           print_func (f.Ir.name ^ " (New coalescer)") f;
           Printf.printf
-            "classes=%d members=%d copies=%d filter-refusals=%d forest-detached=%d \
-             local-detached=%d\n"
+            "# classes=%d members=%d copies=%d filter-refusals=%d \
+             forest-detached=%d local-detached=%d\n"
             stats.classes stats.class_members stats.copies_inserted
             stats.filter_refusals stats.forest_detached stats.local_detached
         | "briggs" | "briggs-star" ->
@@ -97,7 +99,7 @@ let dump_cmd =
           let f, stats = Baseline.Ig_coalesce.run ~variant f in
           Ir.Validate.check_exn f;
           print_func (f.Ir.name ^ " (" ^ stage ^ ")") f;
-          Printf.printf "rounds=%d coalesced=%d remaining-copies=%d\n"
+          Printf.printf "# rounds=%d coalesced=%d remaining-copies=%d\n"
             stats.rounds stats.coalesced stats.copies_remaining
         | _ -> assert false)
       (load path);
@@ -281,24 +283,7 @@ let opt_cmd =
              output on Check.equiv's argument battery and audit the \
              coalescer's congruence classes for interference.")
   in
-  let dominators =
-    Arg.(
-      value
-      & opt
-          (enum
-             [ ("chk", Analysis.Dominance.Chk); ("dsu", Analysis.Dominance.Dsu) ])
-          Analysis.Dominance.Chk
-      & info [ "dominators" ]
-          ~doc:
-            "Dominator algorithm for every analysis in the pipeline: \
-             $(b,chk) (Cooper-Harvey-Kennedy iteration) or $(b,dsu) \
-             (Lengauer-Tarjan with disjoint-set-union path compression). \
-             Both produce identical results; dsu avoids chk's quadratic \
-             tail on degenerate CFGs."
-          ~docv:"chk|dsu")
-  in
-  let run path passes simplify dce registers conversion jobs check dominators =
-    Analysis.Dominance.set_default_algorithm dominators;
+  let run path passes simplify dce registers conversion jobs check =
     let pipeline =
       match passes with
       | Some spec -> (
@@ -332,7 +317,7 @@ let opt_cmd =
     (Cmd.info "opt" ~doc:"Run the whole configurable backend pipeline")
     Term.(
       const run $ path $ passes $ simplify $ dce $ k $ conversion $ jobs
-      $ check $ dominators)
+      $ check)
 
 let dot_cmd =
   let path = Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE") in
@@ -380,53 +365,10 @@ type fuzz_failure = {
   detail : string;
 }
 
-(* Does this failing seed still fail on a candidate program? Any breakage —
-   the same semantic mismatch, an audit violation, or a compiler crash — is
-   kept, the standard fuzzing convention. *)
-let fuzz_keep ~route ~vectors (ast : Frontend.Ast.func) =
-  match Frontend.Lower.lower ast with
-  | exception _ -> false
-  | ir, _ -> (
-    if route = "audit" then
-      match Check.interference_audit (Ssa.Construct.run_exn ir) with
-      | Ok () -> false
-      | Error _ | (exception _) -> true
-    else
-      let conversion = List.assoc route fuzz_routes in
-      let config = { Driver.Pipeline.default with conversion } in
-      match Driver.Pipeline.compile ~config ir with
-      | exception _ -> true
-      | r -> (
-        match Check.equiv ~vectors ~reference:ir r.output with
-        | Ok () -> false
-        | Error _ -> true))
-
-(* Analysis differentials, run on the raw CFG of a fuzzed program: the two
-   dominator solvers must agree idom-for-idom on every reachable block
-   (idoms are unique), and dense bitset liveness must match the hash-table
-   reference set-for-set. *)
-let analysis_differentials (ir : Ir.func) : (string * string) list =
+(* Liveness differential, run on the raw CFG of a fuzzed program: dense
+   bitset liveness must match the hash-table reference set-for-set. *)
+let liveness_failures ~seed (ir : Ir.func) : fuzz_failure list =
   let cfg = Ir.Cfg.of_func ir in
-  let chk = Analysis.Dominance.compute ~algorithm:Chk ir cfg in
-  let dsu = Analysis.Dominance.compute ~algorithm:Dsu ir cfg in
-  let dom_mismatches = ref [] in
-  for l = 0 to Ir.num_blocks ir - 1 do
-    if Ir.Cfg.reachable cfg l then begin
-      let a = Analysis.Dominance.idom chk l in
-      let b = Analysis.Dominance.idom dsu l in
-      if a <> b then
-        dom_mismatches :=
-          Printf.sprintf "b%d: chk idom=%s, dsu idom=%s" l
-            (match a with Some i -> string_of_int i | None -> "-")
-            (match b with Some i -> string_of_int i | None -> "-")
-          :: !dom_mismatches
-    end
-  done;
-  let dom_failures =
-    match !dom_mismatches with
-    | [] -> []
-    | ms -> [ ("dominators", String.concat "; " (List.rev ms)) ]
-  in
   let dense = Analysis.Liveness.compute ir cfg in
   let reference = Analysis.Liveness_ref.compute ir cfg in
   let live_mismatches = ref [] in
@@ -451,12 +393,33 @@ let analysis_differentials (ir : Ir.func) : (string * string) list =
           :: !live_mismatches
     end
   done;
-  let live_failures =
-    match !live_mismatches with
-    | [] -> []
-    | ms -> [ ("liveness", String.concat "; " (List.rev ms)) ]
-  in
-  dom_failures @ live_failures
+  match !live_mismatches with
+  | [] -> []
+  | ms ->
+    [ { seed; route = "liveness"; detail = String.concat "; " (List.rev ms) } ]
+
+(* Does this failing seed still fail on a candidate program? Any breakage —
+   the same semantic mismatch, an audit violation, a liveness mismatch or a
+   compiler crash — is kept, the standard fuzzing convention. *)
+let fuzz_keep ~route ~vectors (ast : Frontend.Ast.func) =
+  match Frontend.Lower.lower ast with
+  | exception _ -> false
+  | ir, _ -> (
+    match route with
+    | "audit" -> (
+      match Check.interference_audit (Ssa.Construct.run_exn ir) with
+      | Ok () -> false
+      | Error _ | (exception _) -> true)
+    | "liveness" -> liveness_failures ~seed:0 ir <> []
+    | _ -> (
+      let conversion = List.assoc route fuzz_routes in
+      let config = { Driver.Pipeline.default with conversion } in
+      match Driver.Pipeline.compile ~config ir with
+      | exception _ -> true
+      | r -> (
+        match Check.equiv ~vectors ~reference:ir r.output with
+        | Ok () -> false
+        | Error _ -> true)))
 
 let fuzz_seed ~size ~vectors seed : fuzz_failure list =
   let ast =
@@ -464,11 +427,6 @@ let fuzz_seed ~size ~vectors seed : fuzz_failure list =
       { Workloads.Generator.default with seed; size }
   in
   let ir, _ = Frontend.Lower.lower ast in
-  let analysis_failures =
-    List.map
-      (fun (route, detail) -> { seed; route; detail })
-      (analysis_differentials ir)
-  in
   let audit_failures =
     match Check.interference_audit (Ssa.Construct.run_exn ir) with
     | Ok () -> []
@@ -481,7 +439,7 @@ let fuzz_seed ~size ~vectors seed : fuzz_failure list =
         };
       ]
   in
-  analysis_failures @ audit_failures
+  liveness_failures ~seed ir @ audit_failures
   @ List.concat_map
       (fun (route, conversion) ->
         let config = { Driver.Pipeline.default with conversion } in
@@ -531,8 +489,8 @@ let fuzz_cmd =
     match failures with
     | [] ->
       Printf.printf
-        "fuzz: %d seeds x %d routes (+ interference audit, dominator and \
-         liveness differentials): no discrepancies\n"
+        "fuzz: %d seeds x %d routes (+ interference audit and \
+         liveness differential): no discrepancies\n"
         seeds
         (List.length fuzz_routes);
       0

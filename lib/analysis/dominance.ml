@@ -1,14 +1,6 @@
 open Support
 module Cfg = Ir.Cfg
 
-type algorithm =
-  | Chk
-  | Dsu
-
-let default = ref Chk
-let set_default_algorithm a = default := a
-let default_algorithm () = !default
-
 type t = {
   idom : int array;  (* idom.(l) = immediate dominator; entry maps to itself;
                         -1 for unreachable blocks *)
@@ -23,7 +15,7 @@ type t = {
 
 (* Cooper–Harvey–Kennedy: intersect walks two fingers up the (partial) idom
    chain using postorder numbers until they meet. *)
-let chk_idoms ~scratch cfg =
+let idoms ~scratch cfg =
   let n = Cfg.num_blocks cfg in
   let entry = Cfg.entry cfg in
   let po = Cfg.postorder cfg in
@@ -60,133 +52,9 @@ let chk_idoms ~scratch cfg =
   Scratch.release_int_array scratch po_num;
   idom
 
-(* Lengauer–Tarjan with the path-compression disjoint-set forest (the
-   "simple" O(m log n) variant from Finding Dominators via Disjoint Set
-   Union). Unlike CHK's iteration — whose intersect walk degrades to O(n²)
-   on long ladders of joins — one pass over the vertices in reverse
-   preorder computes semidominators, buckets convert them to relative
-   dominators, and a final forward sweep resolves immediate dominators. *)
-let dsu_idoms ~scratch cfg =
-  let n = Cfg.num_blocks cfg in
-  let entry = Cfg.entry cfg in
-  (* DFS spanning tree with its own preorder numbering and parent links.
-     [pre]/[parent] are label-indexed; [vertex] inverts [pre]. *)
-  let pre = Scratch.acquire_int_array scratch n (-1) in
-  let parent = Scratch.acquire_int_array scratch n (-1) in
-  let vertex = Scratch.acquire_int_array scratch n (-1) in
-  let stack = Scratch.acquire_int_array scratch n 0 in
-  let cursor = Scratch.acquire_int_array scratch n 0 in
-  let count = ref 0 in
-  let sp = ref 0 in
-  let discover l p =
-    pre.(l) <- !count;
-    vertex.(!count) <- l;
-    incr count;
-    parent.(l) <- p;
-    stack.(!sp) <- l;
-    cursor.(!sp) <- 0;
-    incr sp
-  in
-  discover entry (-1);
-  while !sp > 0 do
-    let top = !sp - 1 in
-    let l = stack.(top) in
-    let i = cursor.(top) in
-    if i < Cfg.num_succs cfg l then begin
-      cursor.(top) <- i + 1;
-      let s = Cfg.succ cfg l i in
-      if pre.(s) = -1 then discover s l
-    end
-    else decr sp
-  done;
-  let count = !count in
-  (* Semidominators in preorder-number space; [ancestor]/[best] are the
-     DSU forest (ancestor = -1 means "root", i.e. not yet linked);
-     [bucket_head]/[bucket_next] are intrusive per-vertex lists of the
-     vertices whose semidominator is this vertex. *)
-  let semi = Scratch.acquire_int_array scratch n (-1) in
-  let ancestor = Scratch.acquire_int_array scratch n (-1) in
-  let best = Scratch.acquire_int_array scratch n (-1) in
-  let bucket_head = Scratch.acquire_int_array scratch n (-1) in
-  let bucket_next = Scratch.acquire_int_array scratch n (-1) in
-  let idom = Scratch.acquire_int_array scratch n (-1) in
-  for i = 0 to count - 1 do
-    let l = vertex.(i) in
-    semi.(l) <- i;
-    best.(l) <- l
-  done;
-  (* eval v: the vertex of minimal semidominator on the forest path from
-     (excluding) v's root down to v, with full path compression. The
-     explicit stack keeps degenerate chains from overflowing. *)
-  let eval v =
-    if ancestor.(v) = -1 then v
-    else begin
-      let sp = ref 0 in
-      let u = ref v in
-      while ancestor.(ancestor.(!u)) <> -1 do
-        stack.(!sp) <- !u;
-        incr sp;
-        u := ancestor.(!u)
-      done;
-      while !sp > 0 do
-        decr sp;
-        let w = stack.(!sp) in
-        let a = ancestor.(w) in
-        if semi.(best.(a)) < semi.(best.(w)) then best.(w) <- best.(a);
-        ancestor.(w) <- ancestor.(a)
-      done;
-      best.(v)
-    end
-  in
-  for i = count - 1 downto 1 do
-    let w = vertex.(i) in
-    (* Step 2: semi(w) = min over preds v of semi(eval v). The pred rows
-       only contain edges from reachable sources, so every v is in the
-       DFS tree. *)
-    Cfg.iter_preds cfg w (fun v ->
-        let u = eval v in
-        if semi.(u) < semi.(w) then semi.(w) <- semi.(u));
-    let s = vertex.(semi.(w)) in
-    bucket_next.(w) <- bucket_head.(s);
-    bucket_head.(s) <- w;
-    (* Link w below its DFS parent, then empty the parent's bucket:
-       every vertex whose semidominator is parent(w) now has its whole
-       semi-to-vertex tree path linked, so eval gives its relative
-       dominator. *)
-    let p = parent.(w) in
-    ancestor.(w) <- p;
-    let v = ref bucket_head.(p) in
-    bucket_head.(p) <- -1;
-    while !v <> -1 do
-      let next = bucket_next.(!v) in
-      let u = eval !v in
-      idom.(!v) <- (if semi.(u) < semi.(!v) then u else p);
-      v := next
-    done
-  done;
-  (* Step 4: forward pass turns relative dominators into immediate ones. *)
-  for i = 1 to count - 1 do
-    let w = vertex.(i) in
-    if idom.(w) <> vertex.(semi.(w)) then idom.(w) <- idom.(idom.(w))
-  done;
-  idom.(entry) <- entry;
-  Scratch.release_int_array scratch bucket_next;
-  Scratch.release_int_array scratch bucket_head;
-  Scratch.release_int_array scratch best;
-  Scratch.release_int_array scratch ancestor;
-  Scratch.release_int_array scratch semi;
-  Scratch.release_int_array scratch cursor;
-  Scratch.release_int_array scratch stack;
-  Scratch.release_int_array scratch vertex;
-  Scratch.release_int_array scratch parent;
-  Scratch.release_int_array scratch pre;
-  idom
-
-(* Everything downstream of the idom array — dominator-tree children,
-   preorder intervals, tree order, frontiers — is algorithm-independent:
-   both solvers produce the same (unique) idoms, so the finished structure
-   is identical bit for bit. *)
-let finish ~scratch cfg idom =
+let compute_into ~scratch (f : Ir.func) cfg =
+  ignore f;
+  let idom = idoms ~scratch cfg in
   let n = Cfg.num_blocks cfg in
   let entry = Cfg.entry cfg in
   let po = Cfg.postorder cfg in
@@ -250,20 +118,7 @@ let finish ~scratch cfg idom =
     depth;
   }
 
-let idoms_into ?algorithm ~scratch cfg =
-  let algorithm = match algorithm with Some a -> a | None -> !default in
-  match algorithm with
-  | Chk -> chk_idoms ~scratch cfg
-  | Dsu -> dsu_idoms ~scratch cfg
-
-let compute_into ?algorithm ~scratch (f : Ir.func) cfg =
-  ignore f;
-  finish ~scratch cfg (idoms_into ?algorithm ~scratch cfg)
-
-let compute ?algorithm f cfg =
-  compute_into ?algorithm ~scratch:(Scratch.create ()) f cfg
-
-let compute_dsu f cfg = compute ~algorithm:Dsu f cfg
+let compute f cfg = compute_into ~scratch:(Scratch.create ()) f cfg
 
 let release scratch t =
   Scratch.release_int_array scratch t.idom;

@@ -1,55 +1,26 @@
 (** Dominators, the dominator tree, and dominance frontiers.
 
-    Immediate dominators come from one of two interchangeable solvers: the
-    Cooper–Harvey–Kennedy iterative algorithm ("A Simple, Fast Dominance
-    Algorithm") or Lengauer–Tarjan with a path-compressing disjoint-set
-    forest (the DSU algorithm of "Finding Dominators via Disjoint Set
-    Union"), which avoids CHK's O(n²) tail on degenerate shapes such as
-    long ladders of join points. Idoms are unique, so both produce
-    identical structures. On top of the tree we compute the depth-first
-    {e preorder} number of every block and the {e maximum preorder number
-    among its descendants} — Tarjan's trick the paper uses (Section 3.2)
-    to answer ancestry ("does block a dominate block b?") in constant
-    time, and the ordering key for dominance-forest construction
-    (Figure 1). *)
+    Immediate dominators come from the Cooper–Harvey–Kennedy iterative
+    algorithm ("A Simple, Fast Dominance Algorithm"). Its intersect walk
+    is O(n²) on degenerate shapes such as long ladders of join points,
+    but so is the frontier construction on those shapes, and on the
+    workloads the pipeline compiles the solve is a few microseconds of a
+    millisecond compile (DESIGN.md §13). On top of the tree we compute the
+    depth-first {e preorder} number of every block and the {e maximum
+    preorder number among its descendants} — Tarjan's trick the paper
+    uses (Section 3.2) to answer ancestry ("does block a dominate block
+    b?") in constant time, and the ordering key for dominance-forest
+    construction (Figure 1). *)
 
 type t
 
-type algorithm =
-  | Chk  (** Cooper–Harvey–Kennedy iterative data-flow. *)
-  | Dsu  (** Lengauer–Tarjan with path-compression DSU. *)
+val compute : Ir.func -> Ir.Cfg.t -> t
+(** Immediate dominators plus the DFS numbering and the frontiers. *)
 
-val set_default_algorithm : algorithm -> unit
-(** Select the solver used when {!compute}/{!compute_into} get no explicit
-    [?algorithm] — how the CLI's [--dominators] flag switches the whole
-    pipeline. Defaults to {!Chk}. *)
-
-val default_algorithm : unit -> algorithm
-(** The solver currently used when no explicit [?algorithm] is given. *)
-
-val compute : ?algorithm:algorithm -> Ir.func -> Ir.Cfg.t -> t
-(** Immediate dominators plus the DFS numbering; [?algorithm] overrides
-    the configured default. *)
-
-val compute_dsu : Ir.func -> Ir.Cfg.t -> t
-(** [compute ~algorithm:Dsu] — the DSU solver regardless of the default. *)
-
-val compute_into :
-  ?algorithm:algorithm -> scratch:Support.Scratch.t -> Ir.func -> Ir.Cfg.t -> t
+val compute_into : scratch:Support.Scratch.t -> Ir.func -> Ir.Cfg.t -> t
 (** Like {!compute}, but the numbering arrays (idom, preorder, max-preorder,
     depth, tree order) and the internal temporaries are acquired from
     [scratch]. Pair with {!release} to recycle them. *)
-
-val idoms_into :
-  ?algorithm:algorithm -> scratch:Support.Scratch.t -> Ir.Cfg.t -> int array
-(** The immediate-dominator solve alone, without the derived structures
-    ({!children}, preorder intervals, {!frontier} — whose construction is
-    linear in the total frontier size and identical for both solvers).
-    Returns a label-indexed array with [idom.(entry) = entry] and [-1] for
-    unreachable blocks, acquired from [scratch]; the caller releases it
-    with [Scratch.release_int_array]. This is the function the analysis
-    benchmark times, so the two algorithms are compared on the part where
-    they actually differ. *)
 
 val release : Support.Scratch.t -> t -> unit
 (** Return the result's arrays to the arena. [t] must not be used

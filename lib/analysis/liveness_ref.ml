@@ -107,9 +107,3 @@ let elements tbl l =
 
 let live_in t l = elements t.live_in l
 let live_out t l = elements t.live_out l
-
-let mem tbl l r =
-  match Hashtbl.find_opt tbl l with None -> false | Some s -> Hashtbl.mem s r
-
-let live_in_mem t l r = mem t.live_in l r
-let live_out_mem t l r = mem t.live_out l r

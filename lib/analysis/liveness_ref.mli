@@ -3,9 +3,8 @@
     Same backward worklist and same φ conventions as [Liveness], but every
     set is a [Hashtbl] keyed by register and the per-block tables live in a
     label-keyed [Hashtbl] — the boxed-lookup style the dense core replaced.
-    It exists for two jobs: the differential oracle the fuzzer compares
-    [Liveness] against, and the "hashtbl baseline" row of the analysis
-    bench table. Not for use in the pipeline. *)
+    It is the differential oracle [repro-cli fuzz] compares [Liveness]
+    against on every seed. Not for use in the pipeline. *)
 
 type t
 
@@ -17,9 +16,3 @@ val live_in : t -> Ir.label -> Ir.reg list
 
 val live_out : t -> Ir.label -> Ir.reg list
 (** Registers live out of a block, sorted increasing. *)
-
-val live_in_mem : t -> Ir.label -> Ir.reg -> bool
-(** Membership query on the live-in set. *)
-
-val live_out_mem : t -> Ir.label -> Ir.reg -> bool
-(** Membership query on the live-out set. *)

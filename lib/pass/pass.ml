@@ -60,10 +60,10 @@ let construct ?(pruning = Ssa.Construct.Pruned) ?(fold_copies = true) () =
 
 let copy_prop =
   transform ~name:"copy-prop" (fun f ->
-      let g, s = Ssa.Copy_prop.run f in
+      let g, s = Ssa.Simplify.propagate f in
       ( g,
         Printf.sprintf "%d copies deleted (%d constants), %d phis collapsed"
-          s.copies_deleted s.consts_propagated s.phis_collapsed ))
+          s.copies_propagated s.consts_propagated s.phis_collapsed ))
 
 let simplify =
   transform ~name:"simplify" (fun f ->

@@ -83,7 +83,8 @@ val construct :
     (e.g. [construct:pruned+nofold]). *)
 
 val copy_prop : t
-(** {!Ssa.Copy_prop} — the pass that proves the extension point. *)
+(** {!Ssa.Simplify.propagate}: copy propagation and phi collapse without
+    folding — the pass that proves the extension point. *)
 
 val simplify : t
 (** {!Ssa.Simplify}: folding, identities, copy propagation, phi collapse. *)

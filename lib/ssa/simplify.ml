@@ -4,6 +4,7 @@ type stats = {
   folded : int;
   identities : int;
   copies_propagated : int;
+  consts_propagated : int;
   phis_collapsed : int;
   rounds : int;
 }
@@ -45,11 +46,15 @@ let identity op l r =
     | Ir.Flt_mul | Ir.Flt_div | Ir.Lt | Ir.Le | Ir.Gt | Ir.Ge | Ir.Eq | Ir.Ne
     | Ir.And | Ir.Or), _, _ -> None
 
-let run (f : Ir.func) =
+(* One round-based rewriter behind both passes: [~fold:false] is copy
+   propagation and φ collapsing alone; [~fold:true] adds constant folding
+   and the identities. *)
+let rewrite ~fold (f : Ir.func) =
   let cfg = Cfg.of_func f in
   let folded = ref 0 in
   let identities = ref 0 in
   let copies = ref 0 in
+  let consts = ref 0 in
   let phis_collapsed = ref 0 in
   let rounds = ref 0 in
   let current = ref f in
@@ -104,8 +109,12 @@ let run (f : Ir.func) =
                   | Ir.Copy { dst; src } ->
                     env.mapping.(dst) <- Some src;
                     incr copies;
+                    (match src with
+                    | Ir.Const _ -> incr consts
+                    | Ir.Reg _ -> ());
                     changed := true;
                     false
+                  | (Ir.Unop _ | Ir.Binop _) when not fold -> true
                   | Ir.Unop { op; dst; src = Ir.Const v } -> (
                     match Interp.eval_unop op v with
                     | v' ->
@@ -172,8 +181,11 @@ let run (f : Ir.func) =
       folded = !folded;
       identities = !identities;
       copies_propagated = !copies;
+      consts_propagated = !consts;
       phis_collapsed = !phis_collapsed;
       rounds = !rounds;
     } )
 
+let run f = rewrite ~fold:true f
 let run_exn f = fst (run f)
+let propagate f = rewrite ~fold:false f

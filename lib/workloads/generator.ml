@@ -371,8 +371,8 @@ let build_dense_diamonds n =
 
 (* Loops nested [depth] deep, two trips each: the dominator tree is one
    long spine and every header is a join with a back edge — deep idom
-   chains for CHK, deep forest paths for the DSU solver's links. 2^depth
-   innermost iterations, so keep depth modest where the result is run. *)
+   chains for CHK. 2^depth innermost iterations, so keep depth modest
+   where the result is run. *)
 let build_deep_loop_nest depth =
   let b = Ir.Builder.create (Printf.sprintf "deep_loop_nest%d" depth) in
   let entry = Ir.Builder.add_block b in

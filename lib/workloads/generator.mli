@@ -52,7 +52,7 @@ type shape =
       (** Two deep rails joined at every rung: each join's idom is the
           entry while its predecessors sit ever deeper in the dominator
           tree, so the CHK intersect walk costs O(n) per rung — O(n²)
-          overall. The DSU solver stays near-linear. *)
+          overall. *)
   | Skewed_ladder
       (** One deep rail feeding a flat join chain — the maximally skewed
           intersect: one finger is always at depth ~1, the other at depth

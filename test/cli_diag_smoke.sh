@@ -3,11 +3,14 @@
 # overflows its function, and a corpus with one corrupted line read by
 # both `corpus info --deep` and `corpus compile -i`. Each must exit 2 and
 # print a FILE:LINE: diagnostic on stderr, never an uncaught exception
-# (whose exit code, 2, would look the same). Run via @cli-exit-codes.
+# (whose exit code, 2, would look the same). Then every `dump` stage of
+# a clean program must read back as IR text and run to the source's
+# result. Run via @cli-exit-codes.
 set -u
 
 CLI="$1"
 IR_FIXTURE="$2"
+OK_MINI="$3"
 fail() { echo "cli-diag-smoke: $1" >&2; exit 1; }
 
 dir=$(mktemp -d)
@@ -41,5 +44,18 @@ expect_diag "$corpus:7: malformed parameter list" \
   "$CLI" corpus info --deep "$corpus"
 expect_diag "$corpus:7: malformed parameter list" \
   "$CLI" corpus compile -i "$corpus" --jobs 2
+
+# OK_MINI returns 6 on argument 7; so must each stage's dump, read back.
+for stage in cfg ssa standard new briggs briggs-star; do
+  "$CLI" dump --stage="$stage" "$OK_MINI" >"$dir/$stage.ir" \
+    || fail "dump --stage=$stage failed"
+  out=$("$CLI" run --args 7 "$dir/$stage.ir" 2>&1)
+  code=$?
+  [ "$code" -eq 0 ] || fail "run of the $stage dump exited $code: $out"
+  case "$out" in
+    *"returned 6;"*) ;;
+    *) fail "run of the $stage dump: want 'returned 6', got: $out" ;;
+  esac
+done
 
 echo "cli-diag-smoke: ok"

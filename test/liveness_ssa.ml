@@ -78,5 +78,3 @@ let compute (f : Ir.func) cfg =
 
 let live_in t l = t.live_in.(l)
 let live_out t l = t.live_out.(l)
-let live_in_mem t l r = Bitset.mem t.live_in.(l) r
-let live_out_mem t l r = Bitset.mem t.live_out.(l) r

@@ -5,10 +5,9 @@
     corresponding predecessor.
 
     This is a second, independently-derived implementation of the same sets
-    as {!Liveness} on SSA input — the test suite checks they agree, giving
-    the liveness the coalescer trusts a cross-implementation oracle. It is
-    only correct for {e regular SSA} programs (unique defs dominating their
-    uses); the dataflow version remains the one used on arbitrary code. *)
+    as [Analysis.Liveness] on SSA input, kept here as the test oracle for
+    the liveness the coalescer trusts. It is only correct for
+    {e regular SSA} programs (unique defs dominating their uses). *)
 
 type t
 
@@ -20,9 +19,3 @@ val live_in : t -> Ir.label -> Support.Bitset.t
 
 val live_out : t -> Ir.label -> Support.Bitset.t
 (** Registers live at block exit. Do not mutate the returned set. *)
-
-val live_in_mem : t -> Ir.label -> Ir.reg -> bool
-(** Membership in {!live_in} without materializing the set. *)
-
-val live_out_mem : t -> Ir.label -> Ir.reg -> bool
-(** Membership in {!live_out} without materializing the set. *)

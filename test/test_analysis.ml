@@ -38,6 +38,21 @@ let test_preorder_intervals () =
   checki "order size" 4 (List.length order);
   checkb "order starts at entry" true (List.hd order = 0)
 
+(* [dominates] answers every ordered pair of blocks — unreachable ones
+   included, where both sides say false — as the naive dataflow fixpoint
+   does. *)
+let dominance_matches_naive f =
+  let cfg = Ir.Cfg.of_func f in
+  let dom = Analysis.Dominance.compute f cfg in
+  let naive = naive_dominators f in
+  let blocks = List.init (Ir.num_blocks f) Fun.id in
+  List.for_all
+    (fun a ->
+      List.for_all
+        (fun b -> Analysis.Dominance.dominates dom a b = naive a b)
+        blocks)
+    blocks
+
 (* Property: CHK dominators equal the naive dataflow dominators on random
    CFGs. *)
 let prop_dominators =
@@ -46,19 +61,7 @@ let prop_dominators =
     (fun (seed, extra) ->
       let rand = make_rand (seed + 1) in
       let nblocks = 3 + (extra mod 8) in
-      let f = random_cfg rand ~blocks:nblocks ~regs:4 in
-      let cfg = Ir.Cfg.of_func f in
-      let dom = Analysis.Dominance.compute f cfg in
-      let naive = naive_dominators f in
-      List.for_all
-        (fun a ->
-          List.for_all
-            (fun b ->
-              if Ir.Cfg.reachable cfg a && Ir.Cfg.reachable cfg b then
-                Analysis.Dominance.dominates dom a b = naive a b
-              else true)
-            (List.init nblocks Fun.id))
-        (List.init nblocks Fun.id))
+      dominance_matches_naive (random_cfg rand ~blocks:nblocks ~regs:4))
 
 (* Property: depth-based ancestor test matches idom chain walking. *)
 let prop_preorder_ancestry =
@@ -87,53 +90,31 @@ let prop_preorder_ancestry =
             (List.init 8 Fun.id))
         (List.init 8 Fun.id))
 
-(* Since immediate dominators are unique, idom-for-idom equality is the
-   strongest possible differential between the two solvers. *)
-let idoms_agree f cfg =
-  let chk = Analysis.Dominance.compute ~algorithm:Analysis.Dominance.Chk f cfg in
-  let dsu = Analysis.Dominance.compute ~algorithm:Analysis.Dominance.Dsu f cfg in
-  List.for_all
-    (fun l ->
-      (not (Ir.Cfg.reachable cfg l))
-      || Analysis.Dominance.idom chk l = Analysis.Dominance.idom dsu l)
-    (List.init (Ir.num_blocks f) Fun.id)
-
-(* Property: the DSU (Lengauer–Tarjan) dominators equal the CHK iterative
-   dominators on raw random CFGs, which include irreducible graphs and
-   unreachable blocks. *)
-let prop_dsu_vs_chk =
-  QCheck.Test.make ~count:200 ~name:"DSU dominators match CHK on random CFGs"
+(* Property: the same on raw random CFGs of up to 13 blocks, which include
+   irreducible graphs and unreachable blocks. *)
+let prop_dominators_raw =
+  QCheck.Test.make ~count:200 ~name:"raw CFGs: CHK dominators = naive"
     QCheck.(pair small_nat small_nat)
     (fun (seed, extra) ->
       let rand = make_rand (seed + 3) in
       let nblocks = 2 + (extra mod 12) in
-      let f = random_cfg rand ~blocks:nblocks ~regs:4 in
-      idoms_agree f (Ir.Cfg.of_func f))
+      dominance_matches_naive (random_cfg rand ~blocks:nblocks ~regs:4))
 
-(* Property: same differential on SSA'd structured programs — deeper
-   reducible nesting than [random_cfg] produces, and exercises the
-   [compute_dsu] entry point. *)
-let prop_dsu_vs_chk_ssa =
-  QCheck.Test.make ~count:60 ~name:"DSU dominators match CHK on SSA programs"
+(* Property: the same on SSA'd structured programs — deeper reducible
+   nesting than [random_cfg] produces. *)
+let prop_dominators_ssa =
+  QCheck.Test.make ~count:60 ~name:"SSA programs: CHK dominators = naive"
     QCheck.(pair (int_bound 10_000) (int_range 10 60))
     (fun (seed, size) ->
-      let ssa = Ssa.Construct.run_exn (random_program seed size) in
-      let cfg = Ir.Cfg.of_func ssa in
-      let chk = Analysis.Dominance.compute ssa cfg in
-      let dsu = Analysis.Dominance.compute_dsu ssa cfg in
-      List.for_all
-        (fun l ->
-          (not (Ir.Cfg.reachable cfg l))
-          || Analysis.Dominance.idom chk l = Analysis.Dominance.idom dsu l)
-        (List.init (Ir.num_blocks ssa) Fun.id))
+      dominance_matches_naive
+        (Ssa.Construct.run_exn (random_program seed size)))
 
-(* The adversarial workload shapes are exactly the graphs where the two
-   algorithms' cost profiles diverge most — make sure their answers don't. *)
-let test_dsu_on_adversarial () =
+(* The adversarial workload shapes are where CHK's intersect walks go
+   quadratic — make sure its answers stay right there. *)
+let test_dominators_on_adversarial () =
   List.iter
     (fun (e : Workloads.Suite.entry) ->
-      checkb (e.name ^ ": DSU = CHK") true
-        (idoms_agree e.func (Ir.Cfg.of_func e.func)))
+      checkb (e.name ^ ": CHK = naive") true (dominance_matches_naive e.func))
     (Workloads.Suite.adversarial ())
 
 let test_liveness_loop () =
@@ -220,20 +201,19 @@ let prop_liveness_implementations_agree =
       let ssa = Ssa.Construct.run_exn f in
       let cfg = Ir.Cfg.of_func ssa in
       let a = Analysis.Liveness.compute ssa cfg in
-      let b = Analysis.Liveness_ssa.compute ssa cfg in
+      let b = Liveness_ssa.compute ssa cfg in
       List.for_all
         (fun l ->
           (not (Ir.Cfg.reachable cfg l))
           || (Support.Bitset.equal (Analysis.Liveness.live_in a l)
-                (Analysis.Liveness_ssa.live_in b l)
+                (Liveness_ssa.live_in b l)
              && Support.Bitset.equal (Analysis.Liveness.live_out a l)
-                  (Analysis.Liveness_ssa.live_out b l)))
+                  (Liveness_ssa.live_out b l)))
         (List.init (Ir.num_blocks ssa) Fun.id))
 
 (* Property: the dense bit-vector liveness equals the deliberately
-   Hashtbl-shaped reference solver ([Analysis.Liveness_ref]) — the
-   representation differential behind the analysis benchmark's
-   hashtbl-vs-dense comparison. *)
+   Hashtbl-shaped reference solver ([Analysis.Liveness_ref]) — the same
+   representation differential [repro-cli fuzz] runs on every seed. *)
 let prop_liveness_dense_vs_hashtbl =
   QCheck.Test.make ~count:80 ~name:"dense vs hashtbl liveness on SSA"
     QCheck.(pair (int_bound 10_000) (int_range 10 60))
@@ -377,10 +357,10 @@ let suite =
     Alcotest.test_case "preorder intervals" `Quick test_preorder_intervals;
     QCheck_alcotest.to_alcotest prop_dominators;
     QCheck_alcotest.to_alcotest prop_preorder_ancestry;
-    QCheck_alcotest.to_alcotest prop_dsu_vs_chk;
-    QCheck_alcotest.to_alcotest prop_dsu_vs_chk_ssa;
-    Alcotest.test_case "DSU vs CHK on adversarial shapes" `Quick
-      test_dsu_on_adversarial;
+    QCheck_alcotest.to_alcotest prop_dominators_raw;
+    QCheck_alcotest.to_alcotest prop_dominators_ssa;
+    Alcotest.test_case "adversarial shapes: CHK dominators = naive" `Quick
+      test_dominators_on_adversarial;
     Alcotest.test_case "liveness on a loop" `Quick test_liveness_loop;
     Alcotest.test_case "liveness is phi-aware" `Quick test_liveness_phi_aware;
     QCheck_alcotest.to_alcotest prop_liveness;

@@ -1,5 +1,5 @@
-(* Tests for Ssa.Copy_prop: the standalone copy/constant-propagation pass
-   ("Copy Propagation subsumes Constant Propagation"). *)
+(* Tests for Ssa.Simplify.propagate: the standalone copy/constant-
+   propagation pass ("Copy Propagation subsumes Constant Propagation"). *)
 
 open Helpers
 
@@ -13,10 +13,10 @@ let test_deletes_every_copy () =
   let ssa = Ssa.Construct.run_exn ~fold_copies:false f in
   let before = Ir.count_copies ssa in
   checkb "unfolded SSA still has copies" true (before > 0);
-  let g, s = Ssa.Copy_prop.run ssa in
+  let g, s = Ssa.Simplify.propagate ssa in
   Ssa.Ssa_validate.check_exn g;
   checki "no copies survive" 0 (Ir.count_copies g);
-  checki "stats count the deletions" before s.copies_deleted;
+  checki "stats count the deletions" before s.copies_propagated;
   assert_equiv ~args:[ Ir.Int 5 ] "copy-prop/loop" f g
 
 let test_constant_propagation () =
@@ -24,7 +24,7 @@ let test_constant_propagation () =
      propagation, and the return must read the literal directly. *)
   let f = first_func "func k() { x = 7; y = x; return y; }" in
   let ssa = Ssa.Construct.run_exn ~fold_copies:false f in
-  let g, s = Ssa.Copy_prop.run ssa in
+  let g, s = Ssa.Simplify.propagate ssa in
   checkb "some constant was propagated" true (s.consts_propagated >= 1);
   checki "no copies survive" 0 (Ir.count_copies g);
   let out = Interp.run ~args:[] g in
@@ -38,7 +38,7 @@ let test_phi_collapse () =
       "func t(p) { a = p + 1; if (p) { y = a; } else { y = a; } return y; }"
   in
   let ssa = Ssa.Construct.run_exn ~fold_copies:false f in
-  let g, s = Ssa.Copy_prop.run ssa in
+  let g, s = Ssa.Simplify.propagate ssa in
   Ssa.Ssa_validate.check_exn g;
   checkb "a phi collapsed" true (s.phis_collapsed >= 1);
   checkb "no phis survive" true
@@ -49,7 +49,7 @@ let test_keeps_real_phis () =
   (* The diamond's two arms disagree (1 vs 2): that φ must survive. *)
   let f = diamond () in
   let ssa = Ssa.Construct.run_exn ~fold_copies:false f in
-  let g, _ = Ssa.Copy_prop.run ssa in
+  let g, _ = Ssa.Simplify.propagate ssa in
   let phis =
     Array.fold_left (fun n (b : Ir.block) -> n + List.length b.Ir.phis) 0
       g.Ir.blocks
@@ -64,9 +64,9 @@ let test_idempotent_after_folding () =
      the same as running it once. *)
   let f = Workloads.Suite.(find_exn "saxpy").func in
   let ssa = Ssa.Construct.run_exn f in
-  let g1, _ = Ssa.Copy_prop.run ssa in
-  let g2, s2 = Ssa.Copy_prop.run g1 in
-  checki "second run deletes nothing" 0 s2.copies_deleted;
+  let g1, _ = Ssa.Simplify.propagate ssa in
+  let g2, s2 = Ssa.Simplify.propagate g1 in
+  checki "second run deletes nothing" 0 s2.copies_propagated;
   checki "second run collapses nothing" 0 s2.phis_collapsed;
   checkb "second run is identity" true
     (Ir.Printer.func_to_string g1 = Ir.Printer.func_to_string g2)
@@ -82,7 +82,7 @@ let prop_semantics_preserving =
       List.for_all
         (fun (pruning, fold_copies) ->
           let ssa = Ssa.Construct.run_exn ~pruning ~fold_copies f in
-          let g, _ = Ssa.Copy_prop.run ssa in
+          let g, _ = Ssa.Simplify.propagate ssa in
           Ssa.Ssa_validate.check_exn g;
           outcomes_equal reference
             (Interp.run ~args:run_args (Ssa.Destruct_naive.run_exn

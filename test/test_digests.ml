@@ -2,7 +2,9 @@
    a fixed input set and folds every printed stage of every report (each
    pass's snapshot, then the output) into one FNV-1a 64 digest. Cache keys
    hash printed text, so a change to how registers are named or numbered
-   shows up here first, with the spec that moved. *)
+   shows up here first, with the spec that moved. The [pinned_with_notes]
+   cases also fold each stage's one-line note, so a pass's statistics are
+   pinned along with its output. *)
 
 let fnv1a64 h s =
   let h = ref h in
@@ -32,7 +34,7 @@ let inputs =
                gen { Workloads.Generator.default with seed = 500 + i; size }))
          [ 15; 30; 60 ])
 
-let digest spec =
+let digest ?(notes = false) spec =
   let pipeline =
     match Pass.Spec.parse spec with
     | Ok p -> p
@@ -45,7 +47,8 @@ let digest spec =
       List.iter
         (fun (s : Pass.stage) ->
           h := fnv1a64 !h s.name;
-          h := fnv1a64 !h (Ir.Printer.func_to_string s.func))
+          h := fnv1a64 !h (Ir.Printer.func_to_string s.func);
+          if notes then h := fnv1a64 !h s.note)
         r.stages;
       h := fnv1a64 !h (Ir.Printer.func_to_string r.output))
     (Lazy.force inputs);
@@ -63,9 +66,23 @@ let pinned =
     ("construct:minimal+nofold,sreedhar-i", "10a29bf2cdacbef2");
   ]
 
+(* Each value rewriter alone on unfolded SSA, where every copy is still
+   there to propagate. *)
+let pinned_with_notes =
+  [
+    ("construct:pruned+nofold,copy-prop,standard", "0ab5c1bdb7bf7da2");
+    ("construct:pruned+nofold,simplify,standard", "e955085b080ca95c");
+  ]
+
 let suite =
   List.map
     (fun (spec, hex) ->
       Alcotest.test_case ("printed stages: " ^ spec) `Quick (fun () ->
           Alcotest.(check string) spec hex (digest spec)))
     pinned
+  @ List.map
+      (fun (spec, hex) ->
+        Alcotest.test_case ("printed stages and notes: " ^ spec) `Quick
+          (fun () ->
+            Alcotest.(check string) spec hex (digest ~notes:true spec)))
+      pinned_with_notes
