@@ -5,14 +5,15 @@
    byte-accurate models of the distinguishing data structures.
 
    Usage: main.exe [table1|table2|table3|table4|table5|scaling|ablation|
-                    destruction|passes|regalloc|throughput|cache|serve|corpus|
-                    tables|metrics|all]
+                    destruction|passes|regalloc|tables|metrics|all]
           main.exe --fast ...     (shorter Bechamel quotas, noisier numbers)
-          main.exe --json ...     (also write BENCH_10.json: per-target wall
-                                   times + the four-pipeline "tables"
-                                   evaluation + throughput + cache cold/warm +
-                                   the streaming-corpus memory study,
+          main.exe --json ...     (also write bench_main.json in the current
+                                   directory: per-target wall times + the
+                                   four-pipeline "tables" evaluation,
                                    machine-readable)
+
+   End-to-end speed (batch throughput, the compile cache, the server, the
+   streaming corpus) is measured by the repository benchmark, bench/e2e.
 
    Expected shapes (what the paper's tables show and ours must reproduce):
    - Table 1: Briggs* needs far less graph memory than Briggs and roughly
@@ -258,137 +259,6 @@ let copy_tables () =
     ~title:"Table 5: static copies remaining"
     ~header:[ "File"; "Standard"; "New"; "Briggs*"; "New/Std"; "New/Briggs*" ]
     (List.rev !rows5 @ [ avg_row r5_std r5_big ])
-
-(* ------------------------------------------------------------------ *)
-(* Extension: batch-compilation throughput across domains.             *)
-(* ------------------------------------------------------------------ *)
-
-(* (jobs, functions/sec, speedup) rows, kept for the JSON emitter. *)
-let throughput_results : (int * float * float) list ref = ref []
-
-let throughput () =
-  let entries = kernels_and_large () in
-  let batch = List.map (fun (e : Workloads.Suite.entry) -> e.func) entries in
-  let nfuncs = List.length batch in
-  (* Coarse wall-clock over whole batches: a batch is tens of milliseconds,
-     so an OLS fit per batch adds nothing; repeat until the budget runs out.
-     One pool per row, reused across every timed batch, so domain spawning
-     is paid once and each domain's scratch arena stays warm. *)
-  let budget = Float.max 0.5 (!quota *. 4.) in
-  let fps jobs =
-    Engine.Pool.with_pool ~jobs (fun pool ->
-        ignore (P.convert_batch_in pool P.New batch);
-        let t0 = M.now_s () in
-        let batches = ref 0 in
-        while M.now_s () -. t0 < budget do
-          ignore (P.convert_batch_in pool P.New batch);
-          incr batches
-        done;
-        let dt = M.now_s () -. t0 in
-        float_of_int (!batches * nfuncs) /. dt)
-  in
-  throughput_results := [];
-  let base = ref 0.0 in
-  let rows =
-    List.map
-      (fun jobs ->
-        let f = fps jobs in
-        if !base = 0.0 then base := f;
-        let speedup = f /. !base in
-        throughput_results := (jobs, f, speedup) :: !throughput_results;
-        [
-          string_of_int jobs;
-          Printf.sprintf "%.1f" f;
-          T.fmt_ratio speedup;
-        ])
-      [ 1; 2; 4 ]
-  in
-  throughput_results := List.rev !throughput_results;
-  T.print
-    ~title:
-      (Printf.sprintf
-         "Throughput: functions/sec over the kernel + generated large suite \
-          (%d functions, New pipeline; speedup vs 1 domain, %d cores \
-          available)"
-         nfuncs (Domain.recommended_domain_count ()))
-    ~header:[ "domains"; "funcs/sec"; "speedup" ]
-    rows
-
-(* ------------------------------------------------------------------ *)
-(* Extension: the content-addressed compile cache — cold-vs-warm batch
-   throughput, i.e. what a serve loop gains on repeated inputs.         *)
-(* ------------------------------------------------------------------ *)
-
-(* (mode, functions/sec, speedup vs cold) rows, kept for the JSON
-   emitter. *)
-let cache_results : (string * float * float) list ref = ref []
-
-let cache_bench () =
-  let entries = kernels_and_large () in
-  let batch = List.map (fun (e : Workloads.Suite.entry) -> e.func) entries in
-  let nfuncs = List.length batch in
-  let pipeline = Driver.Pipeline.passes_of_config Driver.Pipeline.default in
-  let budget = Float.max 0.5 (!quota *. 4.) in
-  let hits = ref 0 and misses = ref 0 in
-  let modes =
-    Engine.Pool.with_pool ~jobs:2 (fun pool ->
-        (* Warm the pool and the domain scratch arenas before timing. *)
-        ignore (Driver.Pipeline.compile_batch_passes_in pool pipeline batch);
-        let fps thunk =
-          let t0 = M.now_s () in
-          let batches = ref 0 in
-          while M.now_s () -. t0 < budget do
-            thunk ();
-            incr batches
-          done;
-          let dt = M.now_s () -. t0 in
-          float_of_int (!batches * nfuncs) /. dt
-        in
-        let uncached =
-          fps (fun () ->
-              ignore
-                (Driver.Pipeline.compile_batch_passes_in pool pipeline batch))
-        in
-        (* Cold: a fresh cache per batch, so every item misses and pays
-           key hashing plus the store on top of compilation. *)
-        let cold =
-          fps (fun () ->
-              let cache = Cache.create ~capacity:1024 () in
-              ignore
-                (Driver.Pipeline.compile_batch_passes_in pool ~cache pipeline
-                   batch))
-        in
-        (* Warm: one cache populated once, so every item hits. *)
-        let cache = Cache.create ~capacity:1024 () in
-        ignore
-          (Driver.Pipeline.compile_batch_passes_in pool ~cache pipeline batch);
-        let warm =
-          fps (fun () ->
-              ignore
-                (Driver.Pipeline.compile_batch_passes_in pool ~cache pipeline
-                   batch))
-        in
-        let s = Cache.stats cache in
-        hits := s.Cache.hits;
-        misses := s.Cache.misses;
-        [ ("uncached", uncached); ("cold", cold); ("warm", warm) ])
-  in
-  let cold_fps = List.assoc "cold" modes in
-  cache_results :=
-    List.map (fun (mode, f) -> (mode, f, f /. cold_fps)) modes;
-  T.print
-    ~title:
-      (Printf.sprintf
-         "Cache: batch throughput over the kernel + generated large suite \
-          (%d functions, default pipeline, 2 domains; cold = fresh cache \
-          per batch, warm = every item hits; warm cache served %d hits / \
-          %d misses)"
-         nfuncs !hits !misses)
-    ~header:[ "mode"; "funcs/sec"; "vs cold" ]
-    (List.map
-       (fun (mode, f, speedup) ->
-         [ mode; Printf.sprintf "%.1f" f; T.fmt_ratio speedup ])
-       !cache_results)
 
 (* ------------------------------------------------------------------ *)
 (* Extension: O(n·α(n)) scaling of the coalescer itself.               *)
@@ -662,185 +532,6 @@ let regalloc_study () =
           t "new_cp"; t "big_cp" ] ])
 
 (* ------------------------------------------------------------------ *)
-(* Extension: the concurrent socket server under load — throughput,    *)
-(* client-observed latency percentiles, dedup collapse, busy shedding. *)
-(* ------------------------------------------------------------------ *)
-
-(* scenario, loadgen result *)
-let serve_results : (string * Serve.Loadgen.result) list ref = ref []
-
-let serve_scenario ~name ~config ~clients ~requests ~distinct rows =
-  let server = Serve.Server.start ~config (Serve.Server.Tcp ("", 0)) in
-  let r =
-    Fun.protect
-      ~finally:(fun () -> Serve.Server.stop server)
-      (fun () ->
-        Serve.Loadgen.run
-          ~port:(Serve.Server.port server)
-          ~clients ~requests_per_client:requests ~distinct ())
-  in
-  serve_results := (name, r) :: !serve_results;
-  let stat k = Option.value ~default:0 (List.assoc_opt k r.server_stats) in
-  rows :=
-    [
-      name;
-      string_of_int r.clients;
-      string_of_int r.requests;
-      string_of_int r.ok;
-      string_of_int r.busy;
-      Printf.sprintf "%.0f" r.throughput;
-      Printf.sprintf "%.2f" r.p50_ms;
-      Printf.sprintf "%.2f" r.p95_ms;
-      Printf.sprintf "%.2f" r.p99_ms;
-      string_of_int (stat "dedup");
-      string_of_int (stat "contention");
-    ]
-    :: !rows
-
-let serve_bench () =
-  serve_results := [];
-  let rows = ref [] in
-  let fast = !quota < 0.2 in
-  let cache () = Some (Cache.create ~capacity:4096 ~shards:8 ()) in
-  (* Capacity: a deep queue sized to the fleet, so nothing sheds and the
-     percentiles measure queueing + compile + dedup collapse. *)
-  serve_scenario ~name:"capacity"
-    ~config:
-      {
-        Serve.Server.jobs = 2;
-        queue_capacity = 4096;
-        per_conn = 8;
-        max_conns = 4096;
-        cache = cache ();
-      }
-    ~clients:(if fast then 128 else 1000)
-    ~requests:(if fast then 4 else 5)
-    ~distinct:32 rows;
-  (* Overload: a tiny queue against the same fleet — the server must shed
-     with err status=busy rather than queue unboundedly or fall over. *)
-  serve_scenario ~name:"overload"
-    ~config:
-      {
-        Serve.Server.jobs = 2;
-        queue_capacity = 4;
-        per_conn = 2;
-        max_conns = 4096;
-        cache = cache ();
-      }
-    ~clients:(if fast then 64 else 256)
-    ~requests:(if fast then 4 else 8)
-    ~distinct:8 rows;
-  T.print
-    ~title:
-      "Serve: concurrent TCP clients against the shared warm pool (2 \
-       domains; capacity = deep queue, overload = 4-deep queue with \
-       per-conn limit 2; latency percentiles are client-observed over ok \
-       replies)"
-    ~header:
-      [
-        "scenario"; "clients"; "reqs"; "ok"; "busy"; "req/s"; "p50 ms";
-        "p95 ms"; "p99 ms"; "dedup"; "contention";
-      ]
-    (List.rev !rows)
-
-(* ------------------------------------------------------------------ *)
-(* Extension: streaming corpus compilation — the bounded-memory story.
-   Streaming through Engine.Stream must hold peak live words flat as the
-   corpus grows 10×, while the materialized batch mode (every input and
-   report in a list) grows linearly.                                    *)
-(* ------------------------------------------------------------------ *)
-
-(* (mode, funcs, seconds, funcs/sec, peak growth words) rows for the JSON
-   emitter. *)
-let corpus_results : (string * int * float * float * int) list ref = ref []
-
-let corpus_bench () =
-  corpus_results := [];
-  let fast = !quota < 0.2 in
-  let jobs = 4 in
-  let pipeline = Driver.Pipeline.passes_of_config Driver.Pipeline.default in
-  let spec total =
-    { Workloads.Corpus.seed = 42; total; mix = Workloads.Corpus.default_mix }
-  in
-  (* One measured run per (mode, size): wall clock over the whole corpus
-     dwarfs timer noise at these sizes, and repeating a 10⁵-function run
-     for an OLS fit would cost minutes for no extra signal. The heap
-     watch compacts first, so growth is the run's own high-water. *)
-  let streaming total =
-    let watch = M.heap_watch () in
-    let (), dt =
-      M.wall (fun () ->
-          Engine.Pool.with_pool ~jobs (fun pool ->
-              Driver.Pipeline.stream_passes_in pool
-                ~producer:(Workloads.Corpus.producer (spec total))
-                ~consumer:(fun _ _ -> M.heap_sample watch)
-                pipeline))
-    in
-    (dt, M.heap_growth_words watch)
-  in
-  let materialized total =
-    let watch = M.heap_watch () in
-    let (), dt =
-      M.wall (fun () ->
-          Engine.Pool.with_pool ~jobs (fun pool ->
-              let next = Workloads.Corpus.producer (spec total) in
-              let rec all acc =
-                match next () with Some f -> all (f :: acc) | None -> List.rev acc
-              in
-              let funcs = all [] in
-              let reports =
-                Driver.Pipeline.compile_batch_passes_in pool pipeline funcs
-              in
-              ignore (Sys.opaque_identity reports);
-              M.heap_sample watch))
-    in
-    (dt, M.heap_growth_words watch)
-  in
-  (* Streaming sizes carry the flatness claim (10× growth in corpus, peak
-     within 2×); the materialized baseline shows the linear growth at
-     sizes that fit comfortably in memory. *)
-  let stream_sizes = if fast then [ 500; 5_000 ] else [ 10_000; 100_000 ] in
-  let mat_sizes = if fast then [ 500; 5_000 ] else [ 1_000; 10_000 ] in
-  let rows = ref [] in
-  let run mode sizes f =
-    let first_peak = ref 0 in
-    List.iter
-      (fun total ->
-        let dt, peak = f total in
-        if !first_peak = 0 then first_peak := peak;
-        let fps = float_of_int total /. Float.max dt 1e-9 in
-        corpus_results := (mode, total, dt, fps, peak) :: !corpus_results;
-        rows :=
-          [
-            mode;
-            string_of_int total;
-            Printf.sprintf "%.2f" dt;
-            Printf.sprintf "%.0f" fps;
-            Printf.sprintf "%.0f" (fps /. float_of_int jobs);
-            string_of_int peak;
-            T.fmt_ratio (float_of_int peak /. float_of_int (max 1 !first_peak));
-          ]
-          :: !rows)
-      sizes
-  in
-  run "streaming" stream_sizes streaming;
-  run "materialized" mat_sizes materialized;
-  corpus_results := List.rev !corpus_results;
-  T.print
-    ~title:
-      (Printf.sprintf
-         "Corpus: streaming vs materialized batch compilation (default \
-          pipeline, %d domains, window %d; peak = heap high-water growth \
-          in words over a compacted baseline; 'vs first' compares against \
-          the mode's smallest corpus — streaming must stay flat while \
-          materialized grows with the corpus)"
-         jobs Engine.Stream.default_window)
-    ~header:
-      [ "mode"; "funcs"; "wall s"; "funcs/s"; "funcs/s/core"; "peak words";
-        "vs first" ]
-    (List.rev !rows)
-
-(* ------------------------------------------------------------------ *)
 (* tables: the paper's whole evaluation, one aggregate row per
    pipeline. Every conversion goes through the pass-manager door
    (spec_of → compile_passes with an Obs recorder) so the copy counts
@@ -885,11 +576,7 @@ let tables () =
   let row_of pipeline =
     let pname = P.name pipeline in
     let spec = P.spec_of pipeline in
-    let passes =
-      match Pass.Spec.parse spec with
-      | Ok l -> l
-      | Error msg -> failwith ("tables: bad spec " ^ spec ^ ": " ^ msg)
-    in
+    let passes = Pass.Spec.parse_exn spec in
     let ins = ref 0 and elim = ref 0 and static = ref 0 in
     let rounds = ref 0 and pk_nodes = ref 0 and pk_edges = ref 0 in
     let pk_bytes = ref 0 in
@@ -1065,7 +752,7 @@ let emit_json ~path ~fast timings =
   let oc = open_out path in
   let out fmt = Printf.fprintf oc fmt in
   out "{\n";
-  out "  \"schema\": \"repro-bench/2\",\n";
+  out "  \"schema\": \"repro-bench/3\",\n";
   out "  \"fast\": %b,\n" fast;
   out "  \"quota_s\": %g,\n" !quota;
   (* Per-target wall times (the key was "tables" under repro-bench/1;
@@ -1099,57 +786,7 @@ let emit_json ~path ~fast timings =
         (if i = List.length tr - 1 then "" else ","))
     tr;
   out "    ]\n";
-  out "  },\n";
-  out "  \"throughput\": [\n";
-  let tp = !throughput_results in
-  List.iteri
-    (fun i (jobs, fps, speedup) ->
-      out
-        "    {\"jobs\": %d, \"functions_per_sec\": %.3f, \"speedup\": %.4f}%s\n"
-        jobs fps speedup
-        (if i = List.length tp - 1 then "" else ","))
-    tp;
-  out "  ],\n";
-  out "  \"cache\": [\n";
-  let cr = !cache_results in
-  List.iteri
-    (fun i (mode, fps, speedup) ->
-      out
-        "    {\"mode\": %S, \"functions_per_sec\": %.3f, \"vs_cold\": %.4f}%s\n"
-        mode fps speedup
-        (if i = List.length cr - 1 then "" else ","))
-    cr;
-  out "  ],\n";
-  out "  \"corpus\": [\n";
-  let co = !corpus_results in
-  List.iteri
-    (fun i (mode, funcs, wall_s, fps, peak) ->
-      out
-        "    {\"mode\": %S, \"funcs\": %d, \"wall_s\": %.4f, \
-         \"functions_per_sec\": %.2f, \"peak_growth_words\": %d}%s\n"
-        mode funcs wall_s fps peak
-        (if i = List.length co - 1 then "" else ","))
-    co;
-  out "  ],\n";
-  out "  \"serve\": [\n";
-  let sr = List.rev !serve_results in
-  List.iteri
-    (fun i ((name, r) : string * Serve.Loadgen.result) ->
-      let stat k =
-        Option.value ~default:0 (List.assoc_opt k r.server_stats)
-      in
-      out
-        "    {\"scenario\": %S, \"clients\": %d, \"requests\": %d, \
-         \"ok\": %d, \"busy\": %d, \"errors\": %d, \"elapsed_s\": %.4f, \
-         \"throughput_rps\": %.2f, \"p50_ms\": %.4f, \"p95_ms\": %.4f, \
-         \"p99_ms\": %.4f, \"dedup\": %d, \"shed\": %d, \
-         \"contention\": %d}%s\n"
-        name r.clients r.requests r.ok r.busy r.errors r.elapsed_s
-        r.throughput r.p50_ms r.p95_ms r.p99_ms (stat "dedup") (stat "shed")
-        (stat "contention")
-        (if i = List.length sr - 1 then "" else ","))
-    sr;
-  out "  ]\n";
+  out "  }\n";
   out "}\n";
   close_out oc;
   Printf.printf "wrote %s\n" path
@@ -1177,22 +814,17 @@ let () =
     | "regalloc" -> timed name regalloc_study
     | "destruction" -> timed name destruction
     | "passes" -> timed name pass_pipelines
-    | "throughput" -> timed name throughput
-    | "cache" -> timed name cache_bench
-    | "serve" -> timed name serve_bench
-    | "corpus" -> timed name corpus_bench
     | "tables" -> timed name tables
     | "metrics" -> timed name metrics
     | "all" ->
       List.iter run
         [
           "table1"; "table2"; "table3"; "table4"; "scaling"; "ablation";
-          "destruction"; "passes"; "regalloc"; "throughput"; "cache";
-          "serve"; "corpus"; "tables"; "metrics";
+          "destruction"; "passes"; "regalloc"; "tables"; "metrics";
         ]
     | other ->
       Printf.eprintf "unknown target %S\n" other;
       exit 2
   in
   List.iter run what;
-  if json then emit_json ~path:"BENCH_10.json" ~fast (List.rev !timings)
+  if json then emit_json ~path:"bench_main.json" ~fast (List.rev !timings)

@@ -205,7 +205,7 @@ let alloc_cmd =
           (Printf.sprintf "%s (allocated to %d registers)" f.Ir.name
              r.stats.colors_used)
           r.func;
-        Printf.printf "rounds=%d spilled=%d loads=%d stores=%d\n" r.stats.rounds
+        Printf.printf "# rounds=%d spilled=%d loads=%d stores=%d\n" r.stats.rounds
           r.stats.spilled_ranges r.stats.spill_loads r.stats.spill_stores;
         if vals <> [] then begin
           let before = Interp.run ~args:vals f in
@@ -214,7 +214,7 @@ let alloc_cmd =
             before.return_value = after.return_value
             && List.remove_assoc r.spill_array after.arrays = before.arrays
           in
-          Printf.printf "semantics preserved: %b\n" same
+          Printf.printf "# semantics preserved: %b\n" same
         end)
       (load path);
     0
@@ -255,12 +255,12 @@ let opt_cmd =
       & opt
           (enum
              [
-               ("new", Driver.Pipeline.Coalescing Core.Coalesce.default_options);
-               ("standard", Driver.Pipeline.Standard);
-               ("briggs", Driver.Pipeline.Graph Baseline.Ig_coalesce.Briggs);
-               ("briggs-star", Driver.Pipeline.Graph Baseline.Ig_coalesce.Briggs_star);
+               ("new", "coalesce");
+               ("standard", "standard");
+               ("briggs", "briggs");
+               ("briggs-star", "briggs-star");
              ])
-          (Driver.Pipeline.Coalescing Core.Coalesce.default_options)
+          "coalesce"
       & info [ "via" ] ~doc:"SSA-to-CFG conversion: new|standard|briggs|briggs-star.")
   in
   let jobs =
@@ -284,17 +284,30 @@ let opt_cmd =
              coalescer's congruence classes for interference.")
   in
   let run path passes simplify dce registers conversion jobs check =
-    let pipeline =
+    (* The flags spell a spec: construct:pruned[,simplify][,dce],<via>
+       [,regalloc:K]. *)
+    let spec =
       match passes with
-      | Some spec -> (
-        (* Bad specs are input errors (exit 2), same contract as a file
-           that does not parse. *)
-        match Pass.Spec.parse spec with
-        | Ok pipeline -> pipeline
-        | Error msg -> raise (Input_error msg))
+      | Some spec -> spec
       | None ->
-        Driver.Pipeline.passes_of_config
-          { Driver.Pipeline.default with simplify; dce; registers; conversion }
+        String.concat ","
+          (List.concat
+             [
+               [ "construct:pruned" ];
+               (if simplify then [ "simplify" ] else []);
+               (if dce then [ "dce" ] else []);
+               [ conversion ];
+               (match registers with
+               | Some k -> [ Printf.sprintf "regalloc:%d" k ]
+               | None -> []);
+             ])
+    in
+    (* Bad specs are input errors (exit 2), same contract as a file that
+       does not parse. *)
+    let pipeline =
+      match Pass.Spec.parse spec with
+      | Ok pipeline -> pipeline
+      | Error msg -> raise (Input_error msg)
     in
     let funcs = load path in
     let reports =
@@ -309,7 +322,11 @@ let opt_cmd =
     List.iter2
       (fun f (r : Driver.Pipeline.report) ->
         print_func (f.Ir.name ^ " (optimized)") r.output;
-        Format.printf "%a@." Driver.Pipeline.pp_report r)
+        List.iter
+          (fun (s : Driver.Pipeline.stage) ->
+            Printf.printf "# %-10s %s\n" s.name s.note)
+          r.stages;
+        print_newline ())
       funcs reports;
     0
   in
@@ -347,17 +364,11 @@ let dot_cmd =
 (* fuzz: differential fuzzing of every SSA-to-CFG route               *)
 (* ------------------------------------------------------------------ *)
 
-(* The four conversion routes of Driver.Pipeline, cross-compared through
-   the input program (equivalence to the input is transitive, so any
-   route-vs-route discrepancy shows up as at least one route-vs-input
+(* The four conversion routes of the paper's evaluation, cross-compared
+   through the input program (equivalence to the input is transitive, so
+   any route-vs-route discrepancy shows up as at least one route-vs-input
    mismatch). *)
-let fuzz_routes : (string * Driver.Pipeline.conversion) list =
-  [
-    ("standard", Driver.Pipeline.Standard);
-    ("new", Driver.Pipeline.Coalescing Core.Coalesce.default_options);
-    ("briggs*", Driver.Pipeline.Graph Baseline.Ig_coalesce.Briggs_star);
-    ("sreedhar-i", Driver.Pipeline.Sreedhar_i);
-  ]
+let fuzz_routes = Harness.Obs_report.default_routes
 
 type fuzz_failure = {
   seed : int;
@@ -412,9 +423,7 @@ let fuzz_keep ~route ~vectors (ast : Frontend.Ast.func) =
       | Error _ | (exception _) -> true)
     | "liveness" -> liveness_failures ~seed:0 ir <> []
     | _ -> (
-      let conversion = List.assoc route fuzz_routes in
-      let config = { Driver.Pipeline.default with conversion } in
-      match Driver.Pipeline.compile ~config ir with
+      match Driver.Pipeline.compile_passes (List.assoc route fuzz_routes) ir with
       | exception _ -> true
       | r -> (
         match Check.equiv ~vectors ~reference:ir r.output with
@@ -441,9 +450,8 @@ let fuzz_seed ~size ~vectors seed : fuzz_failure list =
   in
   liveness_failures ~seed ir @ audit_failures
   @ List.concat_map
-      (fun (route, conversion) ->
-        let config = { Driver.Pipeline.default with conversion } in
-        match Driver.Pipeline.compile ~config ir with
+      (fun (route, pipeline) ->
+        match Driver.Pipeline.compile_passes pipeline ir with
         | exception e ->
           [ { seed; route; detail = "compiler raised " ^ Printexc.to_string e } ]
         | r -> (

@@ -67,18 +67,12 @@ let () =
     (Interp.run ~args naive).stats.copies_executed
     after.stats.copies_executed;
 
-  (* 5. Or drive the whole backend through the one-call pipeline API. *)
+  (* 5. Or drive the whole backend through one pipeline spec, the same
+     string `repro-cli opt --passes` takes. *)
   banner "the same via Driver.Pipeline (with simplify + dce + regalloc)";
-  let report =
-    Driver.Pipeline.compile
-      ~config:
-        {
-          Driver.Pipeline.default with
-          simplify = true;
-          dce = true;
-          registers = Some 4;
-        }
-      f
+  let pipeline =
+    Pass.Spec.parse_exn "construct:pruned,simplify,dce,coalesce,regalloc:4"
   in
+  let report = Driver.Pipeline.compile_passes pipeline f in
   Format.printf "%a@." Driver.Pipeline.pp_report report;
   Printf.printf "final register count: %d\n" report.output.Ir.nregs

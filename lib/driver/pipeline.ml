@@ -35,8 +35,8 @@ type report = Pass.report = {
   stages : stage list;
 }
 
-(* The closed config record is now a compatibility shim: it compiles to a
-   pass pipeline and everything downstream is the generic pass manager. *)
+(* The config record survives only for the benchmark's default pipeline;
+   it compiles to the same passes a spec parses to. *)
 let passes_of_config (c : config) : Pass.Pipeline.t =
   (Pass.construct ~pruning:c.pruning ~fold_copies:c.fold_copies ()
    :: (if c.simplify then [ Pass.simplify ] else []))
@@ -68,12 +68,6 @@ let compile_passes ?(check = false) ?scratch ?obs ?cache passes input =
     in
     Option.iter (fun o -> Cache.record_extras c ~since o) obs;
     r
-
-let compile ?(config = default) ?check ?scratch ?obs (input : Ir.func) =
-  compile_passes ?check ?scratch ?obs (passes_of_config config) input
-
-let compile_source ?config ?check source =
-  List.map (fun f -> compile ?config ?check f) (Frontend.Lower.compile source)
 
 (* Streaming compilation across domains: the per-function work is a pure
    function of the input (fresh arenas per domain, deterministic passes),
@@ -179,9 +173,6 @@ let compile_batch_passes_in pool ?(check = false) ?obs ?cache passes inputs =
 let compile_batch_passes ?jobs ?check ?obs ?cache passes inputs =
   Engine.Pool.with_pool ?jobs (fun pool ->
       compile_batch_passes_in pool ?check ?obs ?cache passes inputs)
-
-let compile_batch ?jobs ?(config = default) ?check ?obs inputs =
-  compile_batch_passes ?jobs ?check ?obs (passes_of_config config) inputs
 
 let pp_report ppf r =
   Format.fprintf ppf "@[<v>";

@@ -1,4 +1,4 @@
-(** The whole backend as one configurable pipeline:
+(** The whole backend as one pipeline:
 
     {v
     source ──lower──► CFG ──SSA──► [transforms…] ─► conversion
@@ -9,16 +9,23 @@
     where {e conversion} is any of the paper's four SSA-to-CFG routes.
     This is the deployment story of the paper's introduction — a JIT-style
     backend where the graph-free coalescer replaces both the separate
-    coalescing phase and the φ-instantiation — packaged so examples, the
-    CLI and differential tests drive every combination through one door.
+    coalescing phase and the φ-instantiation.
 
-    Since the pass-manager refactor the door is {!Pass}: a pipeline is a
-    shape-checked [Pass.t list] and {!compile_passes} runs it under the
-    generic middleware (obs spans, structural validation, stage capture,
-    deferred [--check] hooks). The {!config} record survives as a thin
-    compatibility shim — {!passes_of_config} compiles it to a pipeline —
-    so existing callers and the historical boolean matrix keep working
-    unchanged. *)
+    A pipeline is a shape-checked [Pass.t list], usually parsed from a
+    spec by {!Pass.Spec.parse} (["construct:pruned,coalesce"] is the
+    paper's New route). It reaches a compiled function through one of
+    three doors, all running the same {!Pass.run} middleware (obs spans,
+    structural validation, stage capture, deferred [--check] hooks):
+    {!compile_passes} for one function, {!compile_batch_passes} for a
+    list on a domain pool, and {!stream_passes_in} for a producer of any
+    length. *)
+
+(** {1 Config record}
+
+    Kept only because the repository benchmark builds its default
+    pipeline with [passes_of_config default] ([bench/e2e/report.ml]);
+    it goes with that benchmark's next change. Every other caller names
+    its pipeline with a spec. *)
 
 type conversion =
   | Standard  (** naive φ-instantiation, no coalescing *)
@@ -39,13 +46,17 @@ type config = {
 
 val default : config
 (** Pruned SSA, folding on, simplify and dce off, the paper's coalescer
-    with default options, no register allocation. *)
+    with default options, no register allocation: the spec
+    ["construct:pruned,coalesce"]. *)
 
 val passes_of_config : config -> Pass.Pipeline.t
 (** The pipeline a config denotes: construct, the enabled transforms in
     their historical order (simplify before dce), the conversion, and the
-    allocator when [registers] is set. [compile ~config] is exactly
-    [compile_passes (passes_of_config config)]. *)
+    allocator when [registers] is set. Its {!Pass.Pipeline.fingerprint}
+    equals that of the equivalent spec, so cache keys do not depend on
+    which of the two built the pipeline. *)
+
+(** {1 Compiling} *)
 
 type stage = Pass.stage = {
   name : string;
@@ -59,29 +70,6 @@ type report = Pass.report = {
   stages : stage list;  (** in execution order *)
 }
 
-val compile :
-  ?config:config ->
-  ?check:bool ->
-  ?scratch:Support.Scratch.t ->
-  ?obs:Obs.t ->
-  Ir.func ->
-  report
-(** Run the configured pipeline. The input must be a strict CFG function
-    (e.g. from {!Frontend.Lower}); every intermediate stage is validated.
-    With [check] (default [false]) the run is additionally
-    translation-validated: the output is executed against the input on
-    {!Check.equiv}'s argument battery (ignoring the allocator's spill
-    memory when [registers] is set), and for the {!Coalescing} conversion
-    the surviving congruence classes pass {!Check.interference_audit};
-    violations raise {!Check.Failed}. [scratch] is threaded to the
-    coalescing conversion so batch drivers can reuse analysis buffers
-    across functions; it must belong to the calling domain.
-
-    [obs] collects the operation counters of every stage (the structured
-    counterpart of the [note] strings) plus per-phase timing spans
-    ([construct], [simplify], [dce], [convert], [regalloc], [check]); the
-    recorder never changes the compilation result. *)
-
 val compile_passes :
   ?check:bool ->
   ?scratch:Support.Scratch.t ->
@@ -90,31 +78,27 @@ val compile_passes :
   Pass.Pipeline.t ->
   Ir.func ->
   report
-(** {!compile} for an arbitrary pipeline — e.g. one parsed from a
-    [--passes] spec by {!Pass.Spec.parse}. Raises [Invalid_argument] on a
-    shape-invalid pipeline (see {!Pass.Pipeline.validate}).
+(** Run a pipeline on one function. The input must be a strict CFG
+    function (e.g. from {!Frontend.Lower}); every intermediate stage is
+    validated. Raises [Invalid_argument] on a shape-invalid pipeline (see
+    {!Pass.Pipeline.validate}).
+
+    With [check] (default [false]) the run is additionally
+    translation-validated: the output is executed against the input on
+    {!Check.equiv}'s argument battery (ignoring the allocator's spill
+    memory), and the coalescer's surviving congruence classes pass
+    {!Check.interference_audit}; violations raise {!Check.Failed}.
+    [scratch] is threaded to the passes so batch drivers can reuse
+    analysis buffers across functions; it must belong to the calling
+    domain. [obs] collects the operation counters of every stage (the
+    structured counterpart of the [note] strings) plus per-phase timing
+    spans ([construct], [simplify], [dce], [convert], [regalloc],
+    [check]); the recorder never changes the compilation result.
 
     With [cache], the result is looked up by {!Cache.key} first and stored
     on a miss; a hit skips the pipeline entirely (so [obs] records no pass
     spans for it). Cache stat deltas from this call are published to [obs]
     as extra counters ([cache_hits], [cache_misses], …). *)
-
-val compile_source : ?config:config -> ?check:bool -> string -> report list
-(** Parse mini-language source and compile every function in it. *)
-
-val compile_batch :
-  ?jobs:int ->
-  ?config:config ->
-  ?check:bool ->
-  ?obs:Obs.t ->
-  Ir.func list ->
-  report list
-(** Compile a batch of functions in parallel on an {!Engine.Pool} of [jobs]
-    domains (default {!Engine.default_jobs}), each domain reusing its own
-    scratch arena across the functions it compiles. Reports come back in
-    input order and are identical to sequential {!compile} results. [obs]
-    aggregates without contention: each task records into a private
-    recorder, merged into [obs] at the join in input order. *)
 
 val compile_batch_passes :
   ?jobs:int ->
@@ -124,8 +108,14 @@ val compile_batch_passes :
   Pass.Pipeline.t ->
   Ir.func list ->
   report list
-(** {!compile_batch} for an arbitrary pipeline. Pass values are immutable
-    closures, safe to share across the pool's domains.
+(** Compile a batch of functions in parallel on an {!Engine.Pool} of [jobs]
+    domains (default {!Engine.default_jobs}), each domain reusing its own
+    scratch arena across the functions it compiles. Reports come back in
+    input order and are identical to sequential {!compile_passes}
+    results. [obs] aggregates without contention: each task records into
+    a private recorder, merged into [obs] at the join in input order.
+    Pass values are immutable closures, safe to share across the pool's
+    domains.
 
     With [cache], every item is probed individually (a warm batch therefore
     reports one hit per item, duplicates included) and the remaining misses

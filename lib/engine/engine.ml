@@ -289,47 +289,3 @@ module Stream = struct
         remaining := tl;
         Some x
 end
-
-let map_in pool f l =
-  let acc = ref [] in
-  Stream.run pool
-    ~producer:(Stream.of_list l)
-    ~consumer:(fun _ v -> acc := v :: !acc)
-    f;
-  List.rev !acc
-
-let map ?jobs f l = Pool.with_pool ?jobs (fun pool -> map_in pool f l)
-
-type compiled = {
-  func : Ir.func;
-  stats : Core.Coalesce.stats;
-}
-
-let compile_one ?options ?obs f =
-  let scratch = Support.Scratch.domain () in
-  let ssa = Ssa.Construct.run_exn ?obs f in
-  let func, stats = Core.Coalesce.run ?options ~scratch ?obs ssa in
-  { func; stats }
-
-(* With a recorder: every task records into its own recorder (recorders are
-   not thread-safe), and the per-task recorders are merged into the caller's
-   as each result crosses the stream's in-order emission frontier — input
-   order, so span ordering is deterministic too. Counters are sums, so
-   totals are independent of the scheduling. *)
-let compile_batch_in pool ?options ?obs funcs =
-  match obs with
-  | None -> map_in pool (compile_one ?options) funcs
-  | Some into ->
-    let acc = ref [] in
-    Stream.run pool
-      ~producer:(Stream.of_list funcs)
-      ~consumer:(fun _ (r, o) ->
-        Obs.merge ~into o;
-        acc := r :: !acc)
-      (fun f ->
-        let o = Obs.create () in
-        (compile_one ?options ~obs:o f, o));
-    List.rev !acc
-
-let compile_batch ?jobs ?options ?obs funcs =
-  Pool.with_pool ?jobs (fun pool -> compile_batch_in pool ?options ?obs funcs)

@@ -1,4 +1,6 @@
-(** Multicore batch-compilation engine.
+(** Multicore scheduler: a domain pool and a streaming runner over it.
+    It links no compiler code; {!Driver.Pipeline}'s batch and stream
+    entry points put the pass manager on top of it.
 
     A {!Pool} owns [jobs - 1] worker domains (OCaml 5 [Domain]s coordinated
     with a [Mutex]/[Condition] pair plus an atomic task cursor); the
@@ -9,10 +11,9 @@
     because every task is a pure function of its input, the output contents)
     is deterministic and independent of the scheduling.
 
-    Each worker domain carries its own {!Support.Scratch} arena
-    (domain-local storage), which {!compile_batch} threads into the
-    coalescer so analysis buffers are reused across the functions a domain
-    compiles instead of re-allocated per function. *)
+    Tasks run on long-lived domains, so a task that takes its domain's
+    {!Support.Scratch} arena reuses the analysis buffers the domain's
+    earlier tasks left there instead of allocating per function. *)
 
 module Pool : sig
   type t
@@ -53,8 +54,8 @@ end
 val default_jobs : unit -> int
 (** [Domain.recommended_domain_count ()]. *)
 
-(** Streaming execution over the pool — the core the batch API is a façade
-    over.
+(** Streaming execution over the pool — the core every batch and
+    stream compile runs on.
 
     Every domain of the pool pulls its next item from a producer
     iterator itself, one call at a time under a feed lock, computes it,
@@ -94,51 +95,6 @@ module Stream : sig
       [Invalid_argument] if [window < 1]. *)
 
   val of_list : 'a list -> unit -> 'a option
-  (** A producer that yields the elements of a list in order — the shim
-      the list-batch façade feeds to {!run}. *)
+  (** A producer that yields the elements of a list in order, for
+      running {!run} over a list. *)
 end
-
-val map : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
-(** One-shot parallel map over a list (pool created and shut down
-    internally); input-order results. *)
-
-val map_in : Pool.t -> ('a -> 'b) -> 'a list -> 'b list
-(** {!map} on an existing pool, so long-lived drivers (the serve loop,
-    repeated batches) pay the domain-spawn cost once and keep each
-    domain's scratch arena warm across batches. Implemented as
-    {!Stream.run} over {!Stream.of_list} with an accumulating consumer —
-    the list API is a façade over the streaming core. *)
-
-type compiled = {
-  func : Ir.func;  (** φ-free output of the paper's coalescer *)
-  stats : Core.Coalesce.stats;
-}
-
-val compile_one :
-  ?options:Core.Coalesce.options -> ?obs:Obs.t -> Ir.func -> compiled
-(** SSA construction followed by {!Core.Coalesce.run} with the calling
-    domain's scratch arena — the per-task work of {!compile_batch}. *)
-
-val compile_batch :
-  ?jobs:int ->
-  ?options:Core.Coalesce.options ->
-  ?obs:Obs.t ->
-  Ir.func list ->
-  compiled list
-(** Compile a batch of non-SSA functions through the New pipeline
-    (SSA construction → coalescing destruction), in parallel across [jobs]
-    domains. Results are in input order and byte-identical to compiling each
-    function sequentially. When [obs] is given, each task records into its
-    own private recorder (recorders are not thread-safe) and the per-task
-    recorders are merged into [obs] at the join, in input order — so the
-    aggregated counters are deterministic and no task ever contends on the
-    caller's recorder. *)
-
-val compile_batch_in :
-  Pool.t ->
-  ?options:Core.Coalesce.options ->
-  ?obs:Obs.t ->
-  Ir.func list ->
-  compiled list
-(** Like {!compile_batch} but on an existing pool, so repeated batches (a
-    JIT loop, the throughput benchmark) pay the domain-spawn cost once. *)

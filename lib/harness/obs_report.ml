@@ -1,19 +1,18 @@
-module Pipeline = Driver.Pipeline
-
 let default_routes =
-  [
-    ("standard", Pipeline.Standard);
-    ("new", Pipeline.Coalescing Core.Coalesce.default_options);
-    ("briggs*", Pipeline.Graph Baseline.Ig_coalesce.Briggs_star);
-    ("sreedhar-i", Pipeline.Sreedhar_i);
-  ]
+  List.map
+    (fun (name, spec) -> (name, Pass.Spec.parse_exn spec))
+    [
+      ("standard", "construct:pruned,standard");
+      ("new", "construct:pruned,coalesce");
+      ("briggs*", "construct:pruned,briggs-star");
+      ("sreedhar-i", "construct:pruned,sreedhar-i");
+    ]
 
 let collect ?jobs ?(routes = default_routes) funcs : Obs.report =
   List.map
-    (fun (name, conversion) ->
+    (fun (name, pipeline) ->
       let obs = Obs.create () in
-      let config = { Pipeline.default with conversion } in
-      ignore (Pipeline.compile_batch ?jobs ~config ~obs funcs);
+      ignore (Driver.Pipeline.compile_batch_passes ?jobs ~obs pipeline funcs);
       (name, Obs.snapshot obs))
     routes
 

@@ -4,14 +4,15 @@
     report is deterministic for a fixed input set, which is what the golden
     metrics-regression suite snapshots. *)
 
-val default_routes : (string * Driver.Pipeline.conversion) list
-(** The four routes of the paper's evaluation: ["standard"] (naive
-    φ-instantiation), ["new"] (the paper's coalescer), ["briggs*"]
-    (interference-graph coalescing), ["sreedhar-i"]. *)
+val default_routes : (string * Pass.Pipeline.t) list
+(** The four routes of the paper's evaluation, each pruned SSA with copy
+    folding into one conversion: ["standard"] (naive φ-instantiation),
+    ["new"] (the paper's coalescer), ["briggs*"] (interference-graph
+    coalescing), ["sreedhar-i"]. *)
 
 val collect :
   ?jobs:int ->
-  ?routes:(string * Driver.Pipeline.conversion) list ->
+  ?routes:(string * Pass.Pipeline.t) list ->
   Ir.func list ->
   Obs.report
 (** Compile every function through every route (batched on the engine pool

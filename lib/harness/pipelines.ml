@@ -76,12 +76,6 @@ let convert ?scratch pipeline (f : Ir.func) =
       ig_peak_edges = peak stats.graph_edges_per_round;
     }
 
-let convert_batch_in pool pipeline funcs =
-  Array.to_list
-    (Engine.Pool.map_array pool
-       (fun f -> convert ~scratch:(Support.Scratch.domain ()) pipeline f)
-       (Array.of_list funcs))
-
 let dynamic_copies result ~args =
   (Interp.run ~args result.func).stats.copies_executed
 
@@ -96,6 +90,4 @@ let spec_of = function
   | Briggs_star | Briggs_star_fused -> "construct:pruned,briggs-star"
 
 let compile_spec ?check spec f =
-  match Pass.Spec.parse spec with
-  | Ok pipeline -> Driver.Pipeline.compile_passes ?check pipeline f
-  | Error msg -> invalid_arg ("Pipelines.compile_spec: " ^ msg)
+  Driver.Pipeline.compile_passes ?check (Pass.Spec.parse_exn spec) f

@@ -43,11 +43,6 @@ val convert : ?scratch:Support.Scratch.t -> pipeline -> Ir.func -> result
 (** Run the whole conversion (SSA construction included). [scratch] lets
     the New pipeline reuse analysis buffers across calls on one domain. *)
 
-val convert_batch_in : Engine.Pool.t -> pipeline -> Ir.func list -> result list
-(** Convert a batch of functions in parallel on an existing {!Engine.Pool}
-    (the throughput benchmark reuses one pool across many timed batches);
-    results are in input order and identical to sequential {!convert}. *)
-
 val dynamic_copies : result -> args:Ir.value list -> int
 (** Execute under the interpreter and count copies — the Table 4 metric. *)
 

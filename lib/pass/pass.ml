@@ -551,5 +551,8 @@ module Spec = struct
         | Ok () -> Ok passes
         | Error msg -> Error ("bad pipeline: " ^ msg))
 
+  let parse_exn spec =
+    match parse spec with Ok p -> p | Error msg -> invalid_arg msg
+
   let to_string passes = Pipeline.fingerprint passes
 end

@@ -199,6 +199,10 @@ module Spec : sig
       "did you mean" hint plus the registered-pass listing, and the
       resulting pipeline is shape-checked with {!Pipeline.validate}. *)
 
+  val parse_exn : string -> Pipeline.t
+  (** {!parse} for specs fixed in the program text: raises
+      [Invalid_argument] with the parse error. *)
+
   val to_string : Pipeline.t -> string
   (** The canonical spec of a pipeline, arguments included — an alias of
       {!Pipeline.fingerprint}; [parse (to_string p)] yields an

@@ -42,8 +42,10 @@ let extract opt words =
   in
   go [] words
 
+let default_pipeline = Pass.Spec.parse_exn "construct:pruned,coalesce"
+
 let pipeline = function
-  | None -> Driver.Pipeline.passes_of_config Driver.Pipeline.default
+  | None -> default_pipeline
   | Some spec -> (
     match Pass.Spec.parse spec with
     | Ok p -> p

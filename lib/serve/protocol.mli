@@ -40,8 +40,9 @@ val extract : string -> string list -> string option * string list
     Raises {!Bad_request} when ["--opt"] is the last token. *)
 
 val pipeline : string option -> Pass.Pipeline.t
-(** The pipeline a request denotes: the default config's passes, or the
-    parsed [--passes] spec. Raises {!Bad_request} on a bad spec. *)
+(** The pipeline a request denotes: the paper's New route
+    ["construct:pruned,coalesce"], or the parsed [--passes] spec. Raises
+    {!Bad_request} on a bad spec. *)
 
 val parse_inline : string -> Ir.func list
 (** Parse one-line mini-language text. Raises {!Bad_request} on parse

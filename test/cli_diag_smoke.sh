@@ -4,8 +4,9 @@
 # both `corpus info --deep` and `corpus compile -i`. Each must exit 2 and
 # print a FILE:LINE: diagnostic on stderr, never an uncaught exception
 # (whose exit code, 2, would look the same). Then every `dump` stage of
-# a clean program must read back as IR text and run to the source's
-# result. Run via @cli-exit-codes.
+# a clean program, and the output of `alloc` and `opt` on it, must read
+# back as IR text and run to the source's result. Run via
+# @cli-exit-codes.
 set -u
 
 CLI="$1"
@@ -55,6 +56,19 @@ for stage in cfg ssa standard new briggs briggs-star; do
   case "$out" in
     *"returned 6;"*) ;;
     *) fail "run of the $stage dump: want 'returned 6', got: $out" ;;
+  esac
+done
+
+# So must the output of `alloc` and `opt`: their statistics are comments.
+"$CLI" alloc -k 4 "$OK_MINI" >"$dir/alloc.ir" || fail "alloc failed"
+"$CLI" opt "$OK_MINI" >"$dir/opt.ir" || fail "opt failed"
+for cmd in alloc opt; do
+  out=$("$CLI" run --args 7 "$dir/$cmd.ir" 2>&1)
+  code=$?
+  [ "$code" -eq 0 ] || fail "run of the $cmd output exited $code: $out"
+  case "$out" in
+    *"returned 6;"*) ;;
+    *) fail "run of the $cmd output: want 'returned 6', got: $out" ;;
   esac
 done
 

@@ -263,6 +263,9 @@ let assert_equiv ?(args = run_args) name f g =
   let b = Interp.run ~args g in
   checkb (name ^ ": same semantics") true (outcomes_equal a b)
 
+(* The paper's New route, as every compile entry point takes it. *)
+let new_pipeline = Pass.Spec.parse_exn "construct:pruned,coalesce"
+
 (* Given register names from [(register, name)] pairs. *)
 let names_of_list pairs =
   let n = List.fold_left (fun n (r, _) -> max n (r + 1)) 0 pairs in

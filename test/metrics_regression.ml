@@ -51,12 +51,7 @@ let check_golden path (funcs : Ir.func list) actual =
      drift from the golden "new" vector, or the comparator is broken. *)
   let weakened =
     Harness.Obs_report.collect
-      ~routes:
-        [
-          ( "new",
-            Driver.Pipeline.Coalescing
-              { Core.Coalesce.default_options with use_filters = false } );
-        ]
+      ~routes:[ ("new", Pass.Spec.parse_exn "construct:pruned,coalesce:no-filters") ]
       funcs
   in
   (match

@@ -5,10 +5,9 @@
 
 open Helpers
 
-let default_pipeline () =
-  Driver.Pipeline.passes_of_config Driver.Pipeline.default
-
 let spec_pipeline spec = Result.get_ok (Pass.Spec.parse spec)
+
+let default_pipeline () = spec_pipeline "construct:pruned,coalesce"
 
 (* The disk tier fans entries out into per-key-prefix subdirectories, so
    walking and cleaning a cache directory is a two-level affair. *)
@@ -366,10 +365,40 @@ let test_key_pinned () =
   check Alcotest.string "kernel ssa" "83e5aa8b9176d93a31c4665eae932445"
     (key (Ssa.Construct.run_exn kernel.func))
 
+(* Each config record the compile paths used to take and the spec that
+   replaced it denote the same pipeline, so every cache key (the
+   fingerprint is hashed into it) stays where it was. *)
+let test_config_specs_share_fingerprints () =
+  let module P = Driver.Pipeline in
+  let conv conversion = { P.default with conversion } in
+  List.iter
+    (fun (config, spec) ->
+      check Alcotest.string spec
+        (Pass.Pipeline.fingerprint (P.passes_of_config config))
+        (Pass.Pipeline.fingerprint (spec_pipeline spec)))
+    [
+      (P.default, "construct:pruned,coalesce");
+      (conv P.Standard, "construct:pruned,standard");
+      ( conv (P.Coalescing Core.Coalesce.default_options),
+        "construct:pruned,coalesce" );
+      ( conv (P.Graph Baseline.Ig_coalesce.Briggs_star),
+        "construct:pruned,briggs-star" );
+      (conv P.Sreedhar_i, "construct:pruned,sreedhar-i");
+      ( {
+          (conv (P.Graph Baseline.Ig_coalesce.Briggs_star)) with
+          simplify = true;
+          dce = true;
+          registers = Some 4;
+        },
+        "construct:pruned,simplify,dce,briggs-star,regalloc:4" );
+    ]
+
 let suite =
   [
     Alcotest.test_case "key sensitivity" `Quick test_key_sensitivity;
     Alcotest.test_case "key pinned hex" `Quick test_key_pinned;
+    Alcotest.test_case "config and spec fingerprints agree" `Quick
+      test_config_specs_share_fingerprints;
     Alcotest.test_case "lru eviction" `Quick test_lru_eviction;
     Alcotest.test_case "serialize roundtrip" `Quick test_serialize_roundtrip;
     Alcotest.test_case "deserialize rejects garbage" `Quick

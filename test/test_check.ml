@@ -73,16 +73,18 @@ let test_equiv_pipeline_routes () =
      pipeline hook. *)
   let input = random_program 11 40 in
   List.iter
-    (fun (name, conversion) ->
-      let config = { Driver.Pipeline.default with conversion } in
-      let report = Driver.Pipeline.compile ~config ~check:true input in
-      checkb (name ^ " equiv holds") true
+    (fun spec ->
+      let report =
+        Driver.Pipeline.compile_passes ~check:true (Pass.Spec.parse_exn spec)
+          input
+      in
+      checkb (spec ^ " equiv holds") true
         (Check.equiv ~reference:input report.Driver.Pipeline.output = Ok ()))
     [
-      ("standard", Driver.Pipeline.Standard);
-      ("coalescing", Driver.Pipeline.Coalescing Core.Coalesce.default_options);
-      ("briggs*", Driver.Pipeline.Graph Baseline.Ig_coalesce.Briggs_star);
-      ("sreedhar-i", Driver.Pipeline.Sreedhar_i);
+      "construct:pruned,standard";
+      "construct:pruned,coalesce";
+      "construct:pruned,briggs-star";
+      "construct:pruned,sreedhar-i";
     ]
 
 let test_equiv_catches_broken_swap () =

@@ -217,7 +217,7 @@ let test_output_shares_ssa () =
   let kept = ref 0 and bodies = ref 0 in
   List.iter
     (fun (e : Workloads.Suite.entry) ->
-      let r = Driver.Pipeline.compile e.func in
+      let r = Driver.Pipeline.compile_passes new_pipeline e.func in
       let ssa =
         (List.find (fun (s : Driver.Pipeline.stage) -> s.name = "ssa") r.stages)
           .func

@@ -152,7 +152,7 @@ let test_disk_compile_equals_generated () =
     ~finally:(fun () -> cleanup path)
     (fun () ->
       ignore (Corpus.write path s);
-      let passes = Driver.Pipeline.passes_of_config Driver.Pipeline.default in
+      let passes = new_pipeline in
       let compile producer =
         let out = ref [] in
         Engine.Pool.with_pool ~jobs:2 (fun pool ->

@@ -295,7 +295,7 @@ let prop_stream_equals_batch =
       let funcs =
         List.mapi (fun i seed -> random_program (seed + i) (8 + (seed mod 12))) seeds
       in
-      let passes = Driver.Pipeline.passes_of_config Driver.Pipeline.default in
+      let passes = new_pipeline in
       let obs_ref = Obs.create () in
       let expected =
         Driver.Pipeline.compile_batch_passes ~jobs:1 ~obs:obs_ref passes funcs
@@ -332,7 +332,7 @@ let test_stream_bounded_memory () =
         Driver.Pipeline.stream_passes_in pool
           ~producer:(Workloads.Corpus.producer (spec total))
           ~consumer:(fun _ _ -> Harness.Measure.heap_sample watch)
-          (Driver.Pipeline.passes_of_config Driver.Pipeline.default));
+          new_pipeline);
     Harness.Measure.heap_growth_words watch
   in
   let materialized total =
@@ -344,7 +344,7 @@ let test_stream_bounded_memory () =
         in
         let reports =
           Driver.Pipeline.compile_batch_passes_in pool
-            (Driver.Pipeline.passes_of_config Driver.Pipeline.default)
+            new_pipeline
             (all [])
         in
         ignore (Sys.opaque_identity reports);
@@ -386,33 +386,49 @@ let sequential_reference funcs =
       (Ir.Printer.func_to_string func, stats))
     funcs
 
-let check_stats name (a : Core.Coalesce.stats) (b : Core.Coalesce.stats) =
-  checkb (name ^ ": identical Coalesce.stats") true (a = b)
+(* The same passes under the pool, each function drawing its buffers from
+   its domain's scratch arena: the whole stats record must match the fresh
+   sequential one, fields no printed note shows included. *)
+let batch_stats funcs =
+  Engine.Pool.with_pool ~jobs:4 (fun pool ->
+      Engine.Pool.map_array pool
+        (fun f ->
+          snd
+            (Core.Coalesce.run ~scratch:(Scratch.domain ())
+               (Ssa.Construct.run_exn f)))
+        (Array.of_list funcs))
+  |> Array.to_list
 
 let test_batch_matches_sequential () =
   let entries = batch_entries () in
   let funcs = List.map (fun (e : Workloads.Suite.entry) -> e.func) entries in
   let expected = sequential_reference funcs in
-  let got = Engine.compile_batch ~jobs:4 funcs in
+  let got = Driver.Pipeline.compile_batch_passes ~jobs:4 new_pipeline funcs in
   List.iter2
-    (fun (e : Workloads.Suite.entry) ((printed, stats), (c : Engine.compiled)) ->
+    (fun (e : Workloads.Suite.entry) ((printed, _), (r : Driver.Pipeline.report)) ->
       check Alcotest.string
         (e.name ^ ": byte-identical printer output")
         printed
-        (Ir.Printer.func_to_string c.func);
-      check_stats e.name stats c.stats)
+        (Ir.Printer.func_to_string r.output))
     entries
-    (List.combine expected got)
+    (List.combine expected got);
+  List.iter2
+    (fun (e : Workloads.Suite.entry) ((_, stats), got_stats) ->
+      checkb (e.name ^ ": identical Coalesce.stats") true (stats = got_stats))
+    entries
+    (List.combine expected (batch_stats funcs))
 
 let test_batch_deterministic_across_runs () =
   let funcs =
     List.map (fun (e : Workloads.Suite.entry) -> e.func) (batch_entries ())
   in
   let print l =
-    List.map (fun (c : Engine.compiled) -> Ir.Printer.func_to_string c.func) l
+    List.map
+      (fun (r : Driver.Pipeline.report) -> Ir.Printer.func_to_string r.output)
+      l
   in
-  let r1 = Engine.compile_batch ~jobs:4 funcs in
-  let r2 = Engine.compile_batch ~jobs:2 funcs in
+  let r1 = Driver.Pipeline.compile_batch_passes ~jobs:4 new_pipeline funcs in
+  let r2 = Driver.Pipeline.compile_batch_passes ~jobs:2 new_pipeline funcs in
   check
     Alcotest.(list string)
     "jobs=4 and jobs=2 agree" (print r1) (print r2)
@@ -425,35 +441,15 @@ let test_driver_batch_matches_compile () =
   in
   let expected =
     List.map
-      (fun f -> (Driver.Pipeline.compile f).Driver.Pipeline.output)
+      (fun f -> (Driver.Pipeline.compile_passes new_pipeline f).output)
       funcs
   in
-  let got = Driver.Pipeline.compile_batch ~jobs:4 funcs in
+  let got = Driver.Pipeline.compile_batch_passes ~jobs:4 new_pipeline funcs in
   List.iter2
     (fun e (r : Driver.Pipeline.report) ->
       check Alcotest.string "driver batch output matches compile"
         (Ir.Printer.func_to_string e)
         (Ir.Printer.func_to_string r.output))
-    expected got
-
-let test_harness_convert_batch () =
-  let funcs =
-    List.map
-      (fun (e : Workloads.Suite.entry) -> e.func)
-      (Workloads.Suite.kernels ())
-  in
-  let expected = List.map (Harness.Pipelines.convert Harness.Pipelines.New) funcs in
-  let got =
-    Engine.Pool.with_pool ~jobs:3 (fun pool ->
-        Harness.Pipelines.convert_batch_in pool Harness.Pipelines.New funcs)
-  in
-  List.iter2
-    (fun (a : Harness.Pipelines.result) (b : Harness.Pipelines.result) ->
-      checki "static copies agree" a.static_copies b.static_copies;
-      checki "aux bytes agree" a.aux_bytes b.aux_bytes;
-      check Alcotest.string "functions agree"
-        (Ir.Printer.func_to_string a.func)
-        (Ir.Printer.func_to_string b.func))
     expected got
 
 let suite =
@@ -492,6 +488,4 @@ let suite =
       test_batch_deterministic_across_runs;
     Alcotest.test_case "driver compile_batch = compile" `Slow
       test_driver_batch_matches_compile;
-    Alcotest.test_case "harness convert_batch = convert" `Slow
-      test_harness_convert_batch;
   ]

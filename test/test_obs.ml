@@ -120,9 +120,9 @@ let test_compare_reports () =
 
 let test_pipeline_obs_does_not_change_result () =
   let f = random_program 42 40 in
-  let plain = Driver.Pipeline.compile f in
+  let plain = Driver.Pipeline.compile_passes new_pipeline f in
   let obs = Obs.create () in
-  let observed = Driver.Pipeline.compile ~obs f in
+  let observed = Driver.Pipeline.compile_passes ~obs new_pipeline f in
   checkb "same output with and without a recorder" true
     (Ir.Printer.func_to_string plain.output
     = Ir.Printer.func_to_string observed.output);
@@ -135,10 +135,13 @@ let test_batch_merge_deterministic () =
   let funcs = List.init 6 (fun i -> random_program (i + 1) 30) in
   let sequential = Obs.create () in
   List.iter
-    (fun f -> ignore (Driver.Pipeline.compile ~obs:sequential f))
+    (fun f ->
+      ignore (Driver.Pipeline.compile_passes ~obs:sequential new_pipeline f))
     funcs;
   let batched = Obs.create () in
-  ignore (Driver.Pipeline.compile_batch ~jobs:4 ~obs:batched funcs);
+  ignore
+    (Driver.Pipeline.compile_batch_passes ~jobs:4 ~obs:batched new_pipeline
+       funcs);
   check
     (Alcotest.list (Alcotest.pair Alcotest.string Alcotest.int))
     "batch counters = sequential counters" (Obs.counters sequential)
@@ -146,13 +149,17 @@ let test_batch_merge_deterministic () =
 
 let test_engine_batch_obs () =
   let funcs = List.init 4 (fun i -> random_program (i + 10) 25) in
-  let obs = Obs.create () in
-  let compiled = Engine.compile_batch ~jobs:3 ~obs funcs in
   let stats_copies =
     List.fold_left
-      (fun acc (c : Engine.compiled) -> acc + c.stats.copies_inserted)
-      0 compiled
+      (fun acc f ->
+        let _, (s : Core.Coalesce.stats) =
+          Core.Coalesce.run (Ssa.Construct.run_exn f)
+        in
+        acc + s.copies_inserted)
+      0 funcs
   in
+  let obs = Obs.create () in
+  ignore (Driver.Pipeline.compile_batch_passes ~jobs:3 ~obs new_pipeline funcs);
   checki "engine batch counts what its stats count" stats_copies
     (Obs.get obs Obs.Copies_inserted)
 

@@ -86,7 +86,11 @@ let test_config_shim_equivalence () =
       registers = Some 8;
     }
   in
-  let via_config = Driver.Pipeline.compile ~config ~check:true f in
+  let via_config =
+    Driver.Pipeline.compile_passes ~check:true
+      (Driver.Pipeline.passes_of_config config)
+      f
+  in
   let via_spec =
     Harness.Pipelines.compile_spec ~check:true
       "construct:pruned,simplify,dce,coalesce,regalloc:8" f

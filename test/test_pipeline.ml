@@ -1,25 +1,19 @@
 (* Tests for the Driver.Pipeline front door, including the full
-   configuration-matrix differential test: every combination of pruning,
+   pipeline-matrix differential test: every combination of pruning,
    folding, simplify, dce, conversion and allocation must produce code with
    the same behaviour. *)
 
 open Helpers
 
+(* Conversion items of a pipeline spec. *)
 let conversions =
-  [
-    ("standard", Driver.Pipeline.Standard);
-    ("new", Driver.Pipeline.Coalescing Core.Coalesce.default_options);
-    ( "new/no-filters",
-      Driver.Pipeline.Coalescing
-        { Core.Coalesce.use_filters = false; victim_heuristic = true } );
-    ("sreedhar-i", Driver.Pipeline.Sreedhar_i);
-    ("briggs", Driver.Pipeline.Graph Baseline.Ig_coalesce.Briggs);
-    ("briggs*", Driver.Pipeline.Graph Baseline.Ig_coalesce.Briggs_star);
-  ]
+  [ "standard"; "coalesce"; "coalesce:no-filters"; "sreedhar-i"; "briggs"; "briggs-star" ]
+
+let compile spec f = Driver.Pipeline.compile_passes (Pass.Spec.parse_exn spec) f
 
 let test_default_pipeline () =
   let f = Workloads.Suite.(find_exn "saxpy").func in
-  let r = Driver.Pipeline.compile f in
+  let r = Driver.Pipeline.compile_passes new_pipeline f in
   checkb "stages recorded" true (List.length r.stages >= 2);
   checkb "output is phi-free" true
     (Array.for_all (fun (b : Ir.block) -> b.phis = []) r.output.Ir.blocks);
@@ -27,15 +21,7 @@ let test_default_pipeline () =
 
 let test_full_pipeline_with_allocation () =
   let f = Workloads.Suite.(find_exn "twldrv").func in
-  let config =
-    {
-      Driver.Pipeline.default with
-      simplify = true;
-      dce = true;
-      registers = Some 8;
-    }
-  in
-  let r = Driver.Pipeline.compile ~config f in
+  let r = compile "construct:pruned,simplify,dce,coalesce,regalloc:8" f in
   let names = List.map (fun (s : Driver.Pipeline.stage) -> s.name) r.stages in
   check
     Alcotest.(list string)
@@ -49,10 +35,13 @@ let test_full_pipeline_with_allocation () =
   let b = Interp.run ~args r.output in
   checkb "return value preserved" true (a.return_value = b.return_value)
 
+(* Every function of a multi-function source compiles on its own. *)
 let test_compile_source () =
   let rs =
-    Driver.Pipeline.compile_source
-      "func one() { return 1; } func two() { return 2; }"
+    List.map
+      (Driver.Pipeline.compile_passes new_pipeline)
+      (Frontend.Lower.compile
+         "func one() { return 1; } func two() { return 2; }")
   in
   checki "two reports" 2 (List.length rs);
   List.iteri
@@ -64,11 +53,7 @@ let test_compile_source () =
 
 let test_pp_report () =
   let f = Workloads.Suite.(find_exn "saxpy").func in
-  let r =
-    Driver.Pipeline.compile
-      ~config:{ Driver.Pipeline.default with simplify = true; dce = true }
-      f
-  in
+  let r = compile "construct:pruned,simplify,dce,coalesce" f in
   let s = Format.asprintf "%a" Driver.Pipeline.pp_report r in
   checkb "mentions coalesce" true (contains s "coalesce");
   checkb "mentions classes" true (contains s "classes")
@@ -82,26 +67,16 @@ let prop_config_matrix =
       let f = random_program seed size in
       let reference = Interp.run ~args:run_args f in
       List.for_all
-        (fun (_, conversion) ->
+        (fun conversion ->
           List.for_all
-            (fun (pruning, fold_copies, simplify, dce) ->
-              let config =
-                {
-                  Driver.Pipeline.pruning;
-                  fold_copies;
-                  simplify;
-                  dce;
-                  conversion;
-                  registers = None;
-                }
-              in
-              let r = Driver.Pipeline.compile ~config f in
+            (fun construct ->
+              let r = compile (construct ^ "," ^ conversion) f in
               outcomes_equal reference (Interp.run ~args:run_args r.output))
             [
-              (Ssa.Construct.Pruned, true, false, false);
-              (Ssa.Construct.Pruned, false, true, true);
-              (Ssa.Construct.Minimal, true, false, true);
-              (Ssa.Construct.Semi_pruned, true, true, false);
+              "construct:pruned";
+              "construct:pruned+nofold,simplify,dce";
+              "construct:minimal,dce";
+              "construct:semi-pruned,simplify";
             ])
         conversions)
 
@@ -113,11 +88,12 @@ let prop_matrix_with_allocation =
       let f = random_program seed size in
       let reference = Interp.run ~args:run_args f in
       List.for_all
-        (fun (_, conversion) ->
-          let config =
-            { Driver.Pipeline.default with conversion; registers = Some k }
+        (fun conversion ->
+          let r =
+            compile
+              (Printf.sprintf "construct:pruned,%s,regalloc:%d" conversion k)
+              f
           in
-          let r = Driver.Pipeline.compile ~config f in
           let o = Interp.run ~args:run_args r.output in
           reference.return_value = o.return_value
           && r.output.Ir.nregs <= k)
