@@ -385,11 +385,7 @@ let liveness_failures ~seed (ir : Ir.func) : fuzz_failure list =
   let live_mismatches = ref [] in
   for l = 0 to Ir.num_blocks ir - 1 do
     if Ir.Cfg.reachable cfg l then begin
-      let dense_elems sel =
-        List.filter
-          (fun r -> Support.Bitset.mem (sel dense l) r)
-          (List.init ir.Ir.nregs Fun.id)
-      in
+      let dense_elems sel = Support.Bitset.elements (sel dense l) in
       let din = dense_elems Analysis.Liveness.live_in in
       let dout = dense_elems Analysis.Liveness.live_out in
       let rin = Analysis.Liveness_ref.live_in reference l in

@@ -29,19 +29,15 @@ let scan (f : Ir.func) cfg live ~def =
   (* Parameters are parallel definitions at the entry: each interferes with
      whatever is live into the entry and with its sibling parameters, which
      [set] holds until the first block's live-out replaces them. *)
-  let entry_in = Liveness.live_in live (Cfg.entry cfg) in
+  Liveness.blit_live_in live (Cfg.entry cfg) set;
   List.iter (Bitset.add set) f.params;
-  List.iter
-    (fun p ->
-      def p entry_in;
-      def p set)
-    f.params;
+  List.iter (fun p -> def p set) f.params;
   Array.iter
     (fun (b : Ir.block) ->
       if Cfg.reachable cfg b.label then begin
         if b.phis <> [] then
           invalid_arg "Igraph: function still contains phi-nodes";
-        Bitset.blit ~src:(Liveness.live_out live b.label) ~dst:set;
+        Liveness.blit_live_out live b.label set;
         List.iter (Bitset.add set) (Ir.term_uses b.term);
         List.iter
           (fun instr ->

@@ -80,7 +80,7 @@ let live_just_after_all ?into (f : Ir.func) live queries =
   while !next < Array.length order do
     let block = (site order.(!next)).block in
     let b = f.blocks.(block) in
-    Bitset.blit ~src:(Liveness.live_out live block) ~dst:set;
+    Liveness.blit_live_out live block set;
     (match b.term with
     | Branch { cond = op; _ } | Return (Some op) -> use set op
     | Jump _ | Return None -> ());

@@ -13,12 +13,52 @@ let err where fmt = Format.kasprintf (fun what -> { where; what }) fmt
    function costs no string per block. *)
 let loc (f : Mir.func) l = Printf.sprintf "%s/b%d" f.name l
 
+(* The names that cross a block, for definite assignment: the registers
+   used in some block before any definition there (upward-exposed) and the
+   φ arguments. The structural walk finds them, and the registers each
+   block defines. [cells] is one arena buffer: cell [r < regs] is register
+   [r]'s dense number, or -1 for every other register; cell [regs + r] is
+   the last block that defined [r] (-1 before any). The walk meets a
+   block's φs after its body, so a φ target used in its own block is
+   counted upward-exposed too: an extra name solved exactly, never a
+   missing one. *)
+type names = {
+  cells : int array;
+  regs : int;
+  mutable width : int;
+  mutable defs : int array;  (* per block in label order: a count, then its defined registers *)
+  mutable defs_len : int;
+}
+
+let column c r =
+  if c.cells.(r) < 0 then begin
+    c.cells.(r) <- c.width;
+    c.width <- c.width + 1
+  end
+
+let push_def c x =
+  if c.defs_len = Array.length c.defs then
+    c.defs <- Scratch.grow_ints (Scratch.domain ()) c.defs;
+  c.defs.(c.defs_len) <- x;
+  c.defs_len <- c.defs_len + 1
+
+(* A use or a definition of register [r], in range, in block [l]. *)
+let classify_use c l r = if c.cells.(c.regs + r) <> l then column c r
+
+let classify_def c l r =
+  if c.cells.(c.regs + r) <> l then begin
+    c.cells.(c.regs + r) <- l;
+    push_def c r
+  end
+
 (* The structural checks, and on success the CFG they built: [strictness]'s
    walk and [Ssa.Ssa_validate] need the same graph, so they take it from
-   here instead of rebuilding it. Operands are matched in place and lists
-   walked by direct recursion, so a valid function costs its CFG and two
-   label-indexed stamp arrays, not a list or closure per instruction. *)
-let structure_cfg (f : Mir.func) =
+   here instead of rebuilding it. With [names], the walk also classifies
+   every operand for definite assignment. Operands are matched in place
+   and lists walked by direct recursion, so a valid function costs its CFG
+   and two label-indexed stamp arrays (and the classification's arena
+   buffers), not a list or closure per instruction. *)
+let walk ?names (f : Mir.func) =
   let errors = ref [] in
   let add e = errors := e :: !errors in
   let n = Mir.num_blocks f in
@@ -26,40 +66,60 @@ let structure_cfg (f : Mir.func) =
   let label at l =
     if l < 0 || l >= n then add (err (loc f at) "label b%d out of range" l)
   in
+  let nregs = f.nregs in
   let reg at r =
-    if r < 0 || r >= f.nregs then add (err (loc f at) "register %d out of range" r)
+    if r < 0 || r >= nregs then add (err (loc f at) "register %d out of range" r)
   in
   let operand at = function Mir.Reg r -> reg at r | Mir.Const _ -> () in
+  (* A body operand, a definition and a φ argument of block [at]: checked,
+     and classified when [names] is given. *)
+  let use at = function
+    | Mir.Reg r when r >= 0 && r < nregs -> (
+      match names with Some c -> classify_use c at r | None -> ())
+    | Mir.Reg r -> reg at r
+    | Mir.Const _ -> ()
+  in
+  let def at r =
+    if r >= 0 && r < nregs then
+      match names with Some c -> classify_def c at r | None -> ()
+    else reg at r
+  in
+  let arg at = function
+    | Mir.Reg r when r >= 0 && r < nregs -> (
+      match names with Some c -> column c r | None -> ())
+    | Mir.Reg r -> reg at r
+    | Mir.Const _ -> ()
+  in
   let rec body at = function
     | [] -> ()
     | (i : Mir.instr) :: rest ->
       (match i with
       | Copy { dst; src } | Unop { dst; src; _ } ->
-        operand at src;
-        reg at dst
+        use at src;
+        def at dst
       | Binop { dst; l; r; _ } ->
-        operand at l;
-        operand at r;
-        reg at dst
+        use at l;
+        use at r;
+        def at dst
       | Load { dst; idx; _ } ->
-        operand at idx;
-        reg at dst
+        use at idx;
+        def at dst
       | Store { idx; src; _ } ->
-        operand at idx;
-        operand at src);
+        use at idx;
+        use at src);
       body at rest
   in
   let rec args at = function
     | [] -> ()
     | (pl, op) :: rest ->
       label at pl;
-      operand at op;
+      arg at op;
       args at rest
   in
   let rec phis at = function
     | [] -> ()
     | (p : Mir.phi) :: rest ->
-      reg at p.dst;
+      def at p.dst;
       args at p.args;
       phis at rest
   in
@@ -80,8 +140,25 @@ let structure_cfg (f : Mir.func) =
         operand l cond
       | Return (Some op) -> operand l op
       | Return None -> ());
+      let defs_at =
+        match names with
+        | Some c ->
+          push_def c 0;
+          c.defs_len - 1
+        | None -> 0
+      in
       body l b.body;
-      phis l b.phis
+      (* The terminator's use is classified after the body that feeds it;
+         its range was checked above. *)
+      (match b.term, names with
+      | (Branch { cond = Mir.Reg r; _ } | Return (Some (Mir.Reg r))), Some c
+        when r >= 0 && r < nregs ->
+        classify_use c l r
+      | _ -> ());
+      phis l b.phis;
+      match names with
+      | Some c -> c.defs.(defs_at) <- c.defs_len - defs_at - 1
+      | None -> ()
     done;
     if !errors <> [] then Error (List.rev !errors)
     else begin
@@ -144,6 +221,8 @@ let structure_cfg (f : Mir.func) =
     end
   end
 
+let structure_cfg f = walk f
+
 let structure f =
   match structure_cfg f with Ok _ -> [] | Error errs -> errs
 
@@ -152,33 +231,40 @@ module M = Bitset.Matrix
 (* Definite assignment: forward must-analysis. IN(b) = ∩ OUT(p) over
    predecessors; a φ defines its target at block entry; a φ argument is a use
    at the end of the corresponding predecessor. Runs on a structurally valid
-   function and its CFG. OUT and GEN are rows of two matrices from the
-   domain's scratch arena, each with one spare row: row [n] of [out] is the
-   working set, row [n] of [gen] the parameters. The cost is linear in
-   blocks + instructions plus (blocks × registers / 64) word steps per
-   round, and a valid function allocates no list, option or closure per
-   instruction. *)
-let definite_assignment (f : Mir.func) cfg =
+   function, its CFG and the walk's [names]. It solves over the names that
+   cross a block only: every use of any other register follows a
+   definition in its own block, so it is always assigned there, and the
+   problem is exact per variable, so the verdicts on the indexed names are
+   those of a solve over every register. OUT and GEN are rows of two
+   matrices, [width] columns wide, from the domain's scratch arena, each
+   with one spare row: row [n] of [out] is the working set, row [n] of
+   [gen] the parameters. GEN is filled from the walk's per-block
+   definitions, not a walk of its own. The cost is linear in blocks +
+   instructions plus (blocks × width / 64) word steps per round, and a
+   valid function allocates no list, option or closure per instruction. *)
+let definite_assignment (f : Mir.func) cfg c =
   let errors = ref [] in
   let add e = errors := e :: !errors in
   let n = Mir.num_blocks f in
   let scratch = Scratch.domain () in
-  let out = Scratch.acquire_matrix scratch ~rows:(n + 1) f.nregs in
-  let gen = Scratch.acquire_matrix scratch ~rows:(n + 1) f.nregs in
+  let out = Scratch.acquire_matrix scratch ~rows:(n + 1) c.width in
+  let gen = Scratch.acquire_matrix scratch ~rows:(n + 1) c.width in
   let live = n and params = n in
+  let index = c.cells in
   M.fill out;
-  let def l (i : Mir.instr) =
-    match i with
-    | Copy { dst; _ } | Unop { dst; _ } | Binop { dst; _ } | Load { dst; _ } ->
-      M.add gen l dst
-    | Store _ -> ()
-  in
-  Array.iter
-    (fun (b : Mir.block) ->
-      List.iter (fun (p : Mir.phi) -> M.add gen b.label p.dst) b.phis;
-      List.iter (def b.label) b.body)
-    f.blocks;
-  List.iter (M.add gen params) f.params;
+  let d = ref 0 in
+  for l = 0 to n - 1 do
+    for j = !d + 1 to !d + c.defs.(!d) do
+      let s = index.(c.defs.(j)) in
+      if s >= 0 then M.add gen l s
+    done;
+    d := !d + c.defs.(!d) + 1
+  done;
+  List.iter
+    (fun r ->
+      if r < 0 || r >= f.nregs then invalid_arg "Validate: parameter out of range";
+      if index.(r) >= 0 then M.add gen params index.(r))
+    f.params;
   (* Overwrite the working row with IN(l). *)
   let meet l =
     if l = f.entry then M.blit out live gen params
@@ -205,7 +291,14 @@ let definite_assignment (f : Mir.func) cfg =
       rpo
   done;
   (* Re-walk each block tracking point-wise definedness. *)
-  let defined r = M.mem out live r in
+  let defined r =
+    let s = index.(r) in
+    s < 0 || M.mem out live s
+  in
+  let assign r =
+    let s = index.(r) in
+    if s >= 0 then M.add out live s
+  in
   let use l r =
     if not (defined r) then
       add (err (loc f l) "use of %s before definite assignment" (Mir.reg_name f r))
@@ -217,14 +310,14 @@ let definite_assignment (f : Mir.func) cfg =
       (match i with
       | Copy { dst; src } | Unop { dst; src; _ } ->
         use_op l src;
-        M.add out live dst
+        assign dst
       | Binop { dst; l = a; r = c; _ } ->
         use_op l a;
         use_op l c;
-        M.add out live dst
+        assign dst
       | Load { dst; idx; _ } ->
         use_op l idx;
-        M.add out live dst
+        assign dst
       | Store { idx; src; _ } ->
         use_op l idx;
         use_op l src);
@@ -246,7 +339,7 @@ let definite_assignment (f : Mir.func) cfg =
     (fun l ->
       let b = f.blocks.(l) in
       meet l;
-      List.iter (fun (p : Mir.phi) -> M.add out live p.dst) b.phis;
+      List.iter (fun (p : Mir.phi) -> assign p.dst) b.phis;
       walk l b.body;
       (match b.term with
       | Branch { cond = Mir.Reg r; _ } | Return (Some (Mir.Reg r)) ->
@@ -263,15 +356,35 @@ let definite_assignment (f : Mir.func) cfg =
   Scratch.release_matrix scratch gen;
   List.rev !errors
 
-let strictness (f : Mir.func) =
-  match structure_cfg f with
-  | Ok cfg -> definite_assignment f cfg
-  | Error _ -> [ err f.name "skipping strictness: structure invalid" ]
+(* The structural checks, then definite assignment over the names the
+   walk found; [skipped] stands in for the strictness errors when the
+   structure is invalid. *)
+let checked ~skipped (f : Mir.func) =
+  let scratch = Scratch.domain () in
+  let nregs = f.nregs in
+  let names =
+    {
+      cells = Scratch.acquire_ints scratch (2 * nregs);
+      regs = nregs;
+      width = 0;
+      defs = Scratch.acquire_ints scratch (Mir.num_blocks f + nregs);
+      defs_len = 0;
+    }
+  in
+  Array.fill names.cells 0 (2 * nregs) (-1);
+  let errs =
+    match walk ~names f with
+    | Ok cfg -> definite_assignment f cfg names
+    | Error errs -> skipped errs
+  in
+  Scratch.release_ints scratch names.cells;
+  Scratch.release_ints scratch names.defs;
+  errs
 
-let run f =
-  match structure_cfg f with
-  | Ok cfg -> definite_assignment f cfg
-  | Error errs -> errs
+let strictness (f : Mir.func) =
+  checked ~skipped:(fun _ -> [ err f.name "skipping strictness: structure invalid" ]) f
+
+let run f = checked ~skipped:Fun.id f
 
 let check_exn f =
   match run f with

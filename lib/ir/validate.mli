@@ -26,10 +26,20 @@ val strictness : Mir.func -> error list
 (** Definite-assignment check over reachable code: every register use (in
     instruction bodies, terminators, and as φ arguments at the end of the
     corresponding predecessor) must be dominated by definitions on all
-    paths. *)
+    paths.
+
+    The structural walk also finds the names that cross a block: the
+    registers used in some block before any definition there, and the φ
+    arguments. The dataflow runs over a dense index of those names only,
+    with rows that many bits wide instead of one bit per register. Every
+    use of any other register follows a definition in its own block, so it
+    is always assigned. The problem is exact per variable, so the errors,
+    their order and their messages are those of a solve over every
+    register. *)
 
 val run : Mir.func -> error list
-(** All checks. Empty means valid. *)
+(** All checks: {!structure}, then, if it passed, {!strictness}'s
+    definite assignment. Empty means valid. *)
 
 val check_exn : Mir.func -> unit
 (** Raises [Failure] with a readable message if {!run} finds errors. *)

@@ -409,9 +409,13 @@ let parse_coalesce_arg = function
 let parse_regalloc_arg = function
   | None -> Error "regalloc needs a register count, e.g. 'regalloc:8'"
   | Some a -> (
+    (* The allocator needs two registers (it raises on fewer); a spec
+       that asks for fewer is refused here, as a spec error. *)
     match int_of_string_opt a with
-    | Some k when k > 0 -> Ok (regalloc ~registers:k)
-    | Some _ | None ->
+    | Some k when k >= 2 -> Ok (regalloc ~registers:k)
+    | Some _ ->
+      Error (Printf.sprintf "regalloc: '%s' registers; the allocator needs at least 2" a)
+    | None ->
       Error
         (Printf.sprintf "regalloc: '%s' is not a positive register count" a))
 

@@ -348,4 +348,28 @@ module Matrix = struct
   let equal a ra b rb =
     check2 a ra b rb;
     k_equal a.bits (ra * a.stride) b.bits (rb * b.stride) a.stride
+
+  let scatter_row m r ~map ~off (dst : set) =
+    check_row m r;
+    let base = r * m.stride in
+    let put b =
+      let c = ref (byte m.bits (base + b)) in
+      while !c <> 0 do
+        let x = map.(off + ((b lsl 3) lor Char.code (String.unsafe_get lowest_bit !c))) in
+        if x < 0 || x >= dst.capacity then invalid_arg "Bitset.Matrix.scatter_row";
+        k_add dst.bits dst.off x;
+        c := !c land (!c - 1)
+      done
+    in
+    let i = ref 0 in
+    while !i < words m.stride do
+      if get64 m.bits (base + !i) <> 0L then
+        for b = !i to !i + 7 do
+          put b
+        done;
+      i := !i + 8
+    done;
+    for b = words m.stride to m.stride - 1 do
+      put b
+    done
 end

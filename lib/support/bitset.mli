@@ -135,4 +135,11 @@ module Matrix : sig
 
   val equal : t -> int -> t -> int -> bool
   (** [equal a ra b rb]: do the two rows hold the same elements? *)
+
+  val scatter_row : t -> int -> map:int array -> off:int -> set -> unit
+  (** [scatter_row m r ~map ~off s] adds [map.(off + i)] to [s] for every
+      element [i] of row [r]: a row over a dense index, written back in the
+      coordinates the index maps to. Zero words are skipped whole and
+      nothing is allocated. Raises [Invalid_argument] if a mapped element
+      is outside [s]. *)
 end

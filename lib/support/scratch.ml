@@ -9,6 +9,7 @@ type t = {
   bitsets : (int, Bitset.t list) Hashtbl.t;  (* capacity -> free buffers *)
   mutable buffers : Bytes.t list;  (* free byte buffers, shortest first *)
   arrays : (int, int array list) Hashtbl.t;  (* length -> free buffers *)
+  ints : int array array;  (* free flat int buffers, [||] in an empty slot *)
   mutable bitset_hits : int;
   mutable bitset_misses : int;
   mutable array_hits : int;
@@ -18,12 +19,15 @@ type t = {
 (* Free lists are capped so a long-running domain that once saw a huge
    function does not pin an unbounded amount of memory. *)
 let max_free_per_key = 32
+let max_free_ints = 8
+let max_pooled_ints = 1 lsl 15
 
 let create () =
   {
     bitsets = Hashtbl.create 16;
     buffers = [];
     arrays = Hashtbl.create 16;
+    ints = Array.make max_free_ints [||];
     bitset_hits = 0;
     bitset_misses = 0;
     array_hits = 0;
@@ -82,6 +86,45 @@ let acquire_matrix t ~rows n =
 
 let release_matrix t m = release_bytes t (Bitset.Matrix.buffer m)
 
+(* Flat int buffers are one pool of any length: [ints] has a fixed number
+   of slots, [||] when empty, so taking and returning a buffer allocates
+   nothing. A buffer takes the shortest pooled one that holds it; a full
+   pool keeps the longest buffers, and none over [max_pooled_ints] cells
+   is kept. *)
+let acquire_ints t need =
+  let best = ref (-1) in
+  for i = 0 to max_free_ints - 1 do
+    let len = Array.length t.ints.(i) in
+    if len > 0 && len >= need && (!best < 0 || len < Array.length t.ints.(!best))
+    then best := i
+  done;
+  if !best >= 0 then begin
+    let a = t.ints.(!best) in
+    t.ints.(!best) <- [||];
+    t.array_hits <- t.array_hits + 1;
+    a
+  end
+  else begin
+    t.array_misses <- t.array_misses + 1;
+    Array.make (max need 16) 0
+  end
+
+let release_ints t a =
+  if Array.length a <= max_pooled_ints then begin
+    (* The empty slot if there is one, else the shortest buffer. *)
+    let slot = ref 0 in
+    for i = 1 to max_free_ints - 1 do
+      if Array.length t.ints.(i) < Array.length t.ints.(!slot) then slot := i
+    done;
+    if Array.length t.ints.(!slot) < Array.length a then t.ints.(!slot) <- a
+  end
+
+let grow_ints t a =
+  let b = acquire_ints t (2 * Array.length a) in
+  Array.blit a 0 b 0 (Array.length a);
+  release_ints t a;
+  b
+
 let acquire_int_array t n fill =
   match Hashtbl.find_opt t.arrays n with
   | Some (a :: rest) ->
@@ -111,6 +154,7 @@ let clear t =
   Hashtbl.reset t.bitsets;
   t.buffers <- [];
   Hashtbl.reset t.arrays;
+  Array.fill t.ints 0 max_free_ints [||];
   t.bitset_hits <- 0;
   t.bitset_misses <- 0;
   t.array_hits <- 0;

@@ -9,7 +9,8 @@
     instead of re-allocating.
 
     Bitset and array pools are keyed by exact capacity. Matrix buffers
-    form one pool of any length: a matrix takes the shortest free buffer
+    form one pool of any length, and flat int buffers ({!acquire_ints})
+    another: a matrix takes the shortest free buffer
     that holds it, so it may sit in a larger buffer than it needs
     ({!Bitset.Matrix.memory_bytes} counts its rows only), and the pool
     keeps a few buffers as long as the largest function seen rather than
@@ -48,6 +49,21 @@ val acquire_int_array : t -> int -> int -> int array
     cell set to [fill], reusing a released one when available. *)
 
 val release_int_array : t -> int array -> unit
+
+val acquire_ints : t -> int -> int array
+(** [acquire_ints t n] is an [int array] of at least [n] cells, the
+    shortest released one that holds them when there is one, with
+    unspecified contents: a flat buffer whose length is a bound, used
+    through a prefix. Buffers of any length share one small pool, so a
+    stream of functions of many sizes pins a few buffers, not some of every
+    length. Counted in the [array_hits]/[array_misses] stats. *)
+
+val grow_ints : t -> int array -> int array
+(** [grow_ints t a] is a buffer at least twice as long as [a] that starts
+    with [a]'s cells; [a] is released. For buffers filled past the bound
+    they were acquired with. *)
+
+val release_ints : t -> int array -> unit
 
 type stats = {
   bitset_hits : int;  (** bitset and matrix acquisitions served from the pool *)

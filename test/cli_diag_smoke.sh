@@ -46,6 +46,13 @@ expect_diag "$corpus:7: malformed parameter list" \
 expect_diag "$corpus:7: malformed parameter list" \
   "$CLI" corpus compile -i "$corpus" --jobs 2
 
+# A register count the allocator cannot meet is a spec error (exit 2),
+# whether it comes from --registers or from a regalloc pass argument.
+expect_diag "regalloc: '1' registers; the allocator needs at least 2" \
+  "$CLI" opt --registers 1 "$OK_MINI"
+expect_diag "regalloc: '1' registers; the allocator needs at least 2" \
+  "$CLI" opt --passes construct:pruned,coalesce,regalloc:1 "$OK_MINI"
+
 # OK_MINI returns 6 on argument 7; so must each stage's dump, read back.
 for stage in cfg ssa standard new briggs briggs-star; do
   "$CLI" dump --stage="$stage" "$OK_MINI" >"$dir/$stage.ir" \

@@ -44,6 +44,36 @@ let test_scratch_int_array_reuse () =
   let st = Scratch.stats s in
   checki "one array hit" 1 st.Scratch.array_hits
 
+(* Flat int buffers: a buffer is served from the pool when one is long
+   enough, the shortest such; growing keeps the prefix; a buffer over the
+   pool's cap is not kept, and a full pool keeps its longest buffers. *)
+let test_scratch_ints () =
+  let s = Scratch.create () in
+  let a = Scratch.acquire_ints s 100 and b = Scratch.acquire_ints s 300 in
+  checkb "long enough" true (Array.length a >= 100 && Array.length b >= 300);
+  Scratch.release_ints s b;
+  Scratch.release_ints s a;
+  checkb "shortest fit" true (Scratch.acquire_ints s 50 == a);
+  checkb "longer need takes the longer buffer" true (Scratch.acquire_ints s 200 == b);
+  Array.iteri (fun i _ -> a.(i) <- i) a;
+  let g = Scratch.grow_ints s a in
+  checkb "grown buffer at least twice as long" true
+    (Array.length g >= 2 * Array.length a);
+  checkb "grown buffer keeps the prefix" true
+    (Array.for_all Fun.id (Array.init (Array.length a) (fun i -> g.(i) = i)));
+  checkb "the outgrown buffer is pooled" true (Scratch.acquire_ints s 1 == a);
+  let huge = Scratch.acquire_ints s (1 lsl 16) in
+  Scratch.release_ints s huge;
+  checkb "a buffer over the cap is not kept" false
+    (Scratch.acquire_ints s (1 lsl 16) == huge);
+  let bufs = List.init 9 (fun i -> Scratch.acquire_ints s (1000 + i)) in
+  List.iter (Scratch.release_ints s) bufs;
+  checkb "a full pool drops its shortest buffer" false
+    (Scratch.acquire_ints s 1000 == List.hd bufs);
+  let st = Scratch.stats s in
+  checki "pool hits" 4 st.Scratch.array_hits;
+  checki "allocations" 14 st.array_misses
+
 (* A full analysis cycle through one arena: the second run of the same
    function must be served from the pool, and must compute the same sets. *)
 let test_scratch_analysis_cycle () =
@@ -71,6 +101,8 @@ let test_scratch_analysis_cycle () =
   let st2 = Scratch.stats s in
   checki "second run allocates nothing new" st1.Scratch.bitset_misses
     st2.Scratch.bitset_misses;
+  checki "second run takes every array from the pool" st1.Scratch.array_misses
+    st2.Scratch.array_misses;
   checkb "second run hits the pool" true
     (st2.Scratch.bitset_hits > st1.Scratch.bitset_hits)
 
@@ -460,6 +492,7 @@ let suite =
       test_scratch_capacity_keying;
     Alcotest.test_case "scratch: int array reuse" `Quick
       test_scratch_int_array_reuse;
+    Alcotest.test_case "scratch: flat int buffers" `Quick test_scratch_ints;
     Alcotest.test_case "scratch: liveness cycle reuses buffers" `Quick
       test_scratch_analysis_cycle;
     Alcotest.test_case "pool: parallel map, input order" `Quick test_pool_map;

@@ -65,6 +65,15 @@ let test_spec_errors () =
     (contains (parse_err "construct,construct,coalesce") "only appear first");
   checkb "regalloc needs K" true
     (contains (parse_err "construct,coalesce,regalloc") "register count");
+  (* The allocator needs two registers: fewer is a spec error, not an
+     exception from the allocator once the pipeline runs. *)
+  List.iter
+    (fun k ->
+      checkb (Printf.sprintf "regalloc:%s refused" k) true
+        (contains (parse_err ("construct,coalesce,regalloc:" ^ k)) "at least 2"))
+    [ "1"; "0"; "-3" ];
+  checkb "regalloc:2 accepted" true
+    (Result.is_ok (Pass.Spec.parse "construct,coalesce,regalloc:2"));
   checkb "bad construct arg" true
     (contains (parse_err "construct:prunes,coalesce") "bad argument");
   List.iter

@@ -403,6 +403,41 @@ let prop_bitset_iter =
       in
       agree set && List.for_all (fun r -> agree (B.Matrix.row m r)) (List.init rows Fun.id))
 
+(* [Matrix.scatter_row] against a mem scan of the row through the map:
+   widths on each side of a byte and a word boundary, a map with an
+   offset into a longer array, and a destination already holding
+   elements (scatter adds, it does not clear). *)
+let prop_scatter_row =
+  let capacities = [| 0; 1; 7; 8; 9; 63; 64; 65; 127; 128; 129; 300 |] in
+  QCheck.Test.make ~count:300 ~name:"matrix scatter_row matches mem scan"
+    QCheck.(triple (int_bound (Array.length capacities - 1)) (int_bound 100_000) (int_bound 100))
+    (fun (ci, seed, pct) ->
+      let module B = Support.Bitset in
+      let cap = capacities.(ci) in
+      let st = Random.State.make [| seed |] in
+      let rows = 3 and off = 5 and dst_cap = (2 * cap) + 3 in
+      let m = B.Matrix.on_buffer (Bytes.create (rows * ((cap + 7) / 8))) ~rows cap in
+      for r = 0 to rows - 1 do
+        for x = 0 to cap - 1 do
+          if Random.State.int st 100 < pct then B.Matrix.add m r x
+        done
+      done;
+      let map = Array.init (off + cap) (fun _ -> Random.State.int st dst_cap) in
+      List.for_all
+        (fun r ->
+          let dst = B.create dst_cap in
+          B.add dst 0;
+          B.Matrix.scatter_row m r ~map ~off dst;
+          let expected =
+            List.sort_uniq compare
+              (0
+              :: List.filter_map
+                   (fun x -> if B.Matrix.mem m r x then Some map.(off + x) else None)
+                   (List.init cap Fun.id))
+          in
+          B.elements dst = expected)
+        (List.init rows Fun.id))
+
 let test_vec () =
   let v = Support.Vec.create () in
   checki "empty" 0 (Support.Vec.length v);
@@ -506,6 +541,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_row_walk;
     QCheck_alcotest.to_alcotest prop_union_set;
     QCheck_alcotest.to_alcotest prop_bitset_iter;
+    QCheck_alcotest.to_alcotest prop_scatter_row;
     Alcotest.test_case "vec" `Quick test_vec;
     Alcotest.test_case "vec recycling" `Quick test_vec_recycle;
     Alcotest.test_case "csr adjacency" `Quick test_csr;
