@@ -3,39 +3,16 @@
 
 open Cmdliner
 
-(* Exit codes: 0 success; 1 a fuzz discrepancy was found; 2 the input file
-   could not be parsed (usage errors keep cmdliner's own 124); 3 the program
-   faulted under the interpreter; 125 internal error. User-facing failures
-   are printed as diagnostics on stderr, never as raw exception backtraces. *)
+(* Exit codes: 0 success; 1 a fuzz discrepancy was found; 2 the input
+   could not be parsed, or is not a strict, phi-free CFG (usage errors
+   keep cmdliner's own 124); 3 the program faulted under the interpreter;
+   125 internal error. User-facing failures are printed as diagnostics on
+   stderr, never as raw exception backtraces. *)
 let exit_parse_error = 2
 let exit_runtime_fault = 3
 let exit_internal_error = 125
 
 exception Input_error of string
-
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-(* Mini-language sources by default; files ending in .ir hold the textual
-   IR syntax of Ir.Printer/Ir.Parse. *)
-let load path =
-  let source = read_file path in
-  if Filename.check_suffix path ".ir" then begin
-    match Ir.Parse.funcs_of_string source with
-    | [] -> raise (Input_error (path ^ ": no functions in input"))
-    | fs -> fs
-    | exception Ir.Parse.Error (msg, line) ->
-      raise (Input_error (Printf.sprintf "%s:%d: %s" path line msg))
-  end
-  else
-    match Frontend.Lower.compile source with
-    | [] -> raise (Input_error (path ^ ": no functions in input"))
-    | fs -> fs
-    | exception Frontend.Parser.Error (msg, line) ->
-      raise (Input_error (Printf.sprintf "%s:%d: %s" path line msg))
 
 (* A corpus file as a producer; a line that does not parse is an input
    error located at that line of the file. *)
@@ -46,96 +23,97 @@ let read_corpus path =
     with Ir.Parse.Error (msg, line) ->
       raise (Input_error (Printf.sprintf "%s:%d: %s" path line msg))
 
-(* The title and any stats line are '#' comments, so a dump reads back
+(* The title and the stage notes are '#' comments, so a dump reads back
    as IR text. *)
-let print_func title f =
-  Printf.printf "# ==== %s ====\n%s\n\n" title (Ir.Printer.func_to_string f)
+let print_func ?(stages = []) title f =
+  Printf.printf "# ==== %s ====\n%s\n\n" title (Ir.Printer.func_to_string f);
+  List.iter
+    (fun (s : Driver.Pipeline.stage) ->
+      Printf.printf "# %-10s %s\n" s.name s.note)
+    stages
 
-let stage_names = [ "cfg"; "ssa"; "standard"; "new"; "briggs"; "briggs-star" ]
+(* Every compile goes through the pass manager's door, which refuses an
+   input that is not a strict, phi-free CFG (Ir.Validate.Invalid, exit 2).
+   A bad spec is an input error too. *)
+let pipeline_of_spec spec =
+  match Pass.Spec.parse spec with
+  | Ok pipeline -> pipeline
+  | Error msg -> raise (Input_error msg)
+
+let compile_route route f = Harness.Pipelines.(compile_spec (spec_of route) f)
+
+let path_arg = Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE")
+
+let args_arg =
+  Arg.(value & opt (list float) [] & info [ "args" ] ~doc:"Arguments (floats).")
+
+let values =
+  List.map (fun x ->
+      if Float.is_integer x then Ir.Int (int_of_float x) else Ir.Float x)
+
+(* Every stage but the input CFG is a route's report: its output, or for
+   "ssa" the construction snapshot every pipeline starts with. *)
+let dump_stages =
+  Harness.Pipelines.
+    [
+      ("ssa", (New, "pruned SSA, copies folded"));
+      ("standard", (Standard, "Standard phi instantiation"));
+      ("new", (New, "New coalescer"));
+      ("briggs", (Briggs, "briggs"));
+      ("briggs-star", (Briggs_star, "briggs-star"));
+    ]
 
 let dump_cmd =
-  let path = Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE") in
+  let stage_names = "cfg" :: List.map fst dump_stages in
   let stage =
     Arg.(
       value
       & opt (enum (List.map (fun s -> (s, s)) stage_names)) "new"
       & info [ "stage" ] ~doc:"Pipeline stage to dump: $(docv)."
-          ~docv:"cfg|ssa|standard|new|briggs|briggs-star")
+          ~docv:(String.concat "|" stage_names))
   in
   let run path stage =
     List.iter
       (fun f ->
-        Ir.Validate.check_exn f;
-        match stage with
-        | "cfg" -> print_func (f.Ir.name ^ " (input CFG)") f
-        | "ssa" ->
-          let f = Ssa.Construct.run_exn f in
-          Ssa.Ssa_validate.check_exn f;
-          print_func (f.Ir.name ^ " (pruned SSA, copies folded)") f
-        | "standard" ->
-          let f = Ssa.Construct.run_exn f in
-          let f = Ir.Edge_split.run f in
-          let f = Ssa.Destruct_naive.run_exn f in
-          Ir.Validate.check_exn f;
-          print_func (f.Ir.name ^ " (Standard phi instantiation)") f
-        | "new" ->
-          let f = Ssa.Construct.run_exn f in
-          let f, stats = Core.Coalesce.run f in
-          Ir.Validate.check_exn f;
-          print_func (f.Ir.name ^ " (New coalescer)") f;
-          Printf.printf
-            "# classes=%d members=%d copies=%d filter-refusals=%d \
-             forest-detached=%d local-detached=%d\n"
-            stats.classes stats.class_members stats.copies_inserted
-            stats.filter_refusals stats.forest_detached stats.local_detached
-        | "briggs" | "briggs-star" ->
-          let variant =
-            if stage = "briggs" then Baseline.Ig_coalesce.Briggs
-            else Baseline.Ig_coalesce.Briggs_star
+        match List.assoc_opt stage dump_stages with
+        | None -> print_func (f.Ir.name ^ " (input CFG)") f
+        | Some (route, title) ->
+          let r = compile_route route f in
+          let stages, g =
+            if stage = "ssa" then
+              let s = List.hd r.stages in
+              ([ s ], s.func)
+            else (r.stages, r.output)
           in
-          let f = Ssa.Construct.run_exn f in
-          let f = Ir.Edge_split.run f in
-          let f = Ssa.Destruct_naive.run_exn f in
-          let f, stats = Baseline.Ig_coalesce.run ~variant f in
-          Ir.Validate.check_exn f;
-          print_func (f.Ir.name ^ " (" ^ stage ^ ")") f;
-          Printf.printf "# rounds=%d coalesced=%d remaining-copies=%d\n"
-            stats.rounds stats.coalesced stats.copies_remaining
-        | _ -> assert false)
-      (load path);
+          print_func ~stages (Printf.sprintf "%s (%s)" f.Ir.name title) g)
+      (Frontend.Load.file path);
     0
   in
   Cmd.v
     (Cmd.info "dump" ~doc:"Show the IR of a pipeline stage")
-    Term.(const run $ path $ stage)
+    Term.(const run $ path_arg $ stage)
 
 let run_cmd =
-  let path = Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE") in
-  let args =
-    Arg.(value & opt (list float) [] & info [ "args" ] ~doc:"Arguments (floats).")
-  in
   let pipeline =
     Arg.(
       value
-      & opt (enum [ ("cfg", `Cfg); ("standard", `Standard); ("new", `New) ]) `Cfg
+      & opt
+          (enum
+             Harness.Pipelines.
+               [
+                 ("cfg", None); ("standard", Some Standard); ("new", Some New);
+               ])
+          None
       & info [ "pipeline" ] ~doc:"Which code to execute.")
   in
   let run path args pipeline =
-    let vals =
-      List.map
-        (fun x ->
-          if Float.is_integer x then Ir.Int (int_of_float x) else Ir.Float x)
-        args
-    in
+    let vals = values args in
     List.iter
       (fun f ->
         let f =
           match pipeline with
-          | `Cfg -> f
-          | `Standard ->
-            Ssa.Destruct_naive.run_exn
-              (Ir.Edge_split.run (Ssa.Construct.run_exn f))
-          | `New -> Core.Coalesce.run_exn (Ssa.Construct.run_exn f)
+          | None -> f
+          | Some route -> (compile_route route f).output
         in
         let o = Interp.run ~args:vals f in
         Printf.printf "%s: returned %s; %d instructions, %d copies executed\n"
@@ -144,88 +122,75 @@ let run_cmd =
           | Some v -> Ir.Printer.value_to_string v
           | None -> "(nothing)")
           o.stats.instrs_executed o.stats.copies_executed)
-      (load path);
+      (Frontend.Load.file path);
     0
   in
   Cmd.v
     (Cmd.info "run" ~doc:"Interpret a program and report dynamic statistics")
-    Term.(const run $ path $ args $ pipeline)
+    Term.(const run $ path_arg $ args_arg $ pipeline)
 
 let compare_cmd =
-  let path = Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE") in
   let run path =
+    let rows =
+      List.map
+        (fun f ->
+          ( f.Ir.name,
+            List.map
+              (fun route -> Ir.count_copies (compile_route route f).output)
+              Harness.Pipelines.all ))
+        (Frontend.Load.file path)
+    in
     Printf.printf "%-16s %10s %10s %10s %10s\n" "function" "standard" "new"
       "briggs" "briggs*";
     List.iter
-      (fun f ->
-        let ssa = Ssa.Construct.run_exn f in
-        let standard =
-          Ssa.Destruct_naive.run_exn (Ir.Edge_split.run ssa)
-        in
-        let new_ = Core.Coalesce.run_exn ssa in
-        let briggs =
-          Baseline.Ig_coalesce.run_exn ~variant:Baseline.Ig_coalesce.Briggs standard
-        in
-        let briggs_star =
-          Baseline.Ig_coalesce.run_exn ~variant:Baseline.Ig_coalesce.Briggs_star
-            standard
-        in
-        Printf.printf "%-16s %10d %10d %10d %10d\n" f.Ir.name
-          (Ir.count_copies standard) (Ir.count_copies new_)
-          (Ir.count_copies briggs) (Ir.count_copies briggs_star))
-      (load path);
+      (fun (name, copies) ->
+        Printf.printf "%-16s%s\n" name
+          (String.concat "" (List.map (Printf.sprintf " %10d") copies)))
+      rows;
     0
   in
   Cmd.v
     (Cmd.info "compare" ~doc:"Static copy counts for all four pipelines")
-    Term.(const run $ path)
+    Term.(const run $ path_arg)
 
 let alloc_cmd =
-  let path = Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE") in
   let k = Arg.(value & opt int 8 & info [ "k" ] ~doc:"Number of registers.") in
-  let args =
-    Arg.(value & opt (list float) [] & info [ "args" ] ~doc:"Arguments (floats).")
-  in
   let run path k args =
-    let vals =
-      List.map
-        (fun x ->
-          if Float.is_integer x then Ir.Int (int_of_float x) else Ir.Float x)
-        args
+    let vals = values args in
+    let pipeline =
+      pipeline_of_spec
+        (Printf.sprintf "construct:pruned,coalesce,regalloc:%d" k)
     in
     List.iter
       (fun f ->
-        let coalesced = Core.Coalesce.run_exn (Ssa.Construct.run_exn f) in
-        let r =
-          Regalloc.run
-            ~options:{ Regalloc.default_options with registers = k }
-            coalesced
-        in
-        print_func
-          (Printf.sprintf "%s (allocated to %d registers)" f.Ir.name
-             r.stats.colors_used)
-          r.func;
-        Printf.printf "# rounds=%d spilled=%d loads=%d stores=%d\n" r.stats.rounds
-          r.stats.spilled_ranges r.stats.spill_loads r.stats.spill_stores;
+        let r = Driver.Pipeline.compile_passes pipeline f in
+        print_func ~stages:r.stages
+          (Printf.sprintf "%s (allocated to at most %d registers)" f.Ir.name k)
+          r.output;
         if vals <> [] then begin
           let before = Interp.run ~args:vals f in
-          let after = Interp.run ~args:vals r.func in
+          let after = Interp.run ~args:vals r.output in
+          (* The spill slab is Regalloc.spill_array, suffixed when the
+             input already uses that name. *)
+          let spill (name, _) =
+            String.starts_with ~prefix:Regalloc.spill_array name
+            && not (List.mem_assoc name before.arrays)
+          in
           let same =
             before.return_value = after.return_value
-            && List.remove_assoc r.spill_array after.arrays = before.arrays
+            && List.filter (Fun.negate spill) after.arrays = before.arrays
           in
           Printf.printf "# semantics preserved: %b\n" same
         end)
-      (load path);
+      (Frontend.Load.file path);
     0
   in
   Cmd.v
     (Cmd.info "alloc"
        ~doc:"Coalesce and then run the Chaitin/Briggs register allocator")
-    Term.(const run $ path $ k $ args)
+    Term.(const run $ path_arg $ k $ args_arg)
 
 let opt_cmd =
-  let path = Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE") in
   let passes =
     Arg.(
       value
@@ -302,14 +267,8 @@ let opt_cmd =
                | None -> []);
              ])
     in
-    (* Bad specs are input errors (exit 2), same contract as a file that
-       does not parse. *)
-    let pipeline =
-      match Pass.Spec.parse spec with
-      | Ok pipeline -> pipeline
-      | Error msg -> raise (Input_error msg)
-    in
-    let funcs = load path in
+    let pipeline = pipeline_of_spec spec in
+    let funcs = Frontend.Load.file path in
     let reports =
       if jobs = 1 then
         List.map
@@ -321,11 +280,7 @@ let opt_cmd =
     in
     List.iter2
       (fun f (r : Driver.Pipeline.report) ->
-        print_func (f.Ir.name ^ " (optimized)") r.output;
-        List.iter
-          (fun (s : Driver.Pipeline.stage) ->
-            Printf.printf "# %-10s %s\n" s.name s.note)
-          r.stages;
+        print_func ~stages:r.stages (f.Ir.name ^ " (optimized)") r.output;
         print_newline ())
       funcs reports;
     0
@@ -333,11 +288,10 @@ let opt_cmd =
   Cmd.v
     (Cmd.info "opt" ~doc:"Run the whole configurable backend pipeline")
     Term.(
-      const run $ path $ passes $ simplify $ dce $ k $ conversion $ jobs
+      const run $ path_arg $ passes $ simplify $ dce $ k $ conversion $ jobs
       $ check)
 
 let dot_cmd =
-  let path = Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE") in
   let what =
     Arg.(
       value
@@ -348,17 +302,21 @@ let dot_cmd =
   let run path what ssa =
     List.iter
       (fun f ->
-        let f = if ssa then Ssa.Construct.run_exn f else f in
+        let f =
+          if ssa then
+            (List.hd (compile_route Harness.Pipelines.New f).stages).func
+          else f
+        in
         print_string
           (match what with
           | `Cfg -> Ir.Dot.cfg f
           | `Domtree -> Ir.Dot.dominator_tree f))
-      (load path);
+      (Frontend.Load.file path);
     0
   in
   Cmd.v
     (Cmd.info "dot" ~doc:"Emit Graphviz for the CFG or the dominator tree")
-    Term.(const run $ path $ what $ ssa)
+    Term.(const run $ path_arg $ what $ ssa)
 
 (* ------------------------------------------------------------------ *)
 (* fuzz: differential fuzzing of every SSA-to-CFG route               *)
@@ -372,13 +330,13 @@ let fuzz_routes = Harness.Obs_report.default_routes
 
 type fuzz_failure = {
   seed : int;
-  route : string;  (** a conversion route, or ["audit"] *)
+  route : string;  (** a conversion route, ["audit"] or ["liveness"] *)
   detail : string;
 }
 
 (* Liveness differential, run on the raw CFG of a fuzzed program: dense
    bitset liveness must match the hash-table reference set-for-set. *)
-let liveness_failures ~seed (ir : Ir.func) : fuzz_failure list =
+let liveness_mismatch (ir : Ir.func) =
   let cfg = Ir.Cfg.of_func ir in
   let dense = Analysis.Liveness.compute ir cfg in
   let reference = Analysis.Liveness_ref.compute ir cfg in
@@ -401,30 +359,40 @@ let liveness_failures ~seed (ir : Ir.func) : fuzz_failure list =
     end
   done;
   match !live_mismatches with
-  | [] -> []
-  | ms ->
-    [ { seed; route = "liveness"; detail = String.concat "; " (List.rev ms) } ]
+  | [] -> None
+  | ms -> Some (String.concat "; " (List.rev ms))
 
-(* Does this failing seed still fail on a candidate program? Any breakage —
-   the same semantic mismatch, an audit violation, a liveness mismatch or a
-   compiler crash — is kept, the standard fuzzing convention. *)
+(* The one classifier, for the fuzz run and the shrinker alike: what one
+   route (a conversion, "audit" or "liveness") shows on a program, if
+   anything. Any breakage counts — a semantic mismatch, an audit
+   violation, a liveness mismatch, or an exception from any of them — so
+   a crash is reported, never an escape that ends the run, and a shrink
+   keeps what the run reported. *)
+let fuzz_routes_checked = "liveness" :: "audit" :: List.map fst fuzz_routes
+
+let fuzz_check ~vectors (ir : Ir.func) route =
+  match
+    match route with
+    | "liveness" -> liveness_mismatch ir
+    | "audit" -> (
+      match Check.interference_audit (Ssa.Construct.run_exn ir) with
+      | Ok () -> None
+      | Error i -> Some (Format.asprintf "%a" Check.pp_interference i))
+    | _ -> (
+      let r =
+        Driver.Pipeline.compile_passes (List.assoc route fuzz_routes) ir
+      in
+      match Check.equiv ~vectors ~reference:ir r.output with
+      | Ok () -> None
+      | Error m -> Some (Format.asprintf "%a" Check.pp_mismatch m))
+  with
+  | verdict -> verdict
+  | exception e -> Some ("raised " ^ Printexc.to_string e)
+
 let fuzz_keep ~route ~vectors (ast : Frontend.Ast.func) =
   match Frontend.Lower.lower ast with
   | exception _ -> false
-  | ir, _ -> (
-    match route with
-    | "audit" -> (
-      match Check.interference_audit (Ssa.Construct.run_exn ir) with
-      | Ok () -> false
-      | Error _ | (exception _) -> true)
-    | "liveness" -> liveness_failures ~seed:0 ir <> []
-    | _ -> (
-      match Driver.Pipeline.compile_passes (List.assoc route fuzz_routes) ir with
-      | exception _ -> true
-      | r -> (
-        match Check.equiv ~vectors ~reference:ir r.output with
-        | Ok () -> false
-        | Error _ -> true)))
+  | ir, _ -> Option.is_some (fuzz_check ~vectors ir route)
 
 let fuzz_seed ~size ~vectors seed : fuzz_failure list =
   let ast =
@@ -432,30 +400,12 @@ let fuzz_seed ~size ~vectors seed : fuzz_failure list =
       { Workloads.Generator.default with seed; size }
   in
   let ir, _ = Frontend.Lower.lower ast in
-  let audit_failures =
-    match Check.interference_audit (Ssa.Construct.run_exn ir) with
-    | Ok () -> []
-    | Error i ->
-      [
-        {
-          seed;
-          route = "audit";
-          detail = Format.asprintf "%a" Check.pp_interference i;
-        };
-      ]
-  in
-  liveness_failures ~seed ir @ audit_failures
-  @ List.concat_map
-      (fun (route, pipeline) ->
-        match Driver.Pipeline.compile_passes pipeline ir with
-        | exception e ->
-          [ { seed; route; detail = "compiler raised " ^ Printexc.to_string e } ]
-        | r -> (
-          match Check.equiv ~vectors ~reference:ir r.output with
-          | Ok () -> []
-          | Error m ->
-            [ { seed; route; detail = Format.asprintf "%a" Check.pp_mismatch m } ]))
-      fuzz_routes
+  List.filter_map
+    (fun route ->
+      Option.map
+        (fun detail -> { seed; route; detail })
+        (fuzz_check ~vectors ir route))
+    fuzz_routes_checked
 
 let fuzz_cmd =
   let seeds =
@@ -559,7 +509,7 @@ let report_cmd =
     let jobs = if jobs = 0 then Engine.default_jobs () else jobs in
     let funcs =
       match path with
-      | Some p -> load p
+      | Some p -> Frontend.Load.file p
       | None ->
         List.map
           (fun (e : Workloads.Suite.entry) -> e.func)
@@ -1046,9 +996,7 @@ let corpus_compile_cmd =
         Workloads.Corpus.producer
           { Workloads.Corpus.seed; total; mix = parse_mix mix }
     in
-    let pipeline =
-      Driver.Pipeline.passes_of_config Driver.Pipeline.default
-    in
+    let pipeline = Pass.Spec.parse_exn "construct:pruned,coalesce" in
     let watch = Harness.Measure.heap_watch () in
     let compiled = ref 0 in
     let (), dt =
@@ -1202,8 +1150,11 @@ let () =
       Cmd.eval' ~catch:false
         (Cmd.group (Cmd.info "repro-cli" ~doc) subcommands)
     with
-    | Input_error msg ->
+    | Input_error msg | Frontend.Load.Error msg ->
       Printf.eprintf "repro-cli: %s\n" msg;
+      exit_parse_error
+    | Ir.Validate.Invalid msg ->
+      Printf.eprintf "repro-cli: invalid input: %s\n" msg;
       exit_parse_error
     | Interp.Error e ->
       Printf.eprintf "repro-cli: runtime fault: %s\n"

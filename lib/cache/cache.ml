@@ -317,11 +317,7 @@ let disk_path t key =
         (key ^ entry_suffix))
     t.disk_dir
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
+let read_file path = In_channel.with_open_bin path In_channel.input_all
 
 (* Entry-cap enforcement: when the (approximate) live count exceeds the
    cap, one sweep walks the tier, resyncs the count against reality, and

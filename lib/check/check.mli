@@ -54,9 +54,10 @@ val equiv :
     (they must have the same arity) and compares outcomes vector by vector.
     Arrays in [ignore_arrays] (e.g. the register allocator's spill slab) and
     arrays that were never written a non-zero value are excluded from the
-    comparison, and a vector on which either side exceeds [step_limit] is
-    skipped rather than reported. Identical faults are considered
-    equivalent. *)
+    comparison. A vector on which the reference exceeds [step_limit] is
+    skipped rather than reported; one on which only the candidate exceeds
+    it is a mismatch (a conversion that made a terminating loop endless).
+    Identical faults are considered equivalent. *)
 
 (** {1 Interference audit} *)
 

@@ -14,8 +14,9 @@
     A pipeline is a shape-checked [Pass.t list], usually parsed from a
     spec by {!Pass.Spec.parse} (["construct:pruned,coalesce"] is the
     paper's New route). It reaches a compiled function through one of
-    three doors, all running the same {!Pass.run} middleware (obs spans,
-    structural validation, stage capture, deferred [--check] hooks):
+    three doors, all running the same {!Pass.run} middleware (the input
+    contract, obs spans, structural validation, stage capture, deferred
+    [--check] hooks):
     {!compile_passes} for one function, {!compile_batch_passes} for a
     list on a domain pool, and {!stream_passes_in} for a producer of any
     length. *)
@@ -25,7 +26,8 @@
     Kept only because the repository benchmark builds its default
     pipeline with [passes_of_config default] ([bench/e2e/report.ml]);
     it goes with that benchmark's next change. Every other caller names
-    its pipeline with a spec. *)
+    its pipeline with a spec; the tests use the record only to pin that
+    both spell the same fingerprint. *)
 
 type conversion =
   | Standard  (** naive φ-instantiation, no coalescing *)
@@ -78,8 +80,9 @@ val compile_passes :
   Pass.Pipeline.t ->
   Ir.func ->
   report
-(** Run a pipeline on one function. The input must be a strict CFG
-    function (e.g. from {!Frontend.Lower}); every intermediate stage is
+(** Run a pipeline on one function. The input must be a strict, φ-free
+    CFG function (e.g. from {!Frontend.Lower}); any other input raises
+    {!Ir.Validate.Invalid} (see {!Pass.run}). Every intermediate stage is
     validated. Raises [Invalid_argument] on a shape-invalid pipeline (see
     {!Pass.Pipeline.validate}).
 

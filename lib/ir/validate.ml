@@ -7,6 +7,8 @@ type error = {
 
 let pp_error ppf e = Format.fprintf ppf "%s: %s" e.where e.what
 
+exception Invalid of string
+
 let err where fmt = Format.kasprintf (fun what -> { where; what }) fmt
 
 (* Block locations are formatted only when an error is reported, so a valid
@@ -386,12 +388,8 @@ let strictness (f : Mir.func) =
 
 let run f = checked ~skipped:Fun.id f
 
+let render errs =
+  String.concat "\n" (List.map (fun e -> Format.asprintf "%a" pp_error e) errs)
+
 let check_exn f =
-  match run f with
-  | [] -> ()
-  | errs ->
-    let msg =
-      String.concat "\n"
-        (List.map (fun e -> Format.asprintf "%a" pp_error e) errs)
-    in
-    failwith ("IR validation failed:\n" ^ msg)
+  match run f with [] -> () | errs -> raise (Invalid (render errs))

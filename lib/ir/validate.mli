@@ -11,7 +11,14 @@ type error = {
 }
 
 val pp_error : Format.formatter -> error -> unit
-(** [where: what], the form the [Invalid] exception message uses. *)
+(** [where: what], the form the {!Invalid} exception message uses. *)
+
+exception Invalid of string
+(** A function that breaks the input contract of the pipelines: it fails
+    {!run}, or (raised by [Pass.run]) it carries φ-nodes. The message is
+    one [where: what] line per error, [where] naming the function and
+    block (["f/b2"]). Front ends report it as invalid input — the CLI's
+    exit 2, the serve protocol's [err status=2]. *)
 
 val structure : Mir.func -> error list
 (** Structural checks: labels in range and consistent, registers in range,
@@ -41,5 +48,8 @@ val run : Mir.func -> error list
 (** All checks: {!structure}, then, if it passed, {!strictness}'s
     definite assignment. Empty means valid. *)
 
+val render : error list -> string
+(** The errors through {!pp_error}, one per line. *)
+
 val check_exn : Mir.func -> unit
-(** Raises [Failure] with a readable message if {!run} finds errors. *)
+(** Raises {!Invalid} with {!run}'s errors, {!render}ed, if it finds any. *)

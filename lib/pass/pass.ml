@@ -99,8 +99,10 @@ let coalesce ?(options = Core.Coalesce.default_options) () =
         let g, s = Core.Coalesce.run ~options ?scratch:ctx.scratch ?obs:ctx.obs f in
         ( g,
           Printf.sprintf
-            "%d classes (%d members), %d copies inserted, %d filter refusals"
-            s.classes s.class_members s.copies_inserted s.filter_refusals ));
+            "%d classes (%d members), %d copies inserted, %d filter \
+             refusals, %d forest and %d local detaches"
+            s.classes s.class_members s.copies_inserted s.filter_refusals
+            s.forest_detached s.local_detached ));
     check_audit =
       Some (fun _ pre -> Check.interference_audit_exn ~options pre);
     ignore_arrays = [];
@@ -189,9 +191,10 @@ let regalloc ~registers =
           Regalloc.run ~options:{ Regalloc.default_options with registers } f
         in
         ( r.func,
-          Printf.sprintf "%d colors, %d spilled ranges (%d loads, %d stores)"
+          Printf.sprintf
+            "%d colors, %d spilled ranges (%d loads, %d stores), %d rounds"
             r.stats.colors_used r.stats.spilled_ranges r.stats.spill_loads
-            r.stats.spill_stores ));
+            r.stats.spill_stores r.stats.rounds ));
     check_audit = None;
     ignore_arrays = [ Regalloc.spill_array ];
   }
@@ -276,7 +279,19 @@ let run ?(check = false) ?scratch ?obs passes input =
   (match Pipeline.validate passes with
   | Ok () -> ()
   | Error msg -> invalid_arg ("Pass.run: " ^ msg));
+  (* The input contract (the paper's Section 2): a strict, φ-free CFG.
+     Breaking it is the caller's error, not a compiler fault. *)
   Ir.Validate.check_exn input;
+  Array.iter
+    (fun (b : Ir.block) ->
+      if b.phis <> [] then
+        raise
+          (Ir.Validate.Invalid
+             (Printf.sprintf
+                "%s/b%d: phi-node in the input; a pipeline takes a phi-free \
+                 CFG"
+                input.name b.label)))
+    input.blocks;
   let ctx = { input; scratch; obs; check } in
   let span name f =
     match obs with Some o -> Obs.span o name f | None -> f ()
@@ -287,10 +302,18 @@ let run ?(check = false) ?scratch ?obs passes input =
   let run_pass cur p =
     let g, note = span p.span (fun () -> p.run ctx cur) in
     (* The producing pass declares its output contract; the middleware
-       holds it to it before anything downstream consumes the result. *)
-    (match p.shape with
-    | Construct | Transform -> Ssa.Ssa_validate.check_exn g
-    | Conversion | Finish -> Ir.Validate.check_exn g);
+       holds it to it before anything downstream consumes the result. A
+       breach is a compiler fault, named after the pass. *)
+    (match
+       match p.shape with
+       | Construct | Transform -> Ssa.Ssa_validate.run g
+       | Conversion | Finish -> Ir.Validate.run g
+     with
+    | [] -> ()
+    | errs ->
+      failwith
+        (Printf.sprintf "pass '%s' produced invalid IR:\n%s" p.name
+           (Ir.Validate.render errs)));
     stages := { name = p.stage; func = g; note } :: !stages;
     ignore_arrays := !ignore_arrays @ p.ignore_arrays;
     (if check then

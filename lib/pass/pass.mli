@@ -156,7 +156,12 @@ val run :
 (** Validate the pipeline shape (raising [Invalid_argument] on a
     malformed one) and the input function, then run each pass under the
     middleware: obs span, structural validation of the output, stage
-    capture, check-hook deferral. With [check], the deferred audits and
+    capture, check-hook deferral. The input must be a strict, φ-free CFG
+    (the coalescer is only correct on SSA built from one): a function
+    that fails {!Ir.Validate.run} or carries a φ-node raises
+    {!Ir.Validate.Invalid}. A pass whose output fails its shape's
+    validator raises [Failure] naming the pass — a compiler fault, not an
+    input error. With [check], the deferred audits and
     the {!Check.equiv_exn} of output against input (ignoring every
     pass's [ignore_arrays]) run inside a final ["check"] span —
     behaviourally identical to the historical hand-written driver. *)

@@ -11,7 +11,8 @@
    Any request may carry "--tag T"; the tag is echoed in the response
    ("ok tag=T ...", "err tag=T status=N ..."), which is how a pipelining
    client correlates replies. Responses reuse the CLI exit-code taxonomy
-   as a status field: "err status=2" for unparsable input or a bad
+   as a status field: "err status=2" for unparsable input, input that
+   breaks the pipeline's contract (not a strict, phi-free CFG) or a bad
    request, "err status=3" when the program faulted under the
    interpreter, plus the server-only "err status=busy" shed reply. A
    failed request never terminates the session. *)
@@ -57,31 +58,6 @@ let parse_inline text =
   | fs -> fs
   | exception Frontend.Parser.Error (msg, line) ->
     raise (Bad_request (Printf.sprintf "inline:%d: %s" line msg))
-
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-(* Mini-language sources by default; files ending in .ir hold the textual
-   IR syntax of Ir.Printer/Ir.Parse. Same grammar and diagnostics as the
-   CLI's file loading. *)
-let load path =
-  let source = read_file path in
-  if Filename.check_suffix path ".ir" then begin
-    match Ir.Parse.funcs_of_string source with
-    | [] -> raise (Bad_request (path ^ ": no functions in input"))
-    | fs -> fs
-    | exception Ir.Parse.Error (msg, line) ->
-      raise (Bad_request (Printf.sprintf "%s:%d: %s" path line msg))
-  end
-  else
-    match Frontend.Lower.compile source with
-    | [] -> raise (Bad_request (path ^ ": no functions in input"))
-    | fs -> fs
-    | exception Frontend.Parser.Error (msg, line) ->
-      raise (Bad_request (Printf.sprintf "%s:%d: %s" path line msg))
 
 (* The protocol is strictly line-oriented, so multi-line diagnostics (the
    pass-registry listing after an unknown pass name, say) are trimmed to
@@ -146,7 +122,7 @@ let eval_request ~compile ~stats ~tag words =
     | "compile" -> (
       match rest with
       | [ path ] ->
-        let _, note = compile (pipeline spec) (load path) in
+        let _, note = compile (pipeline spec) (Frontend.Load.file path) in
         ok_reply ~tag note
       | _ -> raise (Bad_request "serve: usage: compile [--passes SPEC] PATH"))
     | "inline" ->
@@ -161,7 +137,7 @@ let eval_request ~compile ~stats ~tag words =
       let vals = Option.fold ~none:[] ~some:values_of_string args in
       match rest with
       | [ path ] ->
-        let funcs = load path in
+        let funcs = Frontend.Load.file path in
         let reports, _ = compile (pipeline spec) funcs in
         let outcomes =
           List.map
@@ -209,8 +185,11 @@ let respond ~compile ~stats line =
       in
       match eval_request ~compile ~stats ~tag words with
       | body -> Reply body
-      | exception Bad_request msg -> err status_bad_request msg
-      | exception Sys_error msg -> err status_bad_request msg
+      | exception (Bad_request msg | Frontend.Load.Error msg | Sys_error msg)
+        ->
+        err status_bad_request msg
+      | exception Ir.Validate.Invalid msg ->
+        err status_bad_request ("invalid input: " ^ msg)
       | exception Invalid_argument msg ->
         (* e.g. Interp.run on a wrong argument count: bad request, not a
            server fault. *)

@@ -17,8 +17,10 @@
     Any request may carry [--tag T]; the tag is echoed in the response
     (["ok tag=T ..."], ["err tag=T status=N ..."]) so pipelining clients
     can correlate replies. Error responses reuse the CLI exit-code
-    taxonomy as their status field (2 bad request, 3 runtime fault), plus
-    the server-only ["err status=busy"] shed reply. *)
+    taxonomy as their status field (2 bad request, including input that is
+    not a strict, φ-free CFG; 3 runtime fault), plus the server-only
+    ["err status=busy"] shed reply. Files load through {!Frontend.Load},
+    the CLI's loader. *)
 
 exception Bad_request of string
 (** An unparsable or malformed request; {!respond} turns it into an
@@ -47,11 +49,6 @@ val pipeline : string option -> Pass.Pipeline.t
 val parse_inline : string -> Ir.func list
 (** Parse one-line mini-language text. Raises {!Bad_request} on parse
     errors or an empty program. *)
-
-val load : string -> Ir.func list
-(** Load a source file (mini-language, or textual IR for [.ir] paths) —
-    the same grammar and diagnostics as the CLI's file loading, with
-    {!Bad_request} in place of its private error exception. *)
 
 val one_line : string -> string
 (** Trim a possibly multi-line diagnostic to its first line, which
@@ -105,8 +102,9 @@ val respond :
     strategy: warm-pool batch for the stdin loop, per-function
     read-through dedup for the socket server). [stats] produces the
     body of the [stats] response. Every protocol-level failure — bad
-    request, missing file, interpreter fault — becomes an [err] reply
-    with the appropriate status; {!respond} itself only lets truly
+    request, missing or unparsable file, input that is not a strict,
+    φ-free CFG ({!Ir.Validate.Invalid}), interpreter fault — becomes an
+    [err] reply with the appropriate status; {!respond} itself only lets truly
     unexpected exceptions escape. *)
 
 val batch_compile :

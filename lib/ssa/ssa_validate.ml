@@ -104,9 +104,4 @@ let run (f : Ir.func) : error list =
 let check_exn f =
   match run f with
   | [] -> ()
-  | errs ->
-    let msg =
-      String.concat "\n"
-        (List.map (fun e -> Format.asprintf "%a" Ir.Validate.pp_error e) errs)
-    in
-    failwith ("SSA validation failed:\n" ^ msg)
+  | errs -> failwith ("SSA validation failed:\n" ^ Ir.Validate.render errs)

@@ -5,13 +5,17 @@
 # print a FILE:LINE: diagnostic on stderr, never an uncaught exception
 # (whose exit code, 2, would look the same). Then every `dump` stage of
 # a clean program, and the output of `alloc` and `opt` on it, must read
-# back as IR text and run to the source's result. Run via
-# @cli-exit-codes.
+# back as IR text and run to the source's result. Last, every command
+# that compiles refuses input that is not a strict, phi-free CFG (a use
+# of an undefined register; printed SSA) with exit 2 and a diagnostic
+# naming the function and block. Run via @cli-exit-codes.
 set -u
 
 CLI="$1"
 IR_FIXTURE="$2"
 OK_MINI="$3"
+UNDEF_IR="$4"
+SSA_IR="$5"
 fail() { echo "cli-diag-smoke: $1" >&2; exit 1; }
 
 dir=$(mktemp -d)
@@ -28,7 +32,7 @@ expect_diag() {
   [ "$code" -eq 2 ] || fail "$* exited $code, want 2: $(cat "$dir/err")"
   grep -q "^repro-cli: $prefix" "$dir/err" \
     || fail "$*: no '$prefix' diagnostic: $(cat "$dir/err")"
-  if grep -q "Fatal error" "$dir/err"; then
+  if grep -q "Fatal error\|internal error" "$dir/err"; then
     fail "$*: uncaught exception: $(cat "$dir/err")"
   fi
 }
@@ -78,5 +82,30 @@ for cmd in alloc opt; do
     *) fail "run of the $cmd output: want 'returned 6', got: $out" ;;
   esac
 done
+
+# Input outside the pipelines' contract: refused at the door, never
+# compiled into a wrong answer or an internal error.
+undef_diag="invalid input: undef/b0: use of r9 before definite assignment"
+ssa_diag="invalid input: fib/b1: phi-node in the input"
+for fixture in "$UNDEF_IR" "$SSA_IR"; do
+  if [ "$fixture" = "$UNDEF_IR" ]; then diag="$undef_diag"; else diag="$ssa_diag"; fi
+  for stage in ssa standard new briggs briggs-star; do
+    expect_diag "$diag" "$CLI" dump --stage="$stage" "$fixture"
+  done
+  expect_diag "$diag" "$CLI" run --args 1 --pipeline new "$fixture"
+  expect_diag "$diag" "$CLI" run --args 1 --pipeline standard "$fixture"
+  expect_diag "$diag" "$CLI" compare "$fixture"
+  expect_diag "$diag" "$CLI" alloc -k 4 "$fixture"
+  expect_diag "$diag" "$CLI" dot --ssa "$fixture"
+  expect_diag "$diag" "$CLI" opt "$fixture"
+  expect_diag "$diag" "$CLI" opt --check --jobs 2 "$fixture"
+done
+
+# The same function as one line of a corpus, compiled from the file.
+corpus="$dir/undef.corpus"
+"$CLI" corpus gen --out "$corpus" --total 20 --seed 3 >/dev/null \
+  || fail "corpus gen failed"
+sed -i '5s/.*/func undef(a) {\\nb0:\\n  r1 := add a, r9\\n  ret r1\\n}/' "$corpus"
+expect_diag "$undef_diag" "$CLI" corpus compile -i "$corpus" --jobs 2
 
 echo "cli-diag-smoke: ok"

@@ -1,13 +1,14 @@
 #!/usr/bin/env bash
 # Scripted TCP session against `repro-cli serve --tcp 0`: start the server
 # on an ephemeral port, speak the line protocol over /dev/tcp (tagged
-# compile, inline, run, stats, bad request), drive it with the loadgen,
-# then stop it over stdin and require a clean exit. Run via the
-# @serve-tcp-smoke dune alias.
+# compile, inline, run, stats, bad request, input that is not a strict
+# CFG), drive it with the loadgen, then stop it over stdin and require a
+# clean exit. Run via the @serve-tcp-smoke dune alias.
 set -u
 
 CLI="$1"
 FIXTURE="$2"
+UNDEF="$3"
 fail() { echo "serve-tcp-smoke: $1" >&2; exit 1; }
 
 ctl=$(mktemp -u)
@@ -41,6 +42,8 @@ exec 3<>"/dev/tcp/127.0.0.1/$port" || fail "cannot connect to port $port"
   printf 'run --args 3 --tag t4 %s\n' "$FIXTURE"
   printf 'stats --tag t5\n'
   printf 'frobnicate --tag t6\n'
+  printf 'compile --tag t7 %s\n' "$UNDEF"
+  printf 'run --args 3 --tag t8 %s\n' "$FIXTURE"
   printf 'quit\n'
 } >&3
 
@@ -59,7 +62,9 @@ read -r r3 <&3; case "$r3" in "ok tag=t3 funcs=1 "*) ;; *) fail "t3: $r3";; esac
 read -r r4 <&3; case "$r4" in "ok tag=t4 ran ok=6") ;; *) fail "t4: $r4";; esac
 read -r r5 <&3; case "$r5" in "ok tag=t5 stats served="*) ;; *) fail "t5: $r5";; esac
 read -r r6 <&3; case "$r6" in "err tag=t6 status=2 serve: unknown request 'frobnicate'"*) ;; *) fail "t6: $r6";; esac
-read -r r7 <&3; [ "$r7" = "ok bye" ] || fail "quit: $r7"
+read -r r7 <&3; case "$r7" in "err tag=t7 status=2 invalid input: undef/b0: "*) ;; *) fail "t7: $r7";; esac
+read -r r8 <&3; case "$r8" in "ok tag=t8 ran ok=6") ;; *) fail "t8: $r8";; esac
+read -r r9 <&3; [ "$r9" = "ok bye" ] || fail "quit: $r9"
 exec 3<&- 3>&-
 
 # Concurrent load through the public client.

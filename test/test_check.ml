@@ -102,6 +102,27 @@ let test_equiv_catches_broken_swap () =
        false
      with Check.Failed _ -> true)
 
+(* A conversion that turns a terminating loop into an endless one: the
+   candidate exceeds the step limit on every vector where the reference
+   runs the loop and returns. That is a mismatch; only a reference that
+   exceeds the limit makes a vector say nothing. *)
+let test_equiv_candidate_hangs () =
+  let counts =
+    Frontend.Lower.compile_one
+      "func count(n) { i = 0; while (i < n) { i = i + 1; } return i; }"
+  in
+  let hangs =
+    Frontend.Lower.compile_one
+      "func count(n) { i = 0; while (i < n) { i = i + 0; } return i; }"
+  in
+  (match Check.equiv ~step_limit:10_000 ~reference:counts hangs with
+  | Ok () -> Alcotest.fail "equiv passed a candidate that never returns"
+  | Error m ->
+    checkb "candidate hit the step limit" true
+      (m.Check.candidate = Check.Faulted Interp.Step_limit_exceeded));
+  checkb "a reference over the limit skips the vector" true
+    (Check.equiv ~step_limit:10_000 ~reference:hangs counts = Ok ())
+
 let test_equiv_arity_mismatch () =
   (* One parameter vs. the generator's (n, a) pair. *)
   let f = straight_line () and g = random_program 1 10 in
@@ -204,6 +225,8 @@ let suite =
       test_equiv_pipeline_routes;
     Alcotest.test_case "equiv catches broken swap" `Quick
       test_equiv_catches_broken_swap;
+    Alcotest.test_case "equiv: candidate hangs where reference returns"
+      `Quick test_equiv_candidate_hangs;
     Alcotest.test_case "equiv arity mismatch" `Quick test_equiv_arity_mismatch;
     Alcotest.test_case "audit: virtual swap" `Quick test_audit_virtual_swap;
     Alcotest.test_case "audit: generated programs" `Slow test_audit_generated;

@@ -189,8 +189,7 @@ let test_strictness () =
 let test_check_exn () =
   let _, f, _ = List.hd strictness_cases in
   Alcotest.check_raises "check_exn message"
-    (Failure
-       "IR validation failed:\nuse/b2: use of x before definite assignment")
+    (Ir.Validate.Invalid "use/b2: use of x before definite assignment")
     (fun () -> Ir.Validate.check_exn f)
 
 (* ---- Ssa.Ssa_validate --------------------------------------------- *)

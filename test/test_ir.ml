@@ -423,10 +423,24 @@ let mutation_gen =
         map2 (fun i c -> Flip (i, c)) pos byte;
       ])
 
+(* The pipeline door on parsed text: a function compiles through the
+   paper's route or is refused as invalid input. Any other exception
+   escapes and fails the property. *)
+let new_route = Pass.Spec.parse_exn "construct:pruned,coalesce"
+
+let compiles_or_refused f =
+  match Driver.Pipeline.compile_passes new_route f with
+  | _ -> true
+  | exception Ir.Validate.Invalid _ -> true
+
 (* Property: every mutation of a printed function parses to a function or
-   raises Parse.Error; no other exception escapes. *)
+   raises Parse.Error, and what parses compiles or is refused as invalid
+   input; no other exception escapes. *)
 let prop_parse_mutations =
-  QCheck.Test.make ~count:500 ~name:"parse: mutated text is a function or Parse.Error"
+  QCheck.Test.make ~count:500
+    ~name:
+      "parse: mutated text is a function or Parse.Error, then compiles or is \
+       Invalid"
     QCheck.(
       pair
         (pair (int_bound 10_000) (int_range 5 30))
@@ -439,8 +453,23 @@ let prop_parse_mutations =
       in
       let text = List.fold_left mutate base muts in
       match Ir.Parse.funcs_of_string text with
-      | _ -> true
+      | fs -> List.for_all compiles_or_refused fs
       | exception Ir.Parse.Error _ -> true)
+
+(* Property: printed SSA read back is refused at the door whenever it
+   carries a φ-node: the pipelines take a φ-free CFG. *)
+let prop_printed_ssa_refused =
+  QCheck.Test.make ~count:100 ~name:"door: printed SSA with phis is Invalid"
+    QCheck.(pair (int_bound 10_000) (int_range 5 30))
+    (fun (seed, size) ->
+      let ssa = Ssa.Construct.run_exn (random_program seed size) in
+      let f = Ir.Parse.func_of_string (Ir.Printer.func_to_string ssa) in
+      let has_phis =
+        Array.exists (fun (b : Ir.block) -> b.phis <> []) f.blocks
+      in
+      match Driver.Pipeline.compile_passes new_route f with
+      | _ -> not has_phis
+      | exception Ir.Validate.Invalid _ -> has_phis)
 
 let test_dot_export () =
   let f = counting_loop () in
@@ -469,6 +498,7 @@ let suite =
       test_printer_reference_corners;
     QCheck_alcotest.to_alcotest prop_printer_reference;
     QCheck_alcotest.to_alcotest prop_parse_mutations;
+    QCheck_alcotest.to_alcotest prop_printed_ssa_refused;
     Alcotest.test_case "builder rejects unterminated" `Quick test_builder_unterminated;
     Alcotest.test_case "builder rejects double terminate" `Quick
       test_builder_double_terminate;

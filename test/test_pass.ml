@@ -170,6 +170,37 @@ let test_ssa_pass_extension () =
        false
      with Invalid_argument _ -> true)
 
+(* The door's two verdicts: input outside the contract (a non-strict use,
+   a φ-node) is the caller's error, Ir.Validate.Invalid naming function
+   and block; a pass whose output breaks its shape's validator is a
+   compiler fault, a Failure naming the pass. *)
+let test_run_input_contract () =
+  let pipeline = Pass.Spec.parse_exn "construct:pruned,coalesce" in
+  let refused src =
+    match Pass.run pipeline (Ir.Parse.func_of_string src) with
+    | _ -> "compiled"
+    | exception Ir.Validate.Invalid msg -> msg
+  in
+  Alcotest.(check string)
+    "non-strict input" "undef/b0: use of r9 before definite assignment"
+    (refused "func undef(a) {\nb0:\n  r1 := add a, r9\n  ret r1\n}");
+  Alcotest.(check string)
+    "phi input" "loop/b1: phi-node in the input; a pipeline takes a phi-free CFG"
+    (refused
+       "func loop(n) {\nb0:\n  jump b1\nb1:\n  i := phi [b0: 0] [b1: j]\n  \
+        j := add i, 1\n  c := lt j, n\n  br c, b1, b2\nb2:\n  ret j\n}");
+  let breaks =
+    Pass.ssa_pass ~name:"breaks-ssa" (fun f -> ({ f with Ir.blocks = [||] }, ""))
+  in
+  checkb "output breach is a Failure naming the pass" true
+    (match
+       Pass.run [ Pass.construct (); breaks; Pass.coalesce () ]
+         Workloads.Suite.(find_exn "saxpy").func
+     with
+    | _ -> false
+    | exception Failure msg ->
+      String.starts_with ~prefix:"pass 'breaks-ssa' produced invalid IR" msg)
+
 (* All orderings of the optimizing transforms, without repetition. *)
 let orderings =
   let xs = [ "copy-prop"; "simplify"; "dce" ] in
@@ -268,6 +299,8 @@ let suite =
       test_run_rejects_bad_shape;
     Alcotest.test_case "ssa_pass extension point" `Quick
       test_ssa_pass_extension;
+    Alcotest.test_case "runner: input contract and output breach" `Quick
+      test_run_input_contract;
     Alcotest.test_case "copy-prop suite totals" `Quick
       test_copy_prop_suite_totals;
     QCheck_alcotest.to_alcotest prop_ordering_differential;
