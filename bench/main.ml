@@ -1,28 +1,28 @@
 (* Benchmark harness: regenerates every table of the paper's evaluation
-   (Section 4) plus two extension studies, on the kernel suite described in
-   DESIGN.md. Time columns are Bechamel OLS estimates (one Test.make per
-   measured conversion, wrapped by Harness.Measure); memory columns are the
-   byte-accurate models of the distinguishing data structures.
+   (Section 4) plus the extension studies, on the kernel suite described
+   in DESIGN.md. Time columns are Bechamel OLS estimates (one Test.make
+   per measured thunk, wrapped by Harness.Measure); every other column
+   comes from Harness.Pipelines.evaluate, which compiles each route's
+   spec once through the pass manager's door.
 
-   Usage: main.exe [table1|table2|table3|table4|table5|scaling|ablation|
-                    destruction|passes|regalloc|tables|metrics|all]
+   Usage: main.exe [tables|scaling|ablation|passes|metrics|all]
           main.exe --fast ...     (shorter Bechamel quotas, noisier numbers)
           main.exe --json ...     (also write bench_main.json in the current
                                    directory: per-target wall times + the
-                                   four-pipeline "tables" evaluation,
-                                   machine-readable)
+                                   "tables" aggregate rows, machine-readable)
 
    End-to-end speed (batch throughput, the compile cache, the server, the
    streaming corpus) is measured by the repository benchmark, bench/e2e.
 
    Expected shapes (what the paper's tables show and ours must reproduce):
-   - Table 1: Briggs* needs far less graph memory than Briggs and roughly
-     half the time, with identical resulting code.
-   - Table 2: Standard < New < Briggs* in conversion time.
+   - Table 1: Briggs* needs far less graph memory than Briggs and less
+     time, with identical resulting code.
+   - Table 2: Standard < New < Briggs* in conversion time, timed as the
+     paper did: from SSA form to CFG, construction in its own column.
    - Table 3: New uses modestly more memory than Standard, far less than
      the graphs.
    - Tables 4/5: New ≈ Briggs* in dynamic/static copies, both way below
-     Standard. *)
+     Standard; Sreedhar's Method I is the copy ceiling. *)
 
 module P = Harness.Pipelines
 module T = Harness.Tables
@@ -31,234 +31,6 @@ module M = Harness.Measure
 let quota = ref 0.25
 
 let kernels () = Workloads.Suite.kernels ()
-
-(* Tables 1–3 also include the big generated routines, which stand in for
-   the paper's largest inputs (fpppp, twldrv were thousands of lines): the
-   quadratic graph costs only separate from the linear coalescer at size. *)
-let kernels_and_large () = kernels () @ Workloads.Suite.large ()
-
-let time_pipeline ~name pipeline f =
-  M.seconds ~quota_s:!quota ~name (fun () -> P.convert pipeline f)
-
-(* ------------------------------------------------------------------ *)
-(* Table 1: the two interference-graph coalescers, time and per-pass
-   graph memory.                                                       *)
-(* ------------------------------------------------------------------ *)
-
-let table1 () =
-  let rows = ref [] in
-  let ratios_t = ref [] in
-  let total_b = ref 0 and total_s = ref 0 in
-  List.iter
-    (fun (e : Workloads.Suite.entry) ->
-      let ssa = Ssa.Construct.run_exn e.func in
-      let inst = Ssa.Destruct_naive.run_exn (Ir.Edge_split.run ssa) in
-      let run variant = Baseline.Ig_coalesce.run ~variant inst in
-      let _, sb = run Baseline.Ig_coalesce.Briggs in
-      let _, ss = run Baseline.Ig_coalesce.Briggs_star in
-      assert (sb.copies_remaining = ss.copies_remaining);
-      let tb =
-        M.seconds ~quota_s:!quota ~name:(e.name ^ "/briggs") (fun () ->
-            run Baseline.Ig_coalesce.Briggs)
-      in
-      let ts =
-        M.seconds ~quota_s:!quota ~name:(e.name ^ "/briggs*") (fun () ->
-            run Baseline.Ig_coalesce.Briggs_star)
-      in
-      let pass l i = match List.nth_opt l i with Some b -> b | None -> 0 in
-      let b1 = pass sb.graph_bytes_per_round 0
-      and b2 = pass sb.graph_bytes_per_round 1
-      and s1 = pass ss.graph_bytes_per_round 0
-      and s2 = pass ss.graph_bytes_per_round 1 in
-      if ts > 0. then ratios_t := (tb /. ts) :: !ratios_t;
-      total_b := !total_b + b1 + b2;
-      total_s := !total_s + s1 + s2;
-      rows :=
-        [
-          e.name;
-          T.fmt_seconds tb;
-          T.fmt_seconds ts;
-          T.fmt_ratio (tb /. ts);
-          T.fmt_bytes b1;
-          T.fmt_bytes s1;
-          T.fmt_bytes b2;
-          T.fmt_bytes s2;
-        ]
-        :: !rows)
-    (kernels_and_large ());
-  let rows =
-    List.rev !rows
-    @ [
-        [
-          "AVERAGE";
-          "";
-          "";
-          T.fmt_ratio (T.average !ratios_t);
-          "";
-          "";
-          "";
-          Printf.sprintf "mem x%.1f"
-            (float_of_int !total_b /. float_of_int (max 1 !total_s));
-        ];
-      ]
-  in
-  T.print
-    ~title:
-      "Table 1: interference-graph coalescers -- time and graph memory \
-       (first/second build pass)"
-    ~header:
-      [
-        "File"; "Briggs t"; "Briggs* t"; "t ratio"; "B mem p1"; "B* mem p1";
-        "B mem p2"; "B* mem p2";
-      ]
-    rows
-
-(* ------------------------------------------------------------------ *)
-(* Table 2: conversion times.                                          *)
-(* ------------------------------------------------------------------ *)
-
-let table2 () =
-  let rows = ref [] in
-  let r_std = ref [] and r_big = ref [] in
-  List.iter
-    (fun (e : Workloads.Suite.entry) ->
-      let t p = time_pipeline ~name:(e.name ^ "/" ^ P.name p) p e.func in
-      let ts = t P.Standard in
-      let tn = t P.New in
-      let tb = t P.Briggs_star in
-      r_std := (tn /. ts) :: !r_std;
-      r_big := (tn /. tb) :: !r_big;
-      rows :=
-        [
-          e.name;
-          T.fmt_seconds ts;
-          T.fmt_seconds tn;
-          T.fmt_seconds tb;
-          T.fmt_ratio (tn /. ts);
-          T.fmt_ratio (tn /. tb);
-        ]
-        :: !rows)
-    (kernels_and_large ());
-  let rows =
-    List.rev !rows
-    @ [
-        [
-          "AVERAGE"; ""; ""; "";
-          T.fmt_ratio (T.average !r_std);
-          T.fmt_ratio (T.average !r_big);
-        ];
-      ]
-  in
-  T.print
-    ~title:"Table 2: SSA-to-CFG conversion times"
-    ~header:[ "File"; "Standard"; "New"; "Briggs*"; "New/Std"; "New/Briggs*" ]
-    rows
-
-(* ------------------------------------------------------------------ *)
-(* Table 3: modeled peak memory of the conversions.                    *)
-(* ------------------------------------------------------------------ *)
-
-let table3 () =
-  let rows = ref [] in
-  let r_std = ref [] and r_big = ref [] in
-  List.iter
-    (fun (e : Workloads.Suite.entry) ->
-      let m p = (P.convert p e.func).P.aux_bytes in
-      let ms = m P.Standard and mn = m P.New and mbs = m P.Briggs_star in
-      let mb = m P.Briggs in
-      r_std := (float_of_int mn /. float_of_int ms) :: !r_std;
-      r_big := (float_of_int mn /. float_of_int mb) :: !r_big;
-      rows :=
-        [
-          e.name;
-          T.fmt_bytes ms;
-          T.fmt_bytes mn;
-          T.fmt_bytes mbs;
-          T.fmt_bytes mb;
-          T.fmt_ratio (float_of_int mn /. float_of_int ms);
-          T.fmt_ratio (float_of_int mn /. float_of_int mb);
-        ]
-        :: !rows)
-    (kernels_and_large ());
-  let rows =
-    List.rev !rows
-    @ [
-        [
-          "AVERAGE"; ""; ""; ""; "";
-          T.fmt_ratio (T.average !r_std);
-          T.fmt_ratio (T.average !r_big);
-        ];
-      ]
-  in
-  T.print
-    ~title:"Table 3: working memory of the conversions"
-    ~header:
-      [ "File"; "Standard"; "New"; "Briggs*"; "Briggs"; "New/Std"; "New/Briggs" ]
-    rows
-
-(* ------------------------------------------------------------------ *)
-(* Tables 4 and 5: dynamic and static copies.                          *)
-(* ------------------------------------------------------------------ *)
-
-let copy_tables () =
-  let rows4 = ref [] and rows5 = ref [] in
-  let r4_std = ref [] and r4_big = ref [] in
-  let r5_std = ref [] and r5_big = ref [] in
-  List.iter
-    (fun (e : Workloads.Suite.entry) ->
-      let std = P.convert P.Standard e.func in
-      let new_ = P.convert P.New e.func in
-      let big = P.convert P.Briggs_star e.func in
-      (* All three must agree with the original semantics. *)
-      let reference = Interp.run ~args:e.args e.func in
-      List.iter
-        (fun (r : P.result) ->
-          let o = Interp.run ~args:e.args r.func in
-          if not (Interp.equivalent reference o) then
-            failwith ("pipeline changed semantics of " ^ e.name))
-        [ std; new_; big ];
-      let d (r : P.result) = P.dynamic_copies r ~args:e.args in
-      let ds = d std and dn = d new_ and db = d big in
-      let ratio a b = if b = 0 then 1.0 else float_of_int a /. float_of_int b in
-      r4_std := ratio dn ds :: !r4_std;
-      r4_big := ratio dn db :: !r4_big;
-      rows4 :=
-        [
-          e.name;
-          string_of_int ds;
-          string_of_int dn;
-          string_of_int db;
-          T.fmt_ratio (ratio dn ds);
-          T.fmt_ratio (ratio dn db);
-        ]
-        :: !rows4;
-      let ss = std.P.static_copies
-      and sn = new_.P.static_copies
-      and sb = big.P.static_copies in
-      r5_std := ratio sn ss :: !r5_std;
-      r5_big := ratio sn sb :: !r5_big;
-      rows5 :=
-        [
-          e.name;
-          string_of_int ss;
-          string_of_int sn;
-          string_of_int sb;
-          T.fmt_ratio (ratio sn ss);
-          T.fmt_ratio (ratio sn sb);
-        ]
-        :: !rows5)
-    (kernels ());
-  let avg_row r1 r2 =
-    [ "AVERAGE"; ""; ""; ""; T.fmt_ratio (T.average !r1); T.fmt_ratio (T.average !r2) ]
-  in
-  T.print
-    ~title:"Table 4: dynamic copies executed"
-    ~header:[ "File"; "Standard"; "New"; "Briggs*"; "New/Std"; "New/Briggs*" ]
-    (List.rev !rows4 @ [ avg_row r4_std r4_big ]);
-  T.print
-    ~title:"Table 5: static copies remaining"
-    ~header:[ "File"; "Standard"; "New"; "Briggs*"; "New/Std"; "New/Briggs*" ]
-    (List.rev !rows5 @ [ avg_row r5_std r5_big ])
 
 (* ------------------------------------------------------------------ *)
 (* Extension: O(n·α(n)) scaling of the coalescer itself.               *)
@@ -397,44 +169,6 @@ let ablation () =
       ])
 
 (* ------------------------------------------------------------------ *)
-(* Extension: all five destruction strategies side by side (static
-   copies), adding Sreedhar et al.'s Method I — the correctness floor
-   later out-of-SSA work measures against.                              *)
-(* ------------------------------------------------------------------ *)
-
-let destruction () =
-  let rows = ref [] in
-  let tot = Array.make 5 0 in
-  List.iter
-    (fun (e : Workloads.Suite.entry) ->
-      let ssa = Ssa.Construct.run_exn e.func in
-      let split = Ir.Edge_split.run ssa in
-      let counts =
-        [
-          Ir.count_copies (Baseline.Sreedhar.run_exn ssa);
-          Ir.count_copies (Ssa.Destruct_naive.run_exn split);
-          Ir.count_copies
-            (Baseline.Ig_coalesce.run_exn ~variant:Baseline.Ig_coalesce.Briggs
-               (Ssa.Destruct_naive.run_exn split));
-          Ir.count_copies
-            (Baseline.Ig_coalesce.run_exn
-               ~variant:Baseline.Ig_coalesce.Briggs_star
-               (Ssa.Destruct_naive.run_exn split));
-          Ir.count_copies (Core.Coalesce.run_exn ssa);
-        ]
-      in
-      List.iteri (fun i c -> tot.(i) <- tot.(i) + c) counts;
-      rows := (e.name :: List.map string_of_int counts) :: !rows)
-    (kernels ());
-  T.print
-    ~title:
-      "Destruction strategies, static copies (Sreedhar Method I is the \
-       correct-by-construction ceiling)"
-    ~header:[ "File"; "Sreedhar-I"; "Standard"; "Briggs"; "Briggs*"; "New" ]
-    (List.rev !rows
-    @ [ "TOTAL" :: Array.to_list (Array.map string_of_int tot) ])
-
-(* ------------------------------------------------------------------ *)
 (* Extension: pass-manager pipelines — what the optimizing SSA passes
    feed the coalescer. Copy-prop/simplify/dce ahead of the conversion
    should never increase the copies the coalescer inserts, and the
@@ -480,68 +214,19 @@ let pass_pipelines () =
     rows
 
 (* ------------------------------------------------------------------ *)
-(* Extension: downstream effect on register allocation — the "future
-   work" consumer the paper names. Allocating after the New coalescer
-   should match allocating after the graph coalescer, and both should
-   beat allocating naive-instantiation output.                          *)
-(* ------------------------------------------------------------------ *)
-
-let regalloc_study () =
-  let rows = ref [] in
-  let totals = Hashtbl.create 4 in
-  let add key v =
-    Hashtbl.replace totals key (v + (try Hashtbl.find totals key with Not_found -> 0))
-  in
-  List.iter
-    (fun (e : Workloads.Suite.entry) ->
-      let alloc (r : P.result) =
-        Regalloc.run
-          ~options:{ Regalloc.default_options with registers = 6 }
-          r.P.func
-      in
-      let measure pipeline =
-        let r = alloc (P.convert pipeline e.func) in
-        let o = Interp.run ~args:e.args r.Regalloc.func in
-        (* Memory traffic = executed loads+stores against the spill slots
-           is what spilling costs at run time; count all copies too. *)
-        (r.Regalloc.stats.spilled_ranges, o.Interp.stats.copies_executed)
-      in
-      let s_sp, s_cp = measure P.Standard in
-      let n_sp, n_cp = measure P.New in
-      let b_sp, b_cp = measure P.Briggs_star in
-      add "std_sp" s_sp; add "new_sp" n_sp; add "big_sp" b_sp;
-      add "std_cp" s_cp; add "new_cp" n_cp; add "big_cp" b_cp;
-      rows :=
-        [
-          e.name;
-          string_of_int s_sp; string_of_int n_sp; string_of_int b_sp;
-          string_of_int s_cp; string_of_int n_cp; string_of_int b_cp;
-        ]
-        :: !rows)
-    (kernels ());
-  let t k = string_of_int (try Hashtbl.find totals k with Not_found -> 0) in
-  T.print
-    ~title:
-      "Register allocation (k=6) downstream of each conversion: spilled \
-       live ranges and dynamic copies of the allocated code"
-    ~header:
-      [ "File"; "spill Std"; "spill New"; "spill B*"; "dyncopy Std";
-        "dyncopy New"; "dyncopy B*" ]
-    (List.rev !rows
-    @ [ [ "TOTAL"; t "std_sp"; t "new_sp"; t "big_sp"; t "std_cp";
-          t "new_cp"; t "big_cp" ] ])
-
-(* ------------------------------------------------------------------ *)
-(* tables: the paper's whole evaluation, one aggregate row per
-   pipeline. Every conversion goes through the pass-manager door
-   (spec_of → compile_passes with an Obs recorder) so the copy counts
-   are the published counters, not private stats; graph peaks come from
-   the per-round stats Pipelines.convert carries; the allocation
-   columns run the Chaitin/Briggs allocator (k=8) downstream on the
-   interpretable kernels. The mode also asserts the paper's two
-   headline identities: Briggs and Briggs* eliminate the same copies on
-   every workload, and Briggs*'s aggregate peak graph memory is an
-   order of magnitude below Briggs'.                                   *)
+(* tables: the paper's evaluation. Harness.Pipelines.evaluate supplies
+   every deterministic column and asserts the paper's two identities
+   (Briggs and Briggs* make the same decisions on every routine; summed
+   over the suite Briggs* needs at least 10x less peak graph memory).
+   This adds the clocks, timing the registry's own passes on the door's
+   snapshots: construction once per routine, each route's conversion
+   pass alone on the "ssa" snapshot (Table 2), and each graph coalescer
+   on the Standard instantiation (Table 1). No model runs in a timed
+   thunk. Tables 1-3 cover the kernels and the large routines, which
+   stand in for the paper's largest inputs (fpppp, twldrv were thousands
+   of lines): the quadratic graph costs only separate from the linear
+   coalescer at size. Tables 4-5 and the k=8 allocation rows cover the
+   interpretable kernels.                                              *)
 (* ------------------------------------------------------------------ *)
 
 type tables_row = {
@@ -555,7 +240,7 @@ type tables_row = {
   tr_ig_peak_nodes : int;  (* largest single graph over the suite *)
   tr_ig_peak_edges : int;
   tr_ig_peak_bytes : int;  (* summed per-workload peaks *)
-  tr_dynamic_copies : int;  (* kernels only *)
+  tr_copies_executed : int;  (* kernels only *)
   tr_spilled_ranges : int;  (* kernels, k=8 *)
   tr_spill_loads : int;
   tr_spill_stores : int;
@@ -565,132 +250,223 @@ type tables_row = {
 let tables_registers = 8
 let tables_results : tables_row list ref = ref []
 let tables_memory_ratio = ref 0.0
+let tables_construct_s = ref 0.0
 
-let tables () =
-  tables_results := [];
-  let entries = kernels_and_large () in
-  (* (pipeline name, workload name) -> copies eliminated / peak bytes,
-     for the cross-pipeline identity and memory assertions. *)
-  let eliminated : (string * string, int) Hashtbl.t = Hashtbl.create 64 in
-  let peak_bytes : (string * string, int) Hashtbl.t = Hashtbl.create 64 in
-  let row_of pipeline =
-    let pname = P.name pipeline in
-    let spec = P.spec_of pipeline in
-    let passes = Pass.Spec.parse_exn spec in
-    let ins = ref 0 and elim = ref 0 and static = ref 0 in
-    let rounds = ref 0 and pk_nodes = ref 0 and pk_edges = ref 0 in
-    let pk_bytes = ref 0 in
-    let tconv = ref 0.0 in
-    List.iter
-      (fun (e : Workloads.Suite.entry) ->
-        let obs = Obs.create () in
-        ignore (Driver.Pipeline.compile_passes ~obs passes e.func);
-        ins := !ins + Obs.get obs Obs.Copies_inserted;
-        let el = Obs.get obs Obs.Copies_eliminated in
-        elim := !elim + el;
-        Hashtbl.replace eliminated (pname, e.name) el;
-        let r = P.convert pipeline e.func in
-        static := !static + r.P.static_copies;
-        rounds := !rounds + r.P.ig_rounds;
-        pk_nodes := max !pk_nodes r.P.ig_peak_nodes;
-        pk_edges := max !pk_edges r.P.ig_peak_edges;
-        let pk = List.fold_left max 0 r.P.ig_bytes_per_round in
-        pk_bytes := !pk_bytes + pk;
-        Hashtbl.replace peak_bytes (pname, e.name) pk;
-        tconv :=
-          !tconv
-          +. time_pipeline ~name:(e.name ^ "/tables/" ^ pname) pipeline e.func)
-      entries;
-    let dyn = ref 0 and spilled = ref 0 in
-    let loads = ref 0 and stores = ref 0 and colors = ref 0 in
-    List.iter
-      (fun (e : Workloads.Suite.entry) ->
-        let r = P.convert pipeline e.func in
-        let reference = Interp.run ~args:e.args e.func in
-        let o = Interp.run ~args:e.args r.P.func in
-        if not (Interp.equivalent reference o) then
-          failwith (pname ^ " changed semantics of " ^ e.name);
-        dyn := !dyn + o.Interp.stats.copies_executed;
-        let a =
-          Regalloc.run
-            ~options:
-              { Regalloc.default_options with registers = tables_registers }
-            r.P.func
-        in
-        (* The allocated code writes its spill slab; compare through
-           Check.equiv so that side array is excluded, exactly as the
-           pass manager's --check does. *)
-        (match
-           Check.equiv ~ignore_arrays:[ Regalloc.spill_array ]
-             ~reference:e.func a.Regalloc.func
-         with
-        | Ok () -> ()
-        | Error m ->
-          failwith
-            (Format.asprintf "%s+regalloc changed semantics of %s: %a" pname
-               e.name Check.pp_mismatch m));
-        spilled := !spilled + a.Regalloc.stats.spilled_ranges;
-        loads := !loads + a.Regalloc.stats.spill_loads;
-        stores := !stores + a.Regalloc.stats.spill_stores;
-        colors := max !colors a.Regalloc.stats.colors_used)
-      (kernels ());
-    {
-      tr_name = pname;
-      tr_spec = spec;
-      tr_convert_s = !tconv;
-      tr_copies_inserted = !ins;
-      tr_copies_eliminated = !elim;
-      tr_static_copies = !static;
-      tr_ig_rounds = !rounds;
-      tr_ig_peak_nodes = !pk_nodes;
-      tr_ig_peak_edges = !pk_edges;
-      tr_ig_peak_bytes = !pk_bytes;
-      tr_dynamic_copies = !dyn;
-      tr_spilled_ranges = !spilled;
-      tr_spill_loads = !loads;
-      tr_spill_stores = !stores;
-      tr_colors_max = !colors;
-    }
+type timing = {
+  construct_s : float;
+  convert_s : (P.pipeline * float) list;  (* from the ssa snapshot *)
+  briggs_s : float;  (* Ig_coalesce.run on the instantiation *)
+  briggs_star_s : float;
+}
+
+let time_routine (t : P.routine) =
+  let time what f =
+    M.seconds ~quota_s:!quota ~name:(t.entry.name ^ "/" ^ what) f
   in
-  let rows = List.map row_of P.all in
-  (* Decision identity: the two graph coalescers eliminate exactly the
-     same copies on every workload (Section 4.1's "identical code"). *)
-  List.iter
-    (fun (e : Workloads.Suite.entry) ->
-      let el p = Hashtbl.find eliminated (P.name p, e.name) in
-      let b = el P.Briggs and s = el P.Briggs_star in
-      if b <> s then
-        failwith
-          (Printf.sprintf
-             "tables: coalescing decisions diverge on %s (Briggs %d, \
-              Briggs* %d)"
-             e.name b s))
-    entries;
-  (* Memory: aggregate peak graph bytes, Briggs over Briggs* — the ≥10×
-     claim. Per-workload the mapping array can dominate tiny kernels, so
-     the claim is about the suite total, where the large routines'
-     quadratic full matrices live. *)
-  let sum p =
-    List.fold_left
-      (fun acc (e : Workloads.Suite.entry) ->
-        acc + Hashtbl.find peak_bytes (P.name p, e.name))
-      0 entries
+  let ctx =
+    { Pass.input = t.entry.func; scratch = None; obs = None; check = false }
   in
-  let ratio = float_of_int (sum P.Briggs) /. float_of_int (max 1 (sum P.Briggs_star)) in
-  tables_memory_ratio := ratio;
-  if ratio < 10.0 then
-    failwith
+  (* The registry's own pass of [shape] in the route's spec, on [f]. *)
+  let run p shape f =
+    let pass =
+      List.find
+        (fun (q : Pass.t) -> q.shape = shape)
+        (Pass.Spec.parse_exn (P.spec_of p))
+    in
+    fun () -> pass.run ctx f
+  in
+  let graph what variant =
+    time what (fun () -> Baseline.Ig_coalesce.run ~variant t.instantiation)
+  in
+  {
+    construct_s = time "construct" (run P.New Pass.Construct t.entry.func);
+    convert_s =
+      List.map (fun p -> (p, time (P.name p) (run p Pass.Conversion t.ssa))) P.all;
+    briggs_s = graph "ig/briggs" Baseline.Ig_coalesce.Briggs;
+    briggs_star_s = graph "ig/briggs*" Baseline.Ig_coalesce.Briggs_star;
+  }
+
+let ratio a b = if b = 0 then 1.0 else float_of_int a /. float_of_int b
+let opt f = function Some x -> f x | None -> 0
+let sum f l = List.fold_left (fun acc x -> acc + f x) 0 l
+let sum_columns = function
+  | [] -> []
+  | row :: rows -> List.fold_left (List.map2 ( + )) row rows
+
+(* A per-routine table: one row per routine, then the AVERAGE of each
+   ratio column, then [extra]. [cells] returns the plain cells and the
+   ratios. *)
+let per_routine ~title ~header ?(extra = []) routines cells =
+  let rows = List.map (fun (t : P.routine) -> (t.entry.name, cells t)) routines in
+  let average i =
+    T.fmt_ratio (T.average (List.map (fun (_, (_, r)) -> List.nth r i) rows))
+  in
+  let average_row =
+    match rows with
+    | [] -> []
+    | (_, (c, r)) :: _ ->
+      ("AVERAGE" :: List.map (fun _ -> "") c) @ List.mapi (fun i _ -> average i) r
+  in
+  T.print ~title ~header
+    (List.map (fun (n, (c, r)) -> (n :: c) @ List.map T.fmt_ratio r) rows
+    @ (average_row :: extra))
+
+let graph_bytes ~round (t : P.routine) p =
+  opt
+    (fun (g : Baseline.Ig_coalesce.stats) ->
+      Option.value ~default:0 (List.nth_opt g.graph_bytes_per_round round))
+    (P.route_of t p).graph
+
+let print_table1 routines timing =
+  let bytes p t = graph_bytes ~round:0 t p + graph_bytes ~round:1 t p in
+  let rows =
+    List.map
+      (fun (t : P.routine) ->
+        let tb = (timing t).briggs_s and ts = (timing t).briggs_star_s in
+        ( tb /. ts,
+          t.entry.name :: T.fmt_seconds tb :: T.fmt_seconds ts
+          :: T.fmt_ratio (tb /. ts)
+          :: List.concat_map
+               (fun round ->
+                 List.map
+                   (fun p -> T.fmt_bytes (graph_bytes ~round t p))
+                   [ P.Briggs; P.Briggs_star ])
+               [ 0; 1 ] ))
+      routines
+  in
+  T.print
+    ~title:
+      "Table 1: interference-graph coalescers -- time and graph memory \
+       (first/second build pass)"
+    ~header:
+      [
+        "File"; "Briggs t"; "Briggs* t"; "t ratio"; "B mem p1"; "B* mem p1";
+        "B mem p2"; "B* mem p2";
+      ]
+    (List.map snd rows
+    @ [
+        [
+          "AVERAGE"; ""; ""; T.fmt_ratio (T.average (List.map fst rows)); "";
+          ""; "";
+          Printf.sprintf "mem x%.1f"
+            (float_of_int (sum (bytes P.Briggs) routines)
+            /. float_of_int (max 1 (sum (bytes P.Briggs_star) routines)));
+        ];
+      ])
+
+let print_table2 routines timing =
+  per_routine
+    ~title:
+      "Table 2: SSA-to-CFG conversion times (from SSA form; SSA \
+       construction in its own column)"
+    ~header:
+      [
+        "File"; "SSA"; "Standard"; "New"; "Briggs"; "Briggs*"; "New/Std";
+        "New/Briggs*";
+      ]
+    routines
+    (fun t ->
+      let tm = timing t in
+      let c p = List.assoc p tm.convert_s in
+      ( T.fmt_seconds tm.construct_s :: List.map (fun p -> T.fmt_seconds (c p)) P.all,
+        [ c P.New /. c P.Standard; c P.New /. c P.Briggs_star ] ))
+
+let print_table3 routines =
+  per_routine ~title:"Table 3: working memory of the conversions"
+    ~header:
+      [ "File"; "Standard"; "New"; "Briggs*"; "Briggs"; "New/Std"; "New/Briggs" ]
+    routines
+    (fun t ->
+      let m p = (P.route_of t p).model_bytes in
+      ( List.map
+          (fun p -> T.fmt_bytes (m p))
+          [ P.Standard; P.New; P.Briggs_star; P.Briggs ],
+        [ ratio (m P.New) (m P.Standard); ratio (m P.New) (m P.Briggs) ] ))
+
+(* Tables 4 and 5: one count per route, with [first] columns ahead of
+   them, ratios and a TOTAL row. *)
+let print_copies ~title ?(first = []) kernels count =
+  let counts t =
+    List.map (fun (_, f) -> f t) first
+    @ List.map (fun p -> count (P.route_of t p)) P.all
+  in
+  per_routine ~title
+    ~header:
+      (("File" :: List.map fst first)
+      @ [ "Standard"; "New"; "Briggs"; "Briggs*"; "New/Std"; "New/Briggs*" ])
+    ~extra:
+      [ "TOTAL" :: List.map string_of_int (sum_columns (List.map counts kernels)) ]
+    kernels
+    (fun t ->
+      let c p = count (P.route_of t p) in
+      ( List.map string_of_int (counts t),
+        [ ratio (c P.New) (c P.Standard); ratio (c P.New) (c P.Briggs_star) ] ))
+
+let allocation f t p = opt f (P.route_of t p).allocation
+
+let print_allocation kernels =
+  let spilled (a : Regalloc.stats) = a.spilled_ranges
+  and spill_ops (a : Regalloc.stats) = a.spill_loads + a.spill_stores in
+  let cells t =
+    List.map (allocation spilled t) P.all @ List.map (allocation spill_ops t) P.all
+  in
+  T.print
+    ~title:
       (Printf.sprintf
-         "tables: Briggs/Briggs* aggregate peak graph memory ratio %.1f < 10"
-         ratio);
-  tables_results := rows;
+         "Register allocation (k=%d) downstream of each conversion: spilled \
+          live ranges and executed spill loads+stores"
+         tables_registers)
+    ~header:
+      [
+        "File"; "spill Std"; "spill New"; "spill B"; "spill B*"; "ops Std";
+        "ops New"; "ops B"; "ops B*";
+      ]
+    (List.map
+       (fun (t : P.routine) -> t.entry.name :: List.map string_of_int (cells t))
+       kernels
+    @ [ "TOTAL" :: List.map string_of_int (sum_columns (List.map cells kernels)) ])
+
+let aggregate_row ~all ~kernels timing p =
+  let on routines f = sum (fun t -> f (P.route_of t p)) routines in
+  let graph f = on all (fun r -> opt f r.graph) in
+  let graph_max f =
+    List.fold_left
+      (fun acc t ->
+        max acc
+          (opt
+             (fun (g : Baseline.Ig_coalesce.stats) -> List.fold_left max 0 (f g))
+             (P.route_of t p).graph))
+      0 all
+  in
+  let alloc f = sum (fun t -> allocation f t p) kernels in
+  {
+    tr_name = P.name p;
+    tr_spec = P.spec_of p;
+    tr_convert_s =
+      List.fold_left (fun acc t -> acc +. List.assoc p (timing t).convert_s) 0.0 all;
+    tr_copies_inserted = on all (fun r -> r.copies_inserted);
+    tr_copies_eliminated = on all (fun r -> r.copies_eliminated);
+    tr_static_copies = on all (fun r -> r.static_copies);
+    tr_ig_rounds = graph (fun g -> g.rounds);
+    tr_ig_peak_nodes = graph_max (fun g -> g.graph_nodes_per_round);
+    tr_ig_peak_edges = graph_max (fun g -> g.graph_edges_per_round);
+    tr_ig_peak_bytes = graph (fun g -> g.peak_graph_bytes);
+    tr_copies_executed = on kernels (fun r -> opt Fun.id r.copies_executed);
+    tr_spilled_ranges = alloc (fun a -> a.spilled_ranges);
+    tr_spill_loads = alloc (fun a -> a.spill_loads);
+    tr_spill_stores = alloc (fun a -> a.spill_stores);
+    tr_colors_max =
+      List.fold_left (fun acc t -> max acc (allocation (fun a -> a.colors_used) t p)) 0 kernels;
+  }
+
+let print_aggregates rows =
   T.print
     ~title:
       (Printf.sprintf
          "Tables 1-3 aggregate: conversion time, copies and peak graph \
-          size per pipeline (kernels + large; Briggs/Briggs* peak-memory \
-          ratio %.0fx)"
-         ratio)
+          size per pipeline (kernels + large; SSA construction %s in all; \
+          Briggs/Briggs* peak-memory ratio %.0fx)"
+         (T.fmt_seconds !tables_construct_s) !tables_memory_ratio)
     ~header:
       [
         "pipeline"; "conv t"; "ins"; "elim"; "static"; "IG rounds";
@@ -725,13 +501,42 @@ let tables () =
        (fun r ->
          [
            r.tr_name;
-           string_of_int r.tr_dynamic_copies;
+           string_of_int r.tr_copies_executed;
            string_of_int r.tr_spilled_ranges;
            string_of_int r.tr_spill_loads;
            string_of_int r.tr_spill_stores;
            string_of_int r.tr_colors_max;
          ])
        rows)
+
+let tables () =
+  let ks = kernels () in
+  let ev =
+    P.evaluate ~registers:tables_registers ~kernels:ks
+      ~large:(Workloads.Suite.large ())
+  in
+  let all = ev.routines in
+  let kernels = List.filter (fun (t : P.routine) -> List.memq t.entry ks) all in
+  let timings = List.map (fun t -> (t, time_routine t)) all in
+  let timing t = List.assq t timings in
+  print_table1 all timing;
+  print_table2 all timing;
+  print_table3 all;
+  print_copies ~title:"Table 4: dynamic copies executed" kernels (fun r ->
+      opt Fun.id r.copies_executed);
+  print_copies
+    ~title:
+      "Table 5: static copies remaining (Sreedhar Method I, correct by \
+       construction, is the ceiling)"
+    ~first:[ ("Sreedhar-I", fun (t : P.routine) -> opt Fun.id t.sreedhar_copies) ]
+    kernels
+    (fun r -> r.static_copies);
+  print_allocation kernels;
+  tables_results := List.map (aggregate_row ~all ~kernels timing) P.all;
+  tables_memory_ratio := ev.memory_ratio;
+  tables_construct_s :=
+    List.fold_left (fun acc t -> acc +. (timing t).construct_s) 0.0 all;
+  print_aggregates !tables_results
 
 (* ------------------------------------------------------------------ *)
 (* metrics: the Obs counter vectors over the kernel suite — the same   *)
@@ -752,11 +557,11 @@ let emit_json ~path ~fast timings =
   let oc = open_out path in
   let out fmt = Printf.fprintf oc fmt in
   out "{\n";
-  out "  \"schema\": \"repro-bench/3\",\n";
+  (* repro-bench/4: convert_s times the conversion pass alone, from SSA
+     form; construct_s is SSA construction, once per routine. *)
+  out "  \"schema\": \"repro-bench/4\",\n";
   out "  \"fast\": %b,\n" fast;
   out "  \"quota_s\": %g,\n" !quota;
-  (* Per-target wall times (the key was "tables" under repro-bench/1;
-     renamed so the four-pipeline evaluation below can own that name). *)
   out "  \"targets\": [\n";
   List.iteri
     (fun i (name, wall_s) ->
@@ -767,6 +572,7 @@ let emit_json ~path ~fast timings =
   out "  \"tables\": {\n";
   out "    \"registers\": %d,\n" tables_registers;
   out "    \"briggs_star_memory_ratio\": %.2f,\n" !tables_memory_ratio;
+  out "    \"construct_s\": %.6f,\n" !tables_construct_s;
   out "    \"rows\": [\n";
   let tr = !tables_results in
   List.iteri
@@ -779,7 +585,7 @@ let emit_json ~path ~fast timings =
          %d, \"spilled_ranges\": %d, \"spill_loads\": %d, \"spill_stores\": \
          %d, \"colors_max\": %d}%s\n"
         r.tr_name r.tr_spec r.tr_convert_s r.tr_copies_inserted
-        r.tr_copies_eliminated r.tr_static_copies r.tr_dynamic_copies
+        r.tr_copies_eliminated r.tr_static_copies r.tr_copies_executed
         r.tr_ig_rounds r.tr_ig_peak_nodes r.tr_ig_peak_edges
         r.tr_ig_peak_bytes r.tr_spilled_ranges r.tr_spill_loads
         r.tr_spill_stores r.tr_colors_max
@@ -791,40 +597,31 @@ let emit_json ~path ~fast timings =
   close_out oc;
   Printf.printf "wrote %s\n" path
 
+let targets =
+  [
+    ("tables", tables); ("scaling", scaling); ("ablation", ablation);
+    ("passes", pass_pipelines); ("metrics", metrics);
+  ]
+
 let () =
   let args = Array.to_list Sys.argv |> List.tl in
   let fast = List.mem "--fast" args in
   let json = List.mem "--json" args in
   if fast then quota := 0.05;
   let args = List.filter (fun a -> a <> "--fast" && a <> "--json") args in
-  let what = match args with [] -> [ "all" ] | l -> l in
-  let timings = ref [] in
-  let timed name thunk =
-    let (), wall_s = M.wall thunk in
-    timings := (name, wall_s) :: !timings
+  let what =
+    List.concat_map
+      (fun name ->
+        if name = "all" then List.map fst targets
+        else if List.mem_assoc name targets then [ name ]
+        else begin
+          Printf.eprintf "unknown target %S (targets: %s, all)\n" name
+            (String.concat ", " (List.map fst targets));
+          exit 2
+        end)
+      (if args = [] then [ "all" ] else args)
   in
-  let rec run name =
-    match name with
-    | "table1" -> timed name table1
-    | "table2" -> timed name table2
-    | "table3" -> timed name table3
-    | "table4" | "table5" -> timed "table4+5" copy_tables
-    | "scaling" -> timed name scaling
-    | "ablation" -> timed name ablation
-    | "regalloc" -> timed name regalloc_study
-    | "destruction" -> timed name destruction
-    | "passes" -> timed name pass_pipelines
-    | "tables" -> timed name tables
-    | "metrics" -> timed name metrics
-    | "all" ->
-      List.iter run
-        [
-          "table1"; "table2"; "table3"; "table4"; "scaling"; "ablation";
-          "destruction"; "passes"; "regalloc"; "tables"; "metrics";
-        ]
-    | other ->
-      Printf.eprintf "unknown target %S\n" other;
-      exit 2
+  let timings =
+    List.map (fun name -> (name, snd (M.wall (List.assoc name targets)))) what
   in
-  List.iter run what;
-  if json then emit_json ~path:"bench_main.json" ~fast (List.rev !timings)
+  if json then emit_json ~path:"bench_main.json" ~fast timings

@@ -51,6 +51,17 @@ let values =
   List.map (fun x ->
       if Float.is_integer x then Ir.Int (int_of_float x) else Ir.Float x)
 
+(* Interpret [f] on [vals]; a wrong argument count is the caller's input
+   error (exit 2), as the serve protocol answers it, not a fault. *)
+let interp_run (f : Ir.func) vals =
+  let want = List.length f.params and got = List.length vals in
+  if want <> got then
+    raise
+      (Input_error
+         (Printf.sprintf "%s takes %d argument(s), --args gave %d" f.name want
+            got));
+  Interp.run ~args:vals f
+
 (* Every stage but the input CFG is a route's report: its output, or for
    "ssa" the construction snapshot every pipeline starts with. *)
 let dump_stages =
@@ -115,7 +126,7 @@ let run_cmd =
           | None -> f
           | Some route -> (compile_route route f).output
         in
-        let o = Interp.run ~args:vals f in
+        let o = interp_run f vals in
         Printf.printf "%s: returned %s; %d instructions, %d copies executed\n"
           f.Ir.name
           (match o.return_value with
@@ -168,7 +179,7 @@ let alloc_cmd =
           (Printf.sprintf "%s (allocated to at most %d registers)" f.Ir.name k)
           r.output;
         if vals <> [] then begin
-          let before = Interp.run ~args:vals f in
+          let before = interp_run f vals in
           let after = Interp.run ~args:vals r.output in
           (* The spill slab is Regalloc.spill_array, suffixed when the
              input already uses that name. *)

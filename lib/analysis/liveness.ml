@@ -270,6 +270,7 @@ let live_out_mem t l r =
   let c = column_of t r in
   c >= 0 && M.mem t.live_out l c
 
-let memory_bytes t = 2 * t.blocks * ((t.nregs + 7) / 8)
+let model_bytes ~blocks ~nregs = 2 * blocks * ((nregs + 7) / 8)
+let memory_bytes t = model_bytes ~blocks:t.blocks ~nregs:t.nregs
 
 let interfere_at_bounds t v1 b1 v2 b2 = live_in_mem t b2 v1 || live_in_mem t b1 v2

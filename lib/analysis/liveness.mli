@@ -66,11 +66,14 @@ val width : t -> int
 (** The number of indexed names: the rows' width in bits. The rows the
     solver keeps take 2 × blocks × ⌈width/8⌉ bytes. *)
 
+val model_bytes : blocks:int -> nregs:int -> int
+(** 2 × blocks × ⌈nregs/8⌉: the paper's full-width bit-vector model
+    (Table 3), for the memory accounting experiments. It needs only the
+    function's dimensions, not a solve, and it is not what the solver
+    keeps (see {!width}). *)
+
 val memory_bytes : t -> int
-(** 2 × blocks × ⌈registers/8⌉, computed from the function's dimensions:
-    the paper's full-width bit-vector model (Table 3), for the memory
-    accounting experiments. It is not what the solver keeps (see
-    {!width}). *)
+(** {!model_bytes} of the function this liveness was computed on. *)
 
 val interfere_at_bounds : t -> Ir.reg -> Ir.label -> Ir.reg -> Ir.label -> bool
 (** [interfere_at_bounds t v1 b1 v2 b2], with [b1]/[b2] the defining blocks:

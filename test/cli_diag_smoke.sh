@@ -57,6 +57,13 @@ expect_diag "regalloc: '1' registers; the allocator needs at least 2" \
 expect_diag "regalloc: '1' registers; the allocator needs at least 2" \
   "$CLI" opt --passes construct:pruned,coalesce,regalloc:1 "$OK_MINI"
 
+# A wrong --args count is an input error (exit 2), as the serve protocol
+# answers it, not an internal error.
+expect_diag "ok takes 1 argument(s), --args gave 2" \
+  "$CLI" run --args 1,2 "$OK_MINI"
+expect_diag "ok takes 1 argument(s), --args gave 2" \
+  "$CLI" alloc -k 4 --args 1,2 "$OK_MINI"
+
 # OK_MINI returns 6 on argument 7; so must each stage's dump, read back.
 for stage in cfg ssa standard new briggs briggs-star; do
   "$CLI" dump --stage="$stage" "$OK_MINI" >"$dir/$stage.ir" \

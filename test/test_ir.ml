@@ -297,7 +297,8 @@ let prop_print_parse_roundtrip =
 let with_outputs f =
   f :: Ssa.Construct.run_exn f
   :: List.map
-       (fun p -> (Harness.Pipelines.convert p f).Harness.Pipelines.func)
+       (fun p ->
+         (Harness.Pipelines.compile_spec (Harness.Pipelines.spec_of p) f).output)
        Harness.Pipelines.all
 
 let same_as_reference f =

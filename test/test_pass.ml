@@ -118,18 +118,6 @@ let test_config_shim_equivalence () =
     (Ir.Printer.func_to_string via_config.output
     = Ir.Printer.func_to_string via_spec.output)
 
-(* Harness.Pipelines' four named conversions and their specs agree. *)
-let test_pipelines_one_door () =
-  let f = Workloads.Suite.(find_exn "saxpy").func in
-  List.iter
-    (fun p ->
-      let direct = Harness.Pipelines.convert p f in
-      let speced = Harness.Pipelines.compile_spec (Harness.Pipelines.spec_of p) f in
-      checkb (Harness.Pipelines.name p ^ ": same code") true
-        (Ir.Printer.func_to_string direct.func
-        = Ir.Printer.func_to_string speced.output))
-    Harness.Pipelines.all
-
 let test_batch_passes () =
   let funcs =
     List.map (fun (e : Workloads.Suite.entry) -> e.func) (Workloads.Suite.kernels ())
@@ -292,8 +280,6 @@ let suite =
     Alcotest.test_case "spec errors" `Quick test_spec_errors;
     Alcotest.test_case "config shim = explicit pipeline" `Quick
       test_config_shim_equivalence;
-    Alcotest.test_case "harness pipelines one door" `Quick
-      test_pipelines_one_door;
     Alcotest.test_case "batch over explicit passes" `Quick test_batch_passes;
     Alcotest.test_case "runner rejects bad shapes" `Quick
       test_run_rejects_bad_shape;
