@@ -569,7 +569,7 @@ let serve_stdin ~jobs ~cache =
         match In_channel.input_line stdin with
         | None -> ()
         | Some line -> (
-          let t0 = Unix.gettimeofday () in
+          let t0 = Obs.now_s () in
           match Serve.Protocol.respond ~compile ~stats line with
           | Serve.Protocol.No_reply -> loop ()
           | Serve.Protocol.Reply s ->
@@ -578,7 +578,7 @@ let serve_stdin ~jobs ~cache =
             print_newline ();
             flush stdout;
             Printf.eprintf "# request %d: %.2f ms\n%!" !n
-              ((Unix.gettimeofday () -. t0) *. 1000.);
+              ((Obs.now_s () -. t0) *. 1000.);
             loop ()
           | Serve.Protocol.Bye s ->
             print_string s;
@@ -956,15 +956,6 @@ let corpus_compile_cmd =
       value & flag
       & info [ "check" ] ~doc:"Translation-validate every compilation.")
   in
-  let materialized =
-    Arg.(
-      value & flag
-      & info [ "materialized" ]
-          ~doc:
-            "Collect every input and report into lists (the pre-streaming \
-             batch mode) instead of streaming — the memory-comparison \
-             baseline; peak heap grows linearly with the corpus.")
-  in
   let cache_dir =
     Arg.(
       value
@@ -989,8 +980,8 @@ let corpus_compile_cmd =
             "Cap the disk tier at $(docv) entries (oldest-mtime eviction)."
           ~docv:"N")
   in
-  let run input total seed mix jobs window check materialized cache_dir
-      cache_capacity disk_capacity =
+  let run input total seed mix jobs window check cache_dir cache_capacity
+      disk_capacity =
     let jobs = if jobs = 0 then Engine.default_jobs () else jobs in
     let cache =
       match cache_dir with
@@ -1013,43 +1004,21 @@ let corpus_compile_cmd =
     let (), dt =
       Harness.Measure.wall (fun () ->
           Engine.Pool.with_pool ~jobs (fun pool ->
-              if materialized then begin
-                (* The baseline the streaming core replaces: read the whole
-                   corpus into a list, compile it to a list of reports. *)
-                let funcs =
-                  let next = producer () in
-                  let rec all acc =
-                    match next () with
-                    | Some f -> all (f :: acc)
-                    | None -> List.rev acc
-                  in
-                  all []
-                in
-                let reports =
-                  Driver.Pipeline.compile_batch_passes_in pool ~check ?cache
-                    pipeline funcs
-                in
-                compiled := List.length reports;
-                Harness.Measure.heap_sample watch
-              end
-              else
-                Driver.Pipeline.stream_passes_in pool ~check ~window ?cache
-                  ~producer:(producer ())
-                  ~consumer:(fun _ _ ->
-                    incr compiled;
-                    Harness.Measure.heap_sample watch)
-                  pipeline))
+              Driver.Pipeline.stream_passes_in pool ~check ~window ?cache
+                ~producer:(producer ())
+                ~consumer:(fun _ _ ->
+                  incr compiled;
+                  Harness.Measure.heap_sample watch)
+                pipeline))
     in
     let peak = Harness.Measure.heap_peak_words watch in
     Printf.printf
       "compiled %d function(s) in %.2f s: %.0f funcs/s (%.0f per core, \
-       jobs=%d, %s)\n"
+       jobs=%d, streaming window=%d)\n"
       !compiled dt
       (float_of_int !compiled /. Float.max dt 1e-9)
       (float_of_int !compiled /. Float.max dt 1e-9 /. float_of_int jobs)
-      jobs
-      (if materialized then "materialized" else
-         Printf.sprintf "streaming window=%d" window);
+      jobs window;
     Printf.printf "peak heap %d words (baseline %d)\n" peak
       (peak - Harness.Measure.heap_growth_words watch);
     Option.iter
@@ -1070,8 +1039,7 @@ let corpus_compile_cmd =
           throughput, peak heap words, and cache stats")
     Term.(
       const run $ input $ total_arg 10_000 $ seed_arg $ mix_arg $ jobs
-      $ window $ check $ materialized $ cache_dir $ cache_capacity
-      $ disk_capacity)
+      $ window $ check $ cache_dir $ cache_capacity $ disk_capacity)
 
 let corpus_cmd =
   Cmd.group

@@ -2,9 +2,10 @@
    values, optionally backed by a versioned on-disk tier. Keys are hashes
    of content (pipeline fingerprint + config + printed input), so there is
    no invalidation protocol: anything that could change the result changes
-   the address. All bookkeeping happens under one mutex so a cache can be
-   shared across the engine's domains; compilation itself never runs under
-   the lock. *)
+   the address. All bookkeeping happens under the key's shard mutex so a
+   cache can be shared across the engine's domains; compilation itself
+   never runs under a lock. Every lookup and insert goes through
+   [compute_through]. *)
 
 let format_version = "repro-cache/1"
 
@@ -204,11 +205,6 @@ let stats t =
     disk_evictions = Atomic.get t.disk_evictions;
   }
 
-let note_dedup t n =
-  let sh = t.shards.(0) in
-  locked t sh (fun () ->
-      sh.stats <- { sh.stats with dedup_collapsed = sh.stats.dedup_collapsed + n })
-
 (* The footprint model of a stored entry: the functions it snapshots plus
    its strings. Deterministic, so the serve protocol and the golden tests
    can print it. *)
@@ -402,7 +398,7 @@ let disk_find t key =
     end
 
 (* ------------------------------------------------------------------ *)
-(* Memory tier (LRU) + the two-tier find/store                         *)
+(* Memory tier (LRU)                                                   *)
 (* ------------------------------------------------------------------ *)
 
 let touch (sh : shard) e =
@@ -428,47 +424,12 @@ let evict_over_capacity (sh : shard) =
       sh.stats <- { sh.stats with evictions = sh.stats.evictions + 1 }
   done
 
+(* Only a flight's owner inserts, and only for a key that was absent when
+   the flight began, so an insert never meets the key already present. *)
 let mem_insert (sh : shard) key report =
-  match Hashtbl.find_opt sh.table key with
-  | Some e -> touch sh e
-  | None ->
-    sh.clock <- sh.clock + 1;
-    Hashtbl.add sh.table key { report; last_use = sh.clock };
-    evict_over_capacity sh
-
-let find t key =
-  let sh = shard_of t key in
-  let mem =
-    locked t sh (fun () ->
-        match Hashtbl.find_opt sh.table key with
-        | Some e ->
-          touch sh e;
-          sh.stats <- { sh.stats with hits = sh.stats.hits + 1 };
-          Some e.report
-        | None -> None)
-  in
-  match mem with
-  | Some _ as hit -> hit
-  | None -> (
-    (* Disk probe outside the lock: file IO must not serialize domains. *)
-    match disk_find t key with
-    | Some report ->
-      locked t sh (fun () ->
-          mem_insert sh key report;
-          sh.stats <- { sh.stats with hits = sh.stats.hits + 1 });
-      Some report
-    | None ->
-      locked t sh (fun () ->
-          sh.stats <- { sh.stats with misses = sh.stats.misses + 1 });
-      None)
-
-let store t key report =
-  let sh = shard_of t key in
-  locked t sh (fun () ->
-      mem_insert sh key report;
-      sh.stats <-
-        { sh.stats with bytes_stored = sh.stats.bytes_stored + entry_bytes report });
-  disk_store t key report
+  sh.clock <- sh.clock + 1;
+  Hashtbl.replace sh.table key { report; last_use = sh.clock };
+  evict_over_capacity sh
 
 (* ------------------------------------------------------------------ *)
 (* Read-through with cross-client in-flight dedup. The first session to

@@ -38,9 +38,9 @@ type stats = {
   misses : int;  (** lookups that fell through to compilation *)
   evictions : int;  (** LRU entries dropped to respect [capacity] *)
   dedup_collapsed : int;
-      (** batch work items collapsed onto an identical in-flight item
-          before reaching the engine pool (recorded by the driver via
-          {!note_dedup}) *)
+      (** lookups that found the same key already being computed and
+          waited for that computation instead of starting their own (see
+          {!compute_through}) *)
   bytes_stored : int;
       (** cumulative estimated footprint of stored entries (input,
           stages and output, {!Ir.estimated_bytes} model) *)
@@ -93,31 +93,20 @@ val key : pipeline:Pass.Pipeline.t -> check:bool -> Ir.func -> string
     of the input function. Dependency-free and stable within a cache
     format version. *)
 
-val find : t -> string -> Pass.report option
-(** Memory tier first, then disk. A disk hit is promoted into the memory
-    tier. Counts one hit or one miss. *)
-
-val store : t -> string -> Pass.report -> unit
-(** Insert under [key], evicting least-recently-used memory entries
-    beyond [capacity] and (when configured) writing the disk entry
-    atomically. Disk-write failures are swallowed: a cache that cannot
-    persist degrades to memory-only, it does not fail the compile. *)
-
 val compute_through : t -> string -> (unit -> Pass.report) -> [ `Hit | `Miss | `Collapsed ] * Pass.report
-(** [compute_through t key compute] is the read-through entry point the
-    concurrent serve path uses: on a memory or disk hit it returns
-    [(`Hit, report)]; on a miss the {e first} caller becomes the owner,
-    runs [compute] outside every lock, stores the result in both tiers
-    and returns [(`Miss, report)]; any caller asking for the same key
-    while that computation is in flight blocks until it lands and shares
-    the owner's result as [(`Collapsed, report)], counting one
-    [dedup_collapsed]. If [compute] raises, the owner's exception is
-    re-raised in every blocked caller and the flight is retired so a
-    later request retries. *)
-
-val note_dedup : t -> int -> unit
-(** Record [n] batch items collapsed by work-item deduplication (the
-    driver calls this; it is bookkeeping only). *)
+(** [compute_through t key compute] is the one way to read or write the
+    cache. On a memory or disk hit it returns [(`Hit, report)] and counts
+    one hit; a disk hit is promoted into the memory tier. On a miss the
+    {e first} caller becomes the owner, runs [compute] outside every lock,
+    stores the result in both tiers (evicting least-recently-used memory
+    entries beyond [capacity]) and returns [(`Miss, report)], counting one
+    miss. Any caller asking for the same key while that computation is in
+    flight blocks until it lands and shares the owner's result as
+    [(`Collapsed, report)], counting one [dedup_collapsed]. If [compute]
+    raises, the owner's exception is re-raised in every blocked caller and
+    the flight is retired so a later request retries. Disk-write failures
+    are swallowed: a cache that cannot persist degrades to memory-only, it
+    does not fail the compile. *)
 
 val stats : t -> stats
 (** Monotonic counters since [create]. *)
@@ -131,9 +120,8 @@ val record_extras : t -> since:stats -> Obs.t -> unit
     the extra counters ["cache_hits"], ["cache_misses"],
     ["cache_evictions"], ["cache_dedup_collapsed"], ["cache_bytes_stored"],
     ["cache_lock_contention"], ["cache_disk_evictions"] — the names the
-    obs report tables, JSON emission and the bench "cache" table all
-    share. Extras never appear in cache-disabled runs, keeping golden
-    metric vectors unchanged. *)
+    obs report tables and JSON emission share. Extras never appear in
+    cache-disabled runs, keeping golden metric vectors unchanged. *)
 
 (** {1 Disk-entry plumbing, exposed for tests} *)
 

@@ -53,19 +53,13 @@ let passes_of_config (c : config) : Pass.Pipeline.t =
     | Some k -> [ Pass.regalloc ~registers:k ]
 
 let compile_passes ?(check = false) ?scratch ?obs ?cache passes input =
+  let run () = Pass.run ~check ?scratch ?obs passes input in
   match cache with
-  | None -> Pass.run ~check ?scratch ?obs passes input
+  | None -> run ()
   | Some c ->
     let since = Cache.stats c in
     let key = Cache.key ~pipeline:passes ~check input in
-    let r =
-      match Cache.find c key with
-      | Some r -> r
-      | None ->
-        let r = Pass.run ~check ?scratch ?obs passes input in
-        Cache.store c key r;
-        r
-    in
+    let r = snd (Cache.compute_through c key run) in
     Option.iter (fun o -> Cache.record_extras c ~since o) obs;
     r
 
@@ -77,9 +71,9 @@ let compile_passes ?(check = false) ?scratch ?obs ?cache passes input =
    private recorder per item (recorders are not thread-safe) is merged
    into the caller's at the in-order emission frontier, so aggregated
    counters and span order are deterministic. With a cache, every item
-   goes through {!Cache.compute_through} — the serve path's read-through
-   door — so concurrent identical items collapse onto one in-flight
-   compilation and warm items never reach the pass manager at all. *)
+   goes through {!Cache.compute_through}, so concurrent identical items
+   collapse onto one in-flight compilation and warm items never reach the
+   pass manager at all. *)
 let stream_passes_in pool ?(check = false) ?window ?obs ?cache ~producer
     ~consumer passes =
   let since =
@@ -111,64 +105,13 @@ let stream_passes_in pool ?(check = false) ?window ?obs ?cache ~producer
   | _ -> ()
 
 (* The list-batch form is a façade over the stream. *)
-let batch_uncached_in pool ~check ?obs passes (inputs : Ir.func list) =
+let compile_batch_passes_in pool ?check ?obs ?cache passes inputs =
   let acc = ref [] in
-  stream_passes_in pool ~check ?obs
+  stream_passes_in pool ?check ?obs ?cache
     ~producer:(Engine.Stream.of_list inputs)
     ~consumer:(fun _ r -> acc := r :: !acc)
     passes;
   List.rev !acc
-
-(* With a cache: every item is probed (so warm batches report one hit per
-   item, duplicates included), then the missing work is deduplicated by
-   content key — identical (function, pipeline, check) items reach the
-   domain pool exactly once and fan their one report back out. Reports are
-   immutable, so sharing one across duplicate inputs is safe. *)
-let batch_cached_in pool ~check ?obs cache passes (inputs : Ir.func list) =
-  let since = Cache.stats cache in
-  let probed =
-    List.map
-      (fun f ->
-        let key = Cache.key ~pipeline:passes ~check f in
-        (key, f, Cache.find cache key))
-      inputs
-  in
-  let seen = Hashtbl.create 16 in
-  let miss_reps =
-    (* Unique missing keys, first-occurrence order (determinism). *)
-    List.filter_map
-      (fun (key, f, hit) ->
-        if Option.is_some hit || Hashtbl.mem seen key then None
-        else begin
-          Hashtbl.add seen key ();
-          Some (key, f)
-        end)
-      probed
-  in
-  let misses =
-    List.length (List.filter (fun (_, _, hit) -> Option.is_none hit) probed)
-  in
-  Cache.note_dedup cache (misses - List.length miss_reps);
-  let compiled = Hashtbl.create (List.length miss_reps) in
-  List.iter2
-    (fun (key, _) r ->
-      Cache.store cache key r;
-      Hashtbl.replace compiled key r)
-    miss_reps
-    (batch_uncached_in pool ~check ?obs passes (List.map snd miss_reps));
-  let report_of key hit =
-    match hit with
-    | Some r -> r
-    | None -> Hashtbl.find compiled key
-  in
-  let reports = List.map (fun (key, _, hit) -> report_of key hit) probed in
-  Option.iter (fun o -> Cache.record_extras cache ~since o) obs;
-  reports
-
-let compile_batch_passes_in pool ?(check = false) ?obs ?cache passes inputs =
-  match cache with
-  | None -> batch_uncached_in pool ~check ?obs passes inputs
-  | Some c -> batch_cached_in pool ~check ?obs c passes inputs
 
 let compile_batch_passes ?jobs ?check ?obs ?cache passes inputs =
   Engine.Pool.with_pool ?jobs (fun pool ->

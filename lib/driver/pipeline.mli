@@ -98,10 +98,11 @@ val compile_passes :
     spans ([construct], [simplify], [dce], [convert], [regalloc],
     [check]); the recorder never changes the compilation result.
 
-    With [cache], the result is looked up by {!Cache.key} first and stored
-    on a miss; a hit skips the pipeline entirely (so [obs] records no pass
-    spans for it). Cache stat deltas from this call are published to [obs]
-    as extra counters ([cache_hits], [cache_misses], …). *)
+    With [cache], the compile reads through {!Cache.compute_through} under
+    {!Cache.key}: a hit skips the pipeline entirely (so [obs] records no
+    pass spans for it), a miss compiles and stores. Cache stat deltas from
+    this call are published to [obs] as extra counters ([cache_hits],
+    [cache_misses], …). *)
 
 val compile_batch_passes :
   ?jobs:int ->
@@ -120,11 +121,11 @@ val compile_batch_passes :
     Pass values are immutable closures, safe to share across the pool's
     domains.
 
-    With [cache], every item is probed individually (a warm batch therefore
-    reports one hit per item, duplicates included) and the remaining misses
-    are deduplicated by content key before they reach the domain pool:
-    identical (function, pipeline, check) work items are compiled once and
-    share one report; the number of collapsed duplicates is recorded as
+    The list is fed through {!stream_passes_in}, cache or no cache, and
+    [cache] behaves exactly as there: a distinct (function, pipeline,
+    check) key is compiled once unless its entry is evicted before a
+    duplicate arrives. A duplicate of an item already compiled counts as a
+    hit, and one whose original is still in flight counts as
     [cache_dedup_collapsed]. Results stay in input order either way. *)
 
 val compile_batch_passes_in :
@@ -163,10 +164,8 @@ val stream_passes_in :
     through {!Cache.compute_through}: warm items are hits that skip the
     pass manager, identical items in flight at once collapse onto one
     compilation ([cache_dedup_collapsed]), and the cache stat deltas for
-    the whole stream are published to [obs] at the end. Unlike
-    {!compile_batch_passes}, duplicates are {e not} pre-deduplicated
-    against the rest of the batch — a stream has no batch to scan — so a
-    later duplicate of an already-emitted item is an ordinary warm hit. *)
+    the whole stream are published to [obs] at the end. A later duplicate
+    of an already-compiled item is an ordinary warm hit. *)
 
 val pp_report : Format.formatter -> report -> unit
 (** The per-stage notes, one per line. *)

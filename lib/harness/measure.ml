@@ -28,7 +28,7 @@ let ns_per_run ?(quota_s = 0.25) ~name fn =
 
 let seconds ?quota_s ~name fn = ns_per_run ?quota_s ~name fn /. 1e9
 
-let now_s () = Int64.to_float (Monotonic_clock.now ()) /. 1e9
+let now_s = Obs.now_s
 
 let wall fn =
   let t0 = now_s () in

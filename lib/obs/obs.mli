@@ -71,6 +71,11 @@ val add : t -> counter -> int -> unit
 val get : t -> counter -> int
 (** Current value of one canonical counter. *)
 
+val now_s : unit -> float
+(** Seconds on the monotonic clock, which a wall-clock step cannot move:
+    the clock of {!span}, and of every elapsed-time measurement outside a
+    recorder (request latency, throughput runs). *)
+
 val span : t -> string -> (unit -> 'a) -> 'a
 (** [span t name f] runs [f], adding its elapsed time on the monotonic
     clock to the span [name] (accumulating across calls). Re-raises [f]'s

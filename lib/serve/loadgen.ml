@@ -89,14 +89,14 @@ let client_loop host port programs requests tally =
         let request =
           Printf.sprintf "inline --tag r%d %s" j programs.(j mod nprog)
         in
-        let t0 = Unix.gettimeofday () in
+        let t0 = Obs.now_s () in
         output_string oc request;
         output_char oc '\n';
         flush oc;
         match input_line ic with
         | exception End_of_file -> raise Exit
         | reply -> (
-          let dt = Unix.gettimeofday () -. t0 in
+          let dt = Obs.now_s () -. t0 in
           match classify_reply reply with
           | `Ok ->
             tally.c_ok <- tally.c_ok + 1;
@@ -141,7 +141,7 @@ let run ?(host = "") ~port ~clients ~requests_per_client ?(distinct = 16) () =
   let tallies =
     Array.init clients (fun _ -> { c_ok = 0; c_busy = 0; c_err = 0; lat = [] })
   in
-  let t0 = Unix.gettimeofday () in
+  let t0 = Obs.now_s () in
   let threads =
     Array.init clients (fun i ->
         Thread.create
@@ -151,7 +151,7 @@ let run ?(host = "") ~port ~clients ~requests_per_client ?(distinct = 16) () =
           ())
   in
   Array.iter Thread.join threads;
-  let elapsed_s = Unix.gettimeofday () -. t0 in
+  let elapsed_s = Obs.now_s () -. t0 in
   let ok = Array.fold_left (fun a t -> a + t.c_ok) 0 tallies in
   let busy = Array.fold_left (fun a t -> a + t.c_busy) 0 tallies in
   let errors = Array.fold_left (fun a t -> a + t.c_err) 0 tallies in

@@ -205,8 +205,11 @@ let respond ~compile ~stats line =
 
 (* Compile a batch on the warm pool, reporting this request's cache-stat
    delta so a scripted session shows cold misses turning into warm hits.
-   Only meaningful when the caller is the cache's sole client — the
-   concurrent server computes per-request counts instead. *)
+   A duplicate that collapsed onto its in-flight original got a result
+   without a compilation of its own, so it counts as a hit, as in the
+   concurrent server's reply. Only meaningful when the caller is the
+   cache's sole client — the concurrent server computes per-request
+   counts instead. *)
 let batch_compile ~pool ~cache pipeline funcs =
   let before =
     match cache with Some c -> Cache.stats c | None -> Cache.zero_stats
@@ -225,5 +228,6 @@ let batch_compile ~pool ~cache pipeline funcs =
   ( reports,
     Printf.sprintf "funcs=%d copies=%d hits=%d misses=%d"
       (List.length reports) copies
-      (after.Cache.hits - before.Cache.hits)
+      (after.Cache.hits + after.Cache.dedup_collapsed
+      - (before.Cache.hits + before.Cache.dedup_collapsed))
       (after.Cache.misses - before.Cache.misses) )

@@ -99,8 +99,9 @@ val respond :
 (** Evaluate one request line to its reply. [compile] runs a pipeline
     over the request's functions and returns the reports plus the
     one-line summary used as the [ok] body (the transport chooses the
-    strategy: warm-pool batch for the stdin loop, per-function
-    read-through dedup for the socket server). [stats] produces the
+    strategy: a warm-pool batch for the stdin loop, one function at a
+    time for the socket server; both read through
+    {!Cache.compute_through}). [stats] produces the
     body of the [stats] response. Every protocol-level failure — bad
     request, missing or unparsable file, input that is not a strict,
     φ-free CFG ({!Ir.Validate.Invalid}), interpreter fault — becomes an
@@ -114,7 +115,10 @@ val batch_compile :
   Ir.func list ->
   Driver.Pipeline.report list * string
 (** The standard single-client [compile] callback: compile the batch on
-    the warm pool through the cache and report this request's cache-stat
-    delta ["funcs=%d copies=%d hits=%d misses=%d"]. Only meaningful when
+    the warm pool with {!Driver.Pipeline.compile_batch_passes_in}, each
+    function reading through {!Cache.compute_through}, and report this
+    request's cache-stat delta ["funcs=%d copies=%d hits=%d misses=%d"].
+    A duplicate inside one request counts as a hit, whether it found its
+    original cached or collapsed onto it in flight. Only meaningful when
     the caller is the cache's sole client — the concurrent server
     computes per-request counts instead. *)

@@ -1,6 +1,7 @@
 (* Shared utilities for the test suites: small hand-built functions, random
-   CFG/program generation, and independent reference implementations used as
-   oracles for the analyses. *)
+   CFG/program generation, independent reference implementations used as
+   oracles for the analyses, and text mutations for hostile-input
+   properties. *)
 
 let check = Alcotest.check
 let checkb = Alcotest.(check bool)
@@ -394,3 +395,37 @@ module Ref_printer = struct
   let func_to_string f = Format.asprintf "%a" pp_func f
   let value_to_string v = Format.asprintf "%a" pp_value v
 end
+
+(* ------------------------------------------------------------------ *)
+(* Hostile text: mutations of a printed function or a cache entry     *)
+(* ------------------------------------------------------------------ *)
+
+type mutation = Truncate of int | Splice of int * int * int | Flip of int * char
+
+let mutate s = function
+  | Truncate i -> String.sub s 0 (i mod (String.length s + 1))
+  | Splice (i, j, k) ->
+    (* Move the text in [i, j) to position k. *)
+    let n = String.length s in
+    let i = i mod (n + 1) and j = j mod (n + 1) in
+    let i, j = (min i j, max i j) in
+    let cut = String.sub s 0 i ^ String.sub s j (n - j) in
+    let k = k mod (String.length cut + 1) in
+    String.sub cut 0 k ^ String.sub s i (j - i)
+    ^ String.sub cut k (String.length cut - k)
+  | Flip (i, c) ->
+    if s = "" then s
+    else String.mapi (fun p d -> if p = i mod String.length s then c else d) s
+
+let mutation_gen =
+  QCheck.Gen.(
+    let pos = int_bound 100_000 in
+    (* Bias the replacement bytes toward the syntax's own alphabet. *)
+    let syntax = "b0123456789:=,[]{}()# \n-.e" in
+    let byte = oneof [ map (String.get syntax) (int_bound (String.length syntax - 1)); char ] in
+    oneof
+      [
+        map (fun i -> Truncate i) pos;
+        map3 (fun i j k -> Splice (i, j, k)) pos pos pos;
+        map2 (fun i c -> Flip (i, c)) pos byte;
+      ])

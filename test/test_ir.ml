@@ -394,36 +394,6 @@ let prop_printer_reference =
 
 (* ---- The parser under mutated text -------------------------------- *)
 
-type mutation = Truncate of int | Splice of int * int * int | Flip of int * char
-
-let mutate s = function
-  | Truncate i -> String.sub s 0 (i mod (String.length s + 1))
-  | Splice (i, j, k) ->
-    (* Move the text in [i, j) to position k. *)
-    let n = String.length s in
-    let i = i mod (n + 1) and j = j mod (n + 1) in
-    let i, j = (min i j, max i j) in
-    let cut = String.sub s 0 i ^ String.sub s j (n - j) in
-    let k = k mod (String.length cut + 1) in
-    String.sub cut 0 k ^ String.sub s i (j - i)
-    ^ String.sub cut k (String.length cut - k)
-  | Flip (i, c) ->
-    if s = "" then s
-    else String.mapi (fun p d -> if p = i mod String.length s then c else d) s
-
-let mutation_gen =
-  QCheck.Gen.(
-    let pos = int_bound 100_000 in
-    (* Bias the replacement bytes toward the syntax's own alphabet. *)
-    let syntax = "b0123456789:=,[]{}()# \n-.e" in
-    let byte = oneof [ map (String.get syntax) (int_bound (String.length syntax - 1)); char ] in
-    oneof
-      [
-        map (fun i -> Truncate i) pos;
-        map3 (fun i j k -> Splice (i, j, k)) pos pos pos;
-        map2 (fun i c -> Flip (i, c)) pos byte;
-      ])
-
 (* The pipeline door on parsed text: a function compiles through the
    paper's route or is refused as invalid input. Any other exception
    escapes and fails the property. *)

@@ -1,5 +1,6 @@
 (* Tests for the serve subsystem: the bounded queue, the cache's
-   in-flight dedup (compute_through), and multi-client TCP soak tests
+   in-flight dedup (compute_through), the stdin loop's per-request cache
+   note, and multi-client TCP soak tests
    against the concurrent server — per-client reply ordering, collapse
    of identical concurrent requests, busy-shed accounting under a tiny
    queue bound, connection refusal at max_conns, unix-domain transport
@@ -155,6 +156,23 @@ let test_compute_through_failure () =
   checkb "key not poisoned" true (o = `Miss);
   let o2, _ = Cache.compute_through c "k" dummy_report in
   checkb "and then cached" true (o2 = `Hit)
+
+(* The stdin loop's reply note: a duplicate inside one request gets its
+   report without a compilation of its own, so it counts as a hit whether
+   it found its original cached or collapsed onto it in flight, and
+   hits + misses = funcs. *)
+let test_batch_compile_duplicates () =
+  let cache = Some (Cache.create ()) in
+  let p = Pass.Spec.parse_exn "construct:pruned,coalesce" in
+  let f1 = straight_line () and f2 = diamond () in
+  let batch = [ f1; f2; f1; f1 ] in
+  Engine.Pool.with_pool ~jobs:2 (fun pool ->
+      let note () = snd (Serve.Protocol.batch_compile ~pool ~cache p batch) in
+      let cold = note () in
+      checkb ("cold: " ^ cold) true
+        (contains cold "funcs=4" && contains cold "hits=2 misses=2");
+      let warm = note () in
+      checkb ("warm: " ^ warm) true (contains warm "hits=4 misses=0"))
 
 let test_sharded_stats () =
   let c = Cache.create ~capacity:16 ~shards:4 () in
@@ -455,6 +473,8 @@ let suite =
       test_compute_through_collapse;
     Alcotest.test_case "compute_through failure" `Quick
       test_compute_through_failure;
+    Alcotest.test_case "stdin batch counts duplicates as hits" `Quick
+      test_batch_compile_duplicates;
     Alcotest.test_case "sharded stats" `Quick test_sharded_stats;
     Alcotest.test_case "tcp per-client ordering" `Quick
       test_ordering_under_concurrency;
