@@ -266,14 +266,15 @@ let time_routine (t : P.routine) =
   let ctx =
     { Pass.input = t.entry.func; scratch = None; obs = None; check = false }
   in
-  (* The registry's own pass of [shape] in the route's spec, on [f]. *)
+  (* The registry's own pass of [shape] in the route's spec, on [f],
+     handed no facts: it builds the CFG it needs itself. *)
   let run p shape f =
     let pass =
       List.find
         (fun (q : Pass.t) -> q.shape = shape)
         (Pass.Spec.parse_exn (P.spec_of p))
     in
-    fun () -> pass.run ctx f
+    fun () -> pass.run ctx None f
   in
   let graph what variant =
     time what (fun () -> Baseline.Ig_coalesce.run ~variant t.instantiation)

@@ -52,9 +52,9 @@ let idoms ~scratch cfg =
   Scratch.release_int_array scratch po_num;
   idom
 
-let compute_into ~scratch (f : Ir.func) cfg =
-  ignore f;
-  let idom = idoms ~scratch cfg in
+(* Everything but the idoms is derived from them and the CFG, in time
+   linear in blocks + frontier size. *)
+let of_idoms ~scratch cfg idom =
   let n = Cfg.num_blocks cfg in
   let entry = Cfg.entry cfg in
   let po = Cfg.postorder cfg in
@@ -118,7 +118,12 @@ let compute_into ~scratch (f : Ir.func) cfg =
     depth;
   }
 
+let compute_into ~scratch (f : Ir.func) cfg =
+  ignore f;
+  of_idoms ~scratch cfg (idoms ~scratch cfg)
+
 let compute f cfg = compute_into ~scratch:(Scratch.create ()) f cfg
+
 
 let release scratch t =
   Scratch.release_int_array scratch t.idom;
@@ -138,6 +143,35 @@ let dominates t a b =
   && t.preorder.(b) <= t.max_preorder.(a)
 
 let strictly_dominates t a b = a <> b && dominates t a b
+
+(* A block m splitting an edge a → b has a as its one predecessor, so a is
+   its idom. Entry paths map one to one onto the old ones (a → m → b for
+   a → b), so m dominates no old block except, possibly, b: exactly when
+   b dominates every other predecessor of b (a loop header entered only
+   through the split edge). A predecessor that splits another edge into b
+   is dominated by b when that edge's source is. Then b's idom is m; every
+   other old idom stays. *)
+let after_split t cfg (edges : (Ir.label * Ir.label) array) =
+  if Array.length edges = 0 then t
+  else begin
+    let n = Array.length t.idom in
+    let idom = Array.make (Cfg.num_blocks cfg) (-1) in
+    Array.blit t.idom 0 idom 0 n;
+    Array.iteri
+      (fun i (src, dst) ->
+        let m = n + i in
+        idom.(m) <- src;
+        let only_way_in =
+          Cfg.fold_preds cfg dst
+            (fun ok p ->
+              ok
+              && (p = m || dominates t dst (if p < n then p else fst edges.(p - n))))
+            true
+        in
+        if only_way_in then idom.(dst) <- m)
+      edges;
+    of_idoms ~scratch:(Scratch.create ()) cfg idom
+  end
 
 let preorder t l = t.preorder.(l)
 let max_preorder t l = t.max_preorder.(l)

@@ -22,6 +22,19 @@ val compute_into : scratch:Support.Scratch.t -> Ir.func -> Ir.Cfg.t -> t
     depth, tree order) and the internal temporaries are acquired from
     [scratch]. Pair with {!release} to recycle them. *)
 
+val after_split : t -> Ir.Cfg.t -> (Ir.label * Ir.label) array -> t
+(** [after_split t cfg edges] is the tree of a function after
+    {!Ir.Edge_split.split}, given [t] (the tree before), the split CFG and
+    the split edges: the block splitting edge [i] gets its source as idom;
+    the edge's target gets that block as idom when the target dominates
+    every other predecessor of its own (a loop header entered only over
+    the edge), and keeps its idom otherwise; every other
+    idom stays. The numbering, children and frontiers are derived afresh
+    from those idoms — no fixpoint solve. Equal in every
+    query to {!compute} over [cfg]. Returns [t] itself when [edges] is
+    empty; otherwise the result's arrays come from the heap, not an
+    arena. *)
+
 val release : Support.Scratch.t -> t -> unit
 (** Return the result's arrays to the arena. [t] must not be used
     afterwards. *)

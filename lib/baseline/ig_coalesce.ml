@@ -1,7 +1,6 @@
 open Support
 module Cfg = Ir.Cfg
 module Liveness = Analysis.Liveness
-module Dominance = Analysis.Dominance
 module Loops = Analysis.Loops
 
 type variant = Briggs | Briggs_star
@@ -17,7 +16,7 @@ type stats = {
   aux_memory_bytes : int;
 }
 
-let rewrite_with (f : Ir.func) find =
+let rename (f : Ir.func) find =
   let rename_use r = Ir.Reg (find r) in
   Ir.map_blocks
     (fun b ->
@@ -32,7 +31,7 @@ let rewrite_with (f : Ir.func) find =
     { f with params = List.map find f.params }
 
 let rewrite f ~find =
-  let rewritten = rewrite_with f find in
+  let rewritten = rename f find in
   Ir.map_blocks
     (fun b ->
       {
@@ -65,15 +64,17 @@ let collect_copies (f : Ir.func) cfg depth_of =
     f.blocks;
   List.stable_sort (fun (d1, _, _) (d2, _, _) -> compare d2 d1) (List.rev !copies)
 
-let run ~variant (f : Ir.func) =
+let run ?facts ~variant (f : Ir.func) =
   let scratch = Scratch.domain () in
   Array.iter
     (fun (b : Ir.block) ->
       if b.phis <> [] then invalid_arg "Ig_coalesce: function has phi-nodes")
     f.blocks;
-  let cfg0 = Cfg.of_func f in
-  let dom = Dominance.compute f cfg0 in
-  let loops = Loops.compute cfg0 dom in
+  (* A round renames registers and drops nothing, so every round's code
+     has [f]'s CFG. *)
+  let facts = Analysis.Facts.or_build facts f in
+  let cfg = facts.cfg in
+  let loops = Loops.compute cfg (Analysis.Facts.dominance f facts) in
   let uf = Union_find.create f.nregs in
   let rounds = ref 0 in
   let coalesced = ref 0 in
@@ -86,8 +87,7 @@ let run ~variant (f : Ir.func) =
   let last = ref None in
   while !continue_ do
     incr rounds;
-    let cur = rewrite_with f (Union_find.find uf) in
-    let cfg = Cfg.of_func cur in
+    let cur = rename f (Union_find.find uf) in
     let live = Liveness.compute_into ~scratch cur cfg in
     liveness_bytes := max !liveness_bytes (Liveness.memory_bytes live);
     let copies = collect_copies cur cfg (Loops.depth loops) in
@@ -135,4 +135,4 @@ let run ~variant (f : Ir.func) =
       aux_memory_bytes = !liveness_bytes + (16 * f.nregs);
     } )
 
-let run_exn ~variant f = fst (run ~variant f)
+let run_exn ?facts ~variant f = fst (run ?facts ~variant f)

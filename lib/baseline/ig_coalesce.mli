@@ -33,10 +33,18 @@ type stats = {
   aux_memory_bytes : int;  (** liveness + union-find, for Table 3 *)
 }
 
-val run : variant:variant -> Ir.func -> Ir.func * stats
+val run : ?facts:Analysis.Facts.t -> variant:variant -> Ir.func -> Ir.func * stats
 (** Each round's liveness matrices come from the calling domain's arena
     and go back to it once the round's graph is built; each round's graph
-    takes over the previous round's bit-matrix storage. Raises
-    [Invalid_argument] if the function still has φ-nodes. *)
+    takes over the previous round's bit-matrix storage. Every round's code
+    is {!rename} of [f], so it has [f]'s CFG: [facts] (the CFG and, if
+    known, the dominator tree of [f]) serve every round and the loop
+    nesting; without them the CFG is built and the tree solved here, once.
+    Raises [Invalid_argument] if the function still has φ-nodes. *)
 
-val run_exn : variant:variant -> Ir.func -> Ir.func
+val run_exn : ?facts:Analysis.Facts.t -> variant:variant -> Ir.func -> Ir.func
+
+val rename : Ir.func -> (Ir.reg -> Ir.reg) -> Ir.func
+(** One round's code: every register of the parameters, bodies and
+    terminators mapped through the live-range map. Blocks, terminator
+    targets and instruction counts are kept, so the CFG is [f]'s. *)

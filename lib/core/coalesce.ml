@@ -41,14 +41,22 @@ type analysis = {
   a_memory : int;
 }
 
-(* [analyze] takes the post-split CFG from its caller ([run] builds it once
-   and shares it with [rewrite]) and draws every analysis buffer from
+(* [analyze] takes the post-split facts from its caller ([run] shares the
+   CFG with [rewrite]) and draws every other analysis buffer from
    [scratch], so a batch driver compiling many functions on one domain
-   reuses the same liveness vectors and dominator numberings throughout. *)
-let analyze ~options ~scratch ~cfg ?obs (f : Ir.func) : analysis =
+   reuses the same liveness vectors throughout. A carried dominator tree
+   is used as it is; without one the numberings come from [scratch] too,
+   and go back to it at the end. *)
+let analyze ~options ~scratch ~(facts : Analysis.Facts.t) ?obs (f : Ir.func) :
+    analysis =
   let oincr c = Option.iter (fun o -> Obs.incr o c) obs in
   let oadd c n = Option.iter (fun o -> Obs.add o c n) obs in
-  let dom = Dominance.compute_into ~scratch f cfg in
+  let cfg = facts.cfg in
+  let dom =
+    match facts.dom with
+    | Some dom -> dom
+    | None -> Dominance.compute_into ~scratch f cfg
+  in
   let live = Liveness.compute_into ~scratch ?obs f cfg in
   let sites = Interference.def_sites f in
   let site r =
@@ -346,7 +354,7 @@ let analyze ~options ~scratch ~cfg ?obs (f : Ir.func) : analysis =
   in
   Scratch.release_int_array scratch cost;
   Liveness.release scratch live;
-  Dominance.release scratch dom;
+  if Option.is_none facts.dom then Dominance.release scratch dom;
   {
     rename;
     final_classes = !final_classes;
@@ -491,13 +499,15 @@ let rewrite ~cfg ?obs (f : Ir.func) (a : analysis) =
   in
   ({ f with params; blocks; nregs = !next; names }, !copies, temps)
 
-let run ?(options = default_options) ?scratch ?obs (f : Ir.func) =
+let run ?(options = default_options) ?scratch ?facts ?obs (f : Ir.func) =
   let scratch =
     match scratch with Some s -> s | None -> Scratch.create ()
   in
-  let f, cfg = Ir.Edge_split.run_cfg ?obs f in
-  let a = analyze ~options ~scratch ~cfg ?obs f in
-  let f', copies, temps = rewrite ~cfg ?obs f a in
+  let f, facts =
+    Analysis.Facts.split_critical_edges ?obs (Analysis.Facts.or_build facts f) f
+  in
+  let a = analyze ~options ~scratch ~facts ?obs f in
+  let f', copies, temps = rewrite ~cfg:facts.cfg ?obs f a in
   ( f',
     {
       classes = a.a_classes;
@@ -513,8 +523,11 @@ let run ?(options = default_options) ?scratch ?obs (f : Ir.func) =
       aux_memory_bytes = a.a_memory;
     } )
 
-let run_exn ?options ?scratch ?obs f = fst (run ?options ?scratch ?obs f)
+let run_exn ?options ?scratch ?facts ?obs f =
+  fst (run ?options ?scratch ?facts ?obs f)
 
 let congruence_classes ?(options = default_options) (f : Ir.func) =
-  let f, cfg = Ir.Edge_split.run_cfg f in
-  (analyze ~options ~scratch:(Scratch.create ()) ~cfg f).final_classes
+  let f, facts =
+    Analysis.Facts.split_critical_edges (Analysis.Facts.of_func f) f
+  in
+  (analyze ~options ~scratch:(Scratch.create ()) ~facts f).final_classes

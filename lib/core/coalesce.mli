@@ -58,6 +58,7 @@ type stats = {
 val run :
   ?options:options ->
   ?scratch:Support.Scratch.t ->
+  ?facts:Analysis.Facts.t ->
   ?obs:Obs.t ->
   Ir.func ->
   Ir.func * stats
@@ -65,12 +66,15 @@ val run :
     {!Ssa.Ssa_validate}); critical edges are split internally. The result
     has no φ-nodes.
 
-    The CFG of the split function is built once and shared by the analysis
-    and rewrite halves. When [scratch] is given, every analysis buffer
-    (liveness vectors, dominator numberings, cost table) is acquired from —
-    and released back to — that arena, so repeated calls on one domain stop
-    re-allocating; results are identical either way. The arena must belong
-    to the calling domain.
+    [facts] are [f]'s CFG and dominator tree, as {!Ssa.Ssa_validate.run_facts}
+    returns them; without them the CFG is built here. Edge splitting
+    updates the CFG (and a carried tree) to the split function rather than
+    rebuilding it, and the analysis and rewrite halves share the result.
+    When [scratch] is given, every analysis buffer (liveness vectors,
+    dominator numberings unless a tree is carried, cost table) is acquired
+    from — and released back to — that arena, so repeated calls on one
+    domain stop re-allocating; results are identical either way. The
+    arena must belong to the calling domain.
 
     When [obs] is given, every phase charges its operation counts to it:
     the per-filter refusals, φ-args unioned, forest nodes and interference
@@ -81,6 +85,7 @@ val run :
 val run_exn :
   ?options:options ->
   ?scratch:Support.Scratch.t ->
+  ?facts:Analysis.Facts.t ->
   ?obs:Obs.t ->
   Ir.func ->
   Ir.func

@@ -8,24 +8,10 @@ type t = {
   postorder_index : int array; (* position in [postorder]; -1 if unreachable *)
 }
 
-let of_func (f : Mir.func) =
-  let n = Mir.num_blocks f in
-  (* A terminator has at most two successors, so dedup is one comparison. *)
-  let emit_succs emit l =
-    match Mir.successors f.blocks.(l).term with
-    | [] -> ()
-    | [ s ] -> emit ~src:l ~dst:s
-    | [ a; b ] ->
-      emit ~src:l ~dst:a;
-      if b <> a then emit ~src:l ~dst:b
-    | ss -> List.iter (fun s -> emit ~src:l ~dst:s) (List.sort_uniq compare ss)
-  in
-  let succs =
-    Support.Csr.build ~num_nodes:n (fun emit ->
-        for l = 0 to n - 1 do
-          emit_succs emit l
-        done)
-  in
+(* Everything but the successor rows is derived from them and the entry:
+   the depth-first orders, reachability and the predecessor rows. *)
+let of_succs ~entry succs =
+  let n = Support.Csr.num_nodes succs in
   let reachable = Array.make n false in
   let order = Array.make n 0 in
   let order_len = ref 0 in
@@ -40,7 +26,7 @@ let of_func (f : Mir.func) =
     stack_next.(!sp) <- 0;
     incr sp
   in
-  push f.entry;
+  push entry;
   while !sp > 0 do
     let top = !sp - 1 in
     let l = stack_node.(top) in
@@ -71,7 +57,59 @@ let of_func (f : Mir.func) =
             Support.Csr.iter_row succs l (fun s -> emit ~src:s ~dst:l)
         done)
   in
-  { entry = f.entry; succs; preds; reachable; postorder; rpo; postorder_index }
+  { entry; succs; preds; reachable; postorder; rpo; postorder_index }
+
+let of_func (f : Mir.func) =
+  let n = Mir.num_blocks f in
+  (* A terminator has at most two successors, so dedup is one comparison.
+     The terminator is matched in place: no successor list per block. *)
+  let emit_succs emit l =
+    match f.blocks.(l).term with
+    | Return _ -> ()
+    | Jump s -> emit ~src:l ~dst:s
+    | Branch { if_true = a; if_false = b; _ } ->
+      emit ~src:l ~dst:a;
+      if b <> a then emit ~src:l ~dst:b
+  in
+  of_succs ~entry:f.entry
+    (Support.Csr.build ~num_nodes:n (fun emit ->
+         for l = 0 to n - 1 do
+           emit_succs emit l
+         done))
+
+(* [edges] lists the split edges grouped by source in increasing label
+   order, each source's in its row order (as [Edge_split] finds them), so
+   one cursor walks them beside the rows. Edge [i] is split by block
+   [n + i]: it takes the edge's place in its source's row and has the
+   edge's target as its one successor. *)
+let split_edges t (edges : (Mir.label * Mir.label) array) =
+  if Array.length edges = 0 then t
+  else begin
+    let n = Support.Csr.num_nodes t.succs in
+    let k = Array.length edges in
+    let succs =
+      Support.Csr.build ~num_nodes:(n + k) (fun emit ->
+          let j = ref 0 in
+          for l = 0 to n - 1 do
+            Support.Csr.iter_row t.succs l (fun s ->
+                if !j < k && fst edges.(!j) = l && snd edges.(!j) = s then begin
+                  emit ~src:l ~dst:(n + !j);
+                  incr j
+                end
+                else emit ~src:l ~dst:s)
+          done;
+          for i = 0 to k - 1 do
+            emit ~src:(n + i) ~dst:(snd edges.(i))
+          done)
+    in
+    of_succs ~entry:t.entry succs
+  end
+
+let equal a b =
+  a.entry = b.entry
+  && Support.Csr.equal a.succs b.succs
+  && Support.Csr.equal a.preds b.preds
+  && a.reachable = b.reachable
 
 let num_succs t l = Support.Csr.degree t.succs l
 let num_preds t l = Support.Csr.degree t.preds l

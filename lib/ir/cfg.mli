@@ -13,6 +13,21 @@ val of_func : Mir.func -> t
 (** One pass over the terminators plus a DFS; O(blocks + edges), and the
     only allocation any later query needs. *)
 
+val split_edges : t -> (Mir.label * Mir.label) array -> t
+(** The CFG after splitting [edges], derived from [t]'s rows rather than
+    from a function: edge [i], [(src, dst)], is replaced by a fresh block
+    [num_blocks t + i] with [dst] as its one successor, which takes the
+    edge's place in [src]'s row. The edges must be distinct edges of [t]
+    from reachable blocks, grouped by source in increasing label order and
+    each source's in row order — the order {!Edge_split} finds them in.
+    The result equals {!of_func} of the split function in every query.
+    Returns [t] itself when [edges] is empty. *)
+
+val equal : t -> t -> bool
+(** Same entry and the same successor rows, predecessor rows and
+    reachability, block for block — hence the same orders. O(blocks +
+    edges). A dominator tree computed over one is the tree of the other. *)
+
 val num_succs : t -> Mir.label -> int
 (** Number of distinct successors of a block. O(1). *)
 

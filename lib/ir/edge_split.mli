@@ -17,9 +17,17 @@ val run : Mir.func -> Mir.func
 (** Insert a fresh jump-only block on every critical edge and retarget the
     corresponding φ-argument labels. Idempotent. *)
 
-val run_cfg : ?cfg:Cfg.t -> ?obs:Obs.t -> Mir.func -> Mir.func * Cfg.t
-(** Like {!run}, but also returns a CFG that is valid for the returned
-    function, so downstream analyses need not rebuild it. When [cfg] (a CFG
-    of the input) is supplied it is used to find the critical edges, and it
-    is returned as-is if no edge needed splitting. [obs] charges the number
-    of split edges to [Obs.Critical_edges_split]. *)
+val split :
+  ?obs:Obs.t ->
+  Cfg.t ->
+  Mir.func ->
+  Mir.func * Cfg.t * (Mir.label * Mir.label) array
+(** [split cfg f] is {!run} working from [f]'s CFG [cfg]: it returns the
+    split function, its CFG updated by {!Cfg.split_edges} rather than
+    rebuilt, and the split edges — edge [i], [(src, dst)], is split by the
+    jump-only block [num_blocks f + i], which is what
+    [Analysis.Dominance.after_split] needs to update a dominator tree.
+    Only the blocks at either end of a split edge are rebuilt; every other
+    block is shared with [f]. With no critical edge, [f] and [cfg] come
+    back as they are. [obs] charges the number of split edges to
+    [Obs.Critical_edges_split]. *)

@@ -374,19 +374,29 @@ let checked ~skipped (f : Mir.func) =
     }
   in
   Array.fill names.cells 0 (2 * nregs) (-1);
-  let errs =
+  let result =
     match walk ~names f with
-    | Ok cfg -> definite_assignment f cfg names
-    | Error errs -> skipped errs
+    | Ok cfg -> (
+      match definite_assignment f cfg names with
+      | [] -> Ok cfg
+      | errs -> Error errs)
+    | Error errs -> Error (skipped errs)
   in
   Scratch.release_ints scratch names.cells;
   Scratch.release_ints scratch names.defs;
-  errs
+  result
+
+let errors = function Ok _ -> [] | Error errs -> errs
 
 let strictness (f : Mir.func) =
-  checked ~skipped:(fun _ -> [ err f.name "skipping strictness: structure invalid" ]) f
+  errors
+    (checked
+       ~skipped:(fun _ -> [ err f.name "skipping strictness: structure invalid" ])
+       f)
 
-let run f = checked ~skipped:Fun.id f
+let run_cfg f = checked ~skipped:Fun.id f
+
+let run f = errors (run_cfg f)
 
 let render errs =
   String.concat "\n" (List.map (fun e -> Format.asprintf "%a" pp_error e) errs)

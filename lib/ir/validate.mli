@@ -48,6 +48,10 @@ val run : Mir.func -> error list
 (** All checks: {!structure}, then, if it passed, {!strictness}'s
     definite assignment. Empty means valid. *)
 
+val run_cfg : Mir.func -> (Cfg.t, error list) result
+(** {!run}, returning on success the CFG the checks built — the graph a
+    pass manager hands to the pass that consumes the checked function. *)
+
 val render : error list -> string
 (** The errors through {!pp_error}, one per line. *)
 

@@ -13,7 +13,11 @@ type t = {
   span : string;
   key : string;
   shape : shape;
-  run : ctx -> Ir.func -> Ir.func * string;
+  run :
+    ctx ->
+    Analysis.Facts.t option ->
+    Ir.func ->
+    Ir.func * Analysis.Facts.t option * string;
   check_audit : (ctx -> Ir.func -> unit) option;
   ignore_arrays : string list;
 }
@@ -29,7 +33,10 @@ let transform ~name run =
     span = name;
     key = name;
     shape = Transform;
-    run = (fun _ f -> run f);
+    run =
+      (fun _ _ f ->
+        let g, note = run f in
+        (g, None, note));
     check_audit = None;
     ignore_arrays = [];
   }
@@ -49,9 +56,14 @@ let construct ?(pruning = Ssa.Construct.Pruned) ?(fold_copies = true) () =
        "construct:" ^ p ^ if fold_copies then "" else "+nofold");
     shape = Construct;
     run =
-      (fun ctx f ->
-        let ssa, s = Ssa.Construct.run ~pruning ~fold_copies ?obs:ctx.obs f in
+      (fun ctx facts f ->
+        let ssa, s, tree =
+          Ssa.Construct.run_facts ~pruning ~fold_copies ?obs:ctx.obs
+            (Analysis.Facts.or_build facts f)
+            f
+        in
         ( ssa,
+          Some tree,
           Printf.sprintf "%d phis inserted, %d copies folded" s.phis_inserted
             s.copies_folded ));
     check_audit = None;
@@ -95,9 +107,12 @@ let coalesce ?(options = Core.Coalesce.default_options) () =
        | fs -> "coalesce:" ^ String.concat "+" fs);
     shape = Conversion;
     run =
-      (fun ctx f ->
-        let g, s = Core.Coalesce.run ~options ?scratch:ctx.scratch ?obs:ctx.obs f in
+      (fun ctx facts f ->
+        let g, s =
+          Core.Coalesce.run ~options ?scratch:ctx.scratch ?facts ?obs:ctx.obs f
+        in
         ( g,
+          None,
           Printf.sprintf
             "%d classes (%d members), %d copies inserted, %d filter \
              refusals, %d forest and %d local detaches"
@@ -108,6 +123,17 @@ let coalesce ?(options = Core.Coalesce.default_options) () =
     ignore_arrays = [];
   }
 
+(* The instantiating routes split from the facts they are handed: the
+   split function's CFG is updated, not rebuilt, and serves the
+   instantiation and, through it, every round of the graph coalescer. The
+   tree is carried through the split only when [tree] says a consumer
+   needs it (the graph coalescer's loop nesting). *)
+let split_critical_edges ~tree ctx facts f =
+  let facts = Analysis.Facts.or_build facts f in
+  Analysis.Facts.split_critical_edges ?obs:ctx.obs
+    (if tree then facts else { facts with dom = None })
+    f
+
 let standard =
   {
     name = "standard";
@@ -116,10 +142,11 @@ let standard =
     key = "standard";
     shape = Conversion;
     run =
-      (fun ctx f ->
-        let split = fst (Ir.Edge_split.run_cfg ?obs:ctx.obs f) in
-        let g, s = Ssa.Destruct_naive.run ?obs:ctx.obs split in
+      (fun ctx facts f ->
+        let split, facts = split_critical_edges ~tree:false ctx facts f in
+        let g, s = Ssa.Destruct_naive.run ~cfg:facts.cfg ?obs:ctx.obs split in
         ( g,
+          None,
           Printf.sprintf "%d copies inserted (%d cycle temps)" s.copies_inserted
             s.temps_inserted ));
     check_audit = None;
@@ -134,7 +161,7 @@ let sreedhar_i =
     key = "sreedhar-i";
     shape = Conversion;
     run =
-      (fun ctx f ->
+      (fun ctx _ f ->
         let g, s = Baseline.Sreedhar.run f in
         Option.iter
           (fun o ->
@@ -142,6 +169,7 @@ let sreedhar_i =
             Obs.add o Obs.Sreedhar_names_introduced s.names_introduced)
           ctx.obs;
         ( g,
+          None,
           Printf.sprintf "%d copies inserted, %d names introduced"
             s.copies_inserted s.names_introduced ));
     check_audit = None;
@@ -161,10 +189,10 @@ let graph variant =
     key = name;
     shape = Conversion;
     run =
-      (fun ctx f ->
-        let split = fst (Ir.Edge_split.run_cfg ?obs:ctx.obs f) in
-        let inst = Ssa.Destruct_naive.run_exn ?obs:ctx.obs split in
-        let g, s = Baseline.Ig_coalesce.run ~variant inst in
+      (fun ctx facts f ->
+        let split, facts = split_critical_edges ~tree:true ctx facts f in
+        let inst = Ssa.Destruct_naive.run_exn ~cfg:facts.cfg ?obs:ctx.obs split in
+        let g, s = Baseline.Ig_coalesce.run ~facts ~variant inst in
         Option.iter
           (fun o ->
             Obs.add o Obs.Igraph_rounds s.rounds;
@@ -172,6 +200,7 @@ let graph variant =
             Obs.add o Obs.Copies_eliminated s.coalesced)
           ctx.obs;
         ( g,
+          None,
           Printf.sprintf "%d rounds, %d coalesced, %d copies remain" s.rounds
             s.coalesced s.copies_remaining ));
     check_audit = None;
@@ -186,11 +215,12 @@ let regalloc ~registers =
     key = Printf.sprintf "regalloc:%d" registers;
     shape = Finish;
     run =
-      (fun _ f ->
+      (fun _ _ f ->
         let r =
           Regalloc.run ~options:{ Regalloc.default_options with registers } f
         in
         ( r.func,
+          None,
           Printf.sprintf
             "%d colors, %d spilled ranges (%d loads, %d stores), %d rounds"
             r.stats.colors_used r.stats.spilled_ranges r.stats.spill_loads
@@ -275,13 +305,25 @@ type report = {
   stages : stage list;
 }
 
+(* The facts each pass is handed come from the validator that has just
+   checked that exact function value: the input validator's CFG for the
+   construction, each SSA validator's CFG and dominator tree for the pass
+   after it. A pass may offer a tree of its own (construction does) with
+   the graph it was solved over; the SSA validator takes it only when its
+   own CFG of the output equals that graph, and otherwise the tree the
+   input facts carried is the candidate, under the same test. The output
+   validator builds its own CFG. Facts stay local to this run. *)
 let run ?(check = false) ?scratch ?obs passes input =
   (match Pipeline.validate passes with
   | Ok () -> ()
   | Error msg -> invalid_arg ("Pass.run: " ^ msg));
   (* The input contract (the paper's Section 2): a strict, φ-free CFG.
      Breaking it is the caller's error, not a compiler fault. *)
-  Ir.Validate.check_exn input;
+  let input_cfg =
+    match Ir.Validate.run_cfg input with
+    | Ok cfg -> cfg
+    | Error errs -> raise (Ir.Validate.Invalid (Ir.Validate.render errs))
+  in
   Array.iter
     (fun (b : Ir.block) ->
       if b.phis <> [] then
@@ -299,30 +341,42 @@ let run ?(check = false) ?scratch ?obs passes input =
   let stages = ref [] in
   let audits = ref [] in
   let ignore_arrays = ref [] in
-  let run_pass cur p =
-    let g, note = span p.span (fun () -> p.run ctx cur) in
+  let run_pass (cur, facts) p =
+    let g, offered, note = span p.span (fun () -> p.run ctx (Some facts) cur) in
     (* The producing pass declares its output contract; the middleware
        holds it to it before anything downstream consumes the result. A
        breach is a compiler fault, named after the pass. *)
-    (match
-       match p.shape with
-       | Construct | Transform -> Ssa.Ssa_validate.run g
-       | Conversion | Finish -> Ir.Validate.run g
-     with
-    | [] -> ()
-    | errs ->
-      failwith
-        (Printf.sprintf "pass '%s' produced invalid IR:\n%s" p.name
-           (Ir.Validate.render errs)));
+    let checked =
+      match p.shape with
+      | Construct | Transform ->
+        let candidate = match offered with Some _ -> offered | None -> Some facts in
+        Ssa.Ssa_validate.run_facts ?candidate g
+      | Conversion | Finish ->
+        Result.map
+          (fun cfg -> { Analysis.Facts.cfg; dom = None })
+          (Ir.Validate.run_cfg g)
+    in
+    let facts =
+      match checked with
+      | Ok facts -> facts
+      | Error errs ->
+        failwith
+          (Printf.sprintf "pass '%s' produced invalid IR:\n%s" p.name
+             (Ir.Validate.render errs))
+    in
     stages := { name = p.stage; func = g; note } :: !stages;
     ignore_arrays := !ignore_arrays @ p.ignore_arrays;
     (if check then
        match p.check_audit with
        | Some audit -> audits := (fun () -> audit ctx cur) :: !audits
        | None -> ());
-    g
+    (g, facts)
   in
-  let output = List.fold_left run_pass input passes in
+  let output, _ =
+    List.fold_left run_pass
+      (input, { Analysis.Facts.cfg = input_cfg; dom = None })
+      passes
+  in
   if check then
     span "check" (fun () ->
         List.iter (fun audit -> audit ()) (List.rev !audits);

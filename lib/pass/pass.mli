@@ -57,7 +57,17 @@ type t = {
           round-tripping rely on. Two passes with equal [key] must
           denote the same transformation. *)
   shape : shape;
-  run : ctx -> Ir.func -> Ir.func * string;  (** returns (output, note) *)
+  run :
+    ctx ->
+    Analysis.Facts.t option ->
+    Ir.func ->
+    Ir.func * Analysis.Facts.t option * string;
+      (** [run ctx facts f] returns (output, offered, note). [facts] are
+          [f]'s CFG and, when known, dominator tree, as the validator that
+          checked [f] built them ({!run} always passes them; [None] means
+          the pass builds what it needs). [offered] is a dominator tree
+          the pass solved, with the CFG it was solved over, for the
+          output's validator to reuse if the output has that CFG. *)
   check_audit : (ctx -> Ir.func -> unit) option;
       (** under [--check], called with the {e input} of this pass inside
           the final ["check"] span (the coalescer's interference audit) *)
@@ -156,7 +166,11 @@ val run :
 (** Validate the pipeline shape (raising [Invalid_argument] on a
     malformed one) and the input function, then run each pass under the
     middleware: obs span, structural validation of the output, stage
-    capture, check-hook deferral. The input must be a strict, φ-free CFG
+    capture, check-hook deferral. Each pass is handed the facts
+    ({!Analysis.Facts}) of its input, as built by the validator that has
+    just checked it: the input validator's CFG for the construction, and
+    each SSA validator's CFG and dominator tree for the pass after it.
+    Facts never enter the report. The input must be a strict, φ-free CFG
     (the coalescer is only correct on SSA built from one): a function
     that fails {!Ir.Validate.run} or carries a φ-node raises
     {!Ir.Validate.Invalid}. A pass whose output fails its shape's

@@ -207,18 +207,23 @@ let respond ~compile ~stats line =
    delta so a scripted session shows cold misses turning into warm hits.
    A duplicate that collapsed onto its in-flight original got a result
    without a compilation of its own, so it counts as a hit, as in the
-   concurrent server's reply. Only meaningful when the caller is the
-   cache's sole client — the concurrent server computes per-request
-   counts instead. *)
+   concurrent server's reply. Without a cache every function is compiled,
+   so each is a miss, again as there: hits + misses = funcs on both
+   transports. Only meaningful when the caller is the cache's sole client
+   — the concurrent server computes per-request counts instead. *)
 let batch_compile ~pool ~cache pipeline funcs =
-  let before =
-    match cache with Some c -> Cache.stats c | None -> Cache.zero_stats
-  in
+  let before = Option.map Cache.stats cache in
   let reports =
     Driver.Pipeline.compile_batch_passes_in pool ?cache pipeline funcs
   in
-  let after =
-    match cache with Some c -> Cache.stats c | None -> Cache.zero_stats
+  let hits, misses =
+    match cache, before with
+    | Some c, Some before ->
+      let after = Cache.stats c in
+      ( after.Cache.hits + after.Cache.dedup_collapsed
+        - (before.Cache.hits + before.Cache.dedup_collapsed),
+        after.Cache.misses - before.Cache.misses )
+    | _ -> (0, List.length reports)
   in
   let copies =
     List.fold_left
@@ -227,7 +232,4 @@ let batch_compile ~pool ~cache pipeline funcs =
   in
   ( reports,
     Printf.sprintf "funcs=%d copies=%d hits=%d misses=%d"
-      (List.length reports) copies
-      (after.Cache.hits + after.Cache.dedup_collapsed
-      - (before.Cache.hits + before.Cache.dedup_collapsed))
-      (after.Cache.misses - before.Cache.misses) )
+      (List.length reports) copies hits misses )

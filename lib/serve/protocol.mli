@@ -119,6 +119,8 @@ val batch_compile :
     function reading through {!Cache.compute_through}, and report this
     request's cache-stat delta ["funcs=%d copies=%d hits=%d misses=%d"].
     A duplicate inside one request counts as a hit, whether it found its
-    original cached or collapsed onto it in flight. Only meaningful when
+    original cached or collapsed onto it in flight. Without a cache every
+    function is a miss, as in the socket server's reply, so hits + misses
+    = funcs on both transports. Only meaningful when
     the caller is the cache's sole client — the concurrent server
     computes per-request counts instead. *)

@@ -18,9 +18,10 @@ type proto_phi = {
   mutable filled : (Ir.label * Ir.operand) list;
 }
 
-let run ?(pruning = Pruned) ?(fold_copies = true) ?obs (f : Ir.func) =
-  let cfg = Cfg.of_func f in
-  let dom = Dominance.compute f cfg in
+let run_facts ?(pruning = Pruned) ?(fold_copies = true) ?obs
+    (facts : Analysis.Facts.t) (f : Ir.func) =
+  let cfg = facts.cfg in
+  let dom = Analysis.Facts.dominance f facts in
   let n = Ir.num_blocks f in
   (* Definition sites per original variable. Parameters count as definitions
      in the entry block. *)
@@ -168,25 +169,49 @@ let run ?(pruning = Pruned) ?(fold_copies = true) ?obs (f : Ir.func) =
         pp.ssa_dst <- sn;
         push pp.var (Ir.Reg sn))
       !(phis_of l);
-    let body =
-      List.filter_map
-        (fun i ->
-          let i = Ir.map_instr_uses (fun r -> current r) i in
-          match i with
-          | Ir.Copy { dst; src } when fold_copies ->
-            incr copies_folded;
-            push dst src;
-            None
-          | _ -> (
-            match Ir.def i with
-            | None -> Some i
-            | Some d ->
-              let sn = fresh_name d in
-              push d (Ir.Reg sn);
-              Some (Ir.map_instr_def (fun _ -> sn) i)))
-        b.body
+    let use (op : Ir.operand) =
+      match op with Ir.Reg r -> current r | Ir.Const _ -> op
     in
-    new_body.(l) <- body;
+    let def d =
+      let sn = fresh_name d in
+      push d (Ir.Reg sn);
+      sn
+    in
+    (* Each instruction is rebuilt once, uses and definition together; the
+       uses are read before the definition is pushed. Tail-mod-cons keeps
+       a long block off the stack. *)
+    let[@tail_mod_cons] rec body = function
+      | [] -> []
+      | (i : Ir.instr) :: rest -> (
+        match i with
+        | Copy { dst; src } when fold_copies ->
+          incr copies_folded;
+          push dst (use src);
+          body rest
+        | Copy { dst; src } ->
+          let src = use src in
+          let i = Ir.Copy { dst = def dst; src } in
+          i :: body rest
+        | Unop { op; dst; src } ->
+          let src = use src in
+          let i = Ir.Unop { op; dst = def dst; src } in
+          i :: body rest
+        | Binop { op; dst; l; r } ->
+          let l = use l in
+          let r = use r in
+          let i = Ir.Binop { op; dst = def dst; l; r } in
+          i :: body rest
+        | Load { dst; arr; idx } ->
+          let idx = use idx in
+          let i = Ir.Load { dst = def dst; arr; idx } in
+          i :: body rest
+        | Store { arr; idx; src } ->
+          let idx = use idx in
+          let src = use src in
+          let i = Ir.Store { arr; idx; src } in
+          i :: body rest)
+    in
+    new_body.(l) <- body b.body;
     new_term.(l) <- Ir.map_term_uses (fun r -> current r) b.term;
     (* Fill φ arguments of CFG successors for the edge from this block. *)
     Cfg.iter_succs cfg l (fun s ->
@@ -220,7 +245,9 @@ let run ?(pruning = Pruned) ?(fold_copies = true) ?obs (f : Ir.func) =
               (fun (pp : proto_phi) ->
                 {
                   Ir.dst = pp.ssa_dst;
-                  args = List.sort compare pp.filled;
+                  (* Labels are distinct within a φ. *)
+                  args =
+                    List.sort (fun (a, _) (b, _) -> Int.compare a b) pp.filled;
                 })
               !(phis_of l)
           in
@@ -236,6 +263,13 @@ let run ?(pruning = Pruned) ?(fold_copies = true) ?obs (f : Ir.func) =
         Ir.Names.versions ~base:f.names ~origin:origin_of ~version:version_of
           ~count:!next;
     },
-    { phis_inserted = !phis_inserted; copies_folded = !copies_folded } )
+    { phis_inserted = !phis_inserted; copies_folded = !copies_folded },
+    { facts with dom = Some dom } )
+
+let run ?pruning ?fold_copies ?obs f =
+  let ssa, stats, _ =
+    run_facts ?pruning ?fold_copies ?obs (Analysis.Facts.of_func f) f
+  in
+  (ssa, stats)
 
 let run_exn ?pruning ?fold_copies ?obs f = fst (run ?pruning ?fold_copies ?obs f)

@@ -32,6 +32,20 @@ val run :
     [obs] charges [Obs.Phis_inserted] and [Obs.Copies_folded] (and the
     pruning liveness pass, when run). *)
 
+val run_facts :
+  ?pruning:pruning ->
+  ?fold_copies:bool ->
+  ?obs:Obs.t ->
+  Analysis.Facts.t ->
+  Ir.func ->
+  Ir.func * stats * Analysis.Facts.t
+(** {!run} from facts of the input (its CFG, and its dominator tree when
+    known), so construction builds neither. Also returns those facts with
+    the tree construction used: a candidate for the output's validator
+    ({!Ssa_validate.run_facts}). The output's CFG differs from the input's
+    wherever an unreachable block had successors, since such blocks are
+    cut to a bare return. *)
+
 val run_exn :
   ?pruning:pruning -> ?fold_copies:bool -> ?obs:Obs.t -> Ir.func -> Ir.func
 (** {!run} without the statistics. *)

@@ -5,8 +5,8 @@ type stats = {
   temps_inserted : int;
 }
 
-let run ?obs (f : Ir.func) =
-  let cfg = Cfg.of_func f in
+let run ?cfg ?obs (f : Ir.func) =
+  let cfg = match cfg with Some cfg -> cfg | None -> Cfg.of_func f in
   let next = ref f.nregs in
   let fresh () =
     let r = !next in
@@ -60,4 +60,4 @@ let run ?obs (f : Ir.func) =
   ( { f with blocks; nregs = !next; names },
     { copies_inserted = !copies; temps_inserted = temps } )
 
-let run_exn ?obs f = fst (run ?obs f)
+let run_exn ?cfg ?obs f = fst (run ?cfg ?obs f)

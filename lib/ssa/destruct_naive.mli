@@ -13,10 +13,12 @@ type stats = {
   temps_inserted : int;
 }
 
-val run : ?obs:Obs.t -> Ir.func -> Ir.func * stats
-(** Remove all φ-nodes. Raises [Invalid_argument] if the function still has
+val run : ?cfg:Ir.Cfg.t -> ?obs:Obs.t -> Ir.func -> Ir.func * stats
+(** Remove all φ-nodes. [cfg] is [f]'s CFG when the caller has it (the
+    split CFG {!Ir.Edge_split.split} returns); it is built here otherwise.
+    The output has the same CFG: copies go into bodies only. Raises [Invalid_argument] if the function still has
     critical edges carrying φ arguments. [obs] charges the inserted copies
     (including cycle-breaking ones) to [Obs.Copies_inserted] and the minted
     temporaries to [Obs.Parallel_copy_temps]. *)
 
-val run_exn : ?obs:Obs.t -> Ir.func -> Ir.func
+val run_exn : ?cfg:Ir.Cfg.t -> ?obs:Obs.t -> Ir.func -> Ir.func

@@ -6,17 +6,23 @@ type error = Ir.Validate.error
 let err where fmt =
   Format.kasprintf (fun what -> { Ir.Validate.where; what }) fmt
 
-(* The CFG comes from the structural check. Definition sites are two
-   register-indexed int arrays, and operands are matched in place, so a
-   valid function costs its CFG, its dominators and those arrays, nothing
-   per instruction. *)
-let run (f : Ir.func) : error list =
+(* The CFG comes from the structural check; the dominator tree is the
+   candidate's when its CFG equals that one, else solved here. Definition
+   sites are two register-indexed int arrays, and operands are matched in
+   place, so a valid function costs its CFG, its dominators and those
+   arrays, nothing per instruction. *)
+let run_facts ?candidate (f : Ir.func) : (Analysis.Facts.t, error list) result =
   match Ir.Validate.structure_cfg f with
-  | Error errs -> errs
+  | Error errs -> Error errs
   | Ok cfg ->
     let errors = ref [] in
     let add e = errors := e :: !errors in
-    let dom = Dominance.compute f cfg in
+    let facts : Analysis.Facts.t =
+      match candidate with
+      | Some candidate -> Analysis.Facts.reuse ~candidate cfg
+      | None -> { cfg; dom = None }
+    in
+    let dom = Analysis.Facts.dominance f facts in
     (* Errors name the block they are found in, or the function for a
        parameter ([l] = -1); the string is formatted only when reported. *)
     let where l = if l < 0 then f.name else Printf.sprintf "%s/b%d" f.name l in
@@ -99,7 +105,11 @@ let run (f : Ir.func) : error list =
           List.iter (fun (p : Ir.phi) -> check_args l p.args) b.phis
         end)
       f.blocks;
-    List.rev !errors
+    match !errors with
+    | [] -> Ok { facts with dom = Some dom }
+    | errs -> Error (List.rev errs)
+
+let run f = match run_facts f with Ok _ -> [] | Error errs -> errs
 
 let check_exn f =
   match run f with

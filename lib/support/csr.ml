@@ -46,6 +46,15 @@ let row_list t u =
   done;
   !acc
 
+let equal a b =
+  let rec same xs ys i =
+    i < 0 || (xs.(i) = ys.(i) && same xs ys (i - 1))
+  in
+  Array.length a.off = Array.length b.off
+  && Array.length a.dat = Array.length b.dat
+  && same a.off b.off (Array.length a.off - 1)
+  && same a.dat b.dat (Array.length a.dat - 1)
+
 let transpose t =
   let n = num_nodes t in
   (* Emitting edges (dst, src) in increasing-u order fills each reversed

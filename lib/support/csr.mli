@@ -40,6 +40,10 @@ val row_list : t -> int -> int list
 (** [row_list g u] is [u]'s neighbours as a fresh list (emission order).
     Allocates — for tests and cold paths; hot code uses {!iter_row}. *)
 
+val equal : t -> t -> bool
+(** Same node count and the same rows, neighbour for neighbour. O(nodes +
+    edges); allocation-free. *)
+
 val transpose : t -> t
 (** The reverse relation: [v] is a neighbour of [u] in [transpose g] iff
     [u] is a neighbour of [v] in [g]. Each reversed row lists sources in

@@ -47,9 +47,14 @@ let same_liveness ?scratch (f : Ir.func) cfg =
   Option.iter (fun scratch -> Liveness.release scratch live) scratch;
   !ok
 
+(* The split SSA form of [f], with its CFG. *)
+let split_ssa f =
+  let ssa = Ir.Edge_split.run (Ssa.Construct.run_exn f) in
+  (ssa, Ir.Cfg.of_func ssa)
+
 let check_both name (f : Ir.func) =
   checkb (name ^ " (non-SSA)") true (same_liveness f (Ir.Cfg.of_func f));
-  let ssa, cfg = Ir.Edge_split.run_cfg (Ssa.Construct.run_exn f) in
+  let ssa, cfg = split_ssa f in
   checkb (name ^ " (split SSA)") true (same_liveness ssa cfg)
 
 let test_vs_ref_suites () =
@@ -193,7 +198,7 @@ let test_vs_ref_shared_arena () =
   let cases =
     List.concat_map
       (fun (e : Workloads.Suite.entry) ->
-        let ssa, cfg = Ir.Edge_split.run_cfg (Ssa.Construct.run_exn e.func) in
+        let ssa, cfg = split_ssa e.func in
         [ (e.name ^ " (non-SSA)", e.func, Ir.Cfg.of_func e.func);
           (e.name ^ " (split SSA)", ssa, cfg) ])
       (Workloads.Suite.kernels () @ Workloads.Suite.adversarial ()
@@ -366,7 +371,7 @@ let test_large_pops () =
   List.iter
     (fun (e : Workloads.Suite.entry) ->
       let raw = pops e.func (Ir.Cfg.of_func e.func) in
-      let ssa, cfg = Ir.Edge_split.run_cfg (Ssa.Construct.run_exn e.func) in
+      let ssa, cfg = split_ssa e.func in
       let split = pops ssa cfg in
       match List.find_opt (fun (n, _, _) -> n = e.name) large_pops with
       | None -> Alcotest.failf "no pinned pops for %s" e.name

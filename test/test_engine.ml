@@ -348,51 +348,61 @@ let prop_stream_equals_batch =
            expected got
       && Obs.counters obs_ref = Obs.counters obs_stream)
 
-(* Bounded memory: stream a corpus 10× larger and the heap high-water must
-   stay within a small constant factor, while materializing the same
-   corpus (inputs and reports all live at once) must cost strictly more
-   than streaming it. Factors are deliberately loose — heap_words moves
-   in GC-sized steps — but a reorder-window leak (O(n) retained reports)
-   overshoots 4× by an order of magnitude. *)
+(* Words a run retains: the most words live after a full major collection
+   at any of the run's sample points, less those live after one before
+   it. Garbage the collector has yet to reclaim is not counted, so the
+   figure follows neither GC pacing nor the live set earlier tests left
+   behind: only what the run itself keeps reachable. *)
+let retained_words run =
+  Gc.full_major ();
+  let live () = (Gc.quick_stat ()).Gc.live_words in
+  let base = live () in
+  let peak = ref base in
+  run (fun () ->
+      Gc.full_major ();
+      peak := max !peak (live ()));
+  !peak - base
+
+(* Bounded memory: stream a corpus 10× larger and the words retained
+   (sampled after every 25th function) must stay within a small constant
+   factor, while materializing the same corpus (inputs and reports all
+   live at once) must retain strictly more than streaming it. A
+   reorder-window leak (O(n) retained reports) overshoots by an order of
+   magnitude. *)
 let test_stream_bounded_memory () =
   let spec total =
     { Workloads.Corpus.seed = 11; total; mix = Workloads.Corpus.default_mix }
   in
   let streaming total =
-    let watch = Harness.Measure.heap_watch () in
-    Engine.Pool.with_pool ~jobs:4 (fun pool ->
-        Driver.Pipeline.stream_passes_in pool
-          ~producer:(Workloads.Corpus.producer (spec total))
-          ~consumer:(fun _ _ -> Harness.Measure.heap_sample watch)
-          new_pipeline);
-    Harness.Measure.heap_growth_words watch
+    retained_words (fun sample ->
+        Engine.Pool.with_pool ~jobs:4 (fun pool ->
+            Driver.Pipeline.stream_passes_in pool
+              ~producer:(Workloads.Corpus.producer (spec total))
+              ~consumer:(fun seq _ -> if seq mod 25 = 24 then sample ())
+              new_pipeline))
   in
   let materialized total =
-    let watch = Harness.Measure.heap_watch () in
-    Engine.Pool.with_pool ~jobs:4 (fun pool ->
-        let next = Workloads.Corpus.producer (spec total) in
-        let rec all acc =
-          match next () with Some f -> all (f :: acc) | None -> List.rev acc
-        in
-        let reports =
-          Driver.Pipeline.compile_batch_passes_in pool
-            new_pipeline
-            (all [])
-        in
-        ignore (Sys.opaque_identity reports);
-        Harness.Measure.heap_sample watch);
-    Harness.Measure.heap_growth_words watch
+    retained_words (fun sample ->
+        Engine.Pool.with_pool ~jobs:4 (fun pool ->
+            let next = Workloads.Corpus.producer (spec total) in
+            let rec all acc =
+              match next () with Some f -> all (f :: acc) | None -> List.rev acc
+            in
+            let reports =
+              Driver.Pipeline.compile_batch_passes_in pool new_pipeline (all [])
+            in
+            sample ();
+            ignore (Sys.opaque_identity reports)))
   in
   let small = streaming 100 in
   let large = streaming 1000 in
   let mat = materialized 1000 in
-  (* Factor 6, not a tight bound: major-GC pacing admits garbage in
-     proportion to the whole process's live set, so the measured
-     high-water drifts with whatever earlier tests left memoized (e.g.
-     the suite's large numeric routines) even though the streaming
-     window itself is fixed. Linear growth would be ~10x. *)
+  (* Factor 6, not a tight bound: the pool's per-domain scratch arenas
+     stay live and grow with the largest function a domain has met, and
+     the 10x corpus meets larger ones, even though the streaming window
+     itself is fixed. Linear growth would be ~10x. *)
   checkb
-    (Printf.sprintf "streaming peak flat across 10x corpus (%d -> %d words)"
+    (Printf.sprintf "streaming retention flat across 10x corpus (%d -> %d words)"
        small large)
     true
     (large <= 6 * small);

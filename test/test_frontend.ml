@@ -27,6 +27,11 @@ let test_lexer_error () =
     (try
        ignore (Frontend.Lexer.tokenize "func @");
        false
+     with Frontend.Lexer.Error (_, 1) -> true);
+  checkb "out-of-range integer raises" true
+    (try
+       ignore (Frontend.Lexer.tokenize "return 99999999999999999999;");
+       false
      with Frontend.Lexer.Error (_, 1) -> true)
 
 let test_parser_precedence () =
@@ -149,6 +154,43 @@ let prop_generator_programs_valid =
       match Interp.run ~args:run_args f with
       | _ -> true)
 
+(* Property: every mutation of a printed program is refused by the
+   parser and the file loader with their typed errors, or lowers to
+   functions the pipeline's door compiles or refuses as invalid input; no
+   other exception escapes either reader. *)
+let prop_source_mutations =
+  let path = Filename.temp_file "repro-mutated" ".mini" in
+  at_exit (fun () -> try Sys.remove path with Sys_error _ -> ());
+  QCheck.Test.make ~count:400
+    ~name:"source: mutated text is a program or a typed error, at parser and loader"
+    QCheck.(
+      pair
+        (pair (int_bound 10_000) (int_range 5 30))
+        (make (Gen.list_size (Gen.int_range 1 4) mutation_gen)))
+    (fun ((seed, size), muts) ->
+      let base =
+        Frontend.Ast.func_to_source
+          (Workloads.Generator.generate { Workloads.Generator.default with seed; size })
+      in
+      let text = List.fold_left mutate base muts in
+      let compiles (f : Ir.func) =
+        match Driver.Pipeline.compile_passes new_pipeline f with
+        | _ -> true
+        | exception Ir.Validate.Invalid _ -> true
+      in
+      let parsed =
+        match Frontend.Lower.compile text with
+        | fs -> List.for_all compiles fs
+        | exception Frontend.Parser.Error _ -> true
+      in
+      Out_channel.with_open_bin path (fun oc -> output_string oc text);
+      let loaded =
+        match Frontend.Load.file path with
+        | fs -> fs <> []
+        | exception Frontend.Load.Error _ -> true
+      in
+      parsed && loaded)
+
 let suite =
   [
     Alcotest.test_case "lexer basics" `Quick test_lexer;
@@ -168,4 +210,5 @@ let suite =
       test_lowering_arrays_and_floats;
     Alcotest.test_case "source copies survive" `Quick test_source_copies_survive;
     QCheck_alcotest.to_alcotest prop_generator_programs_valid;
+    QCheck_alcotest.to_alcotest prop_source_mutations;
   ]

@@ -4,14 +4,12 @@
 let () =
   Alcotest.run "repro"
     [
-      (* First: "stream: bounded memory vs materialized" compares heap
-         growth, which depends on the GC state earlier suites leave. *)
-      ("engine", Test_engine.suite);
       ("support", Test_support.suite);
       ("ir", Test_ir.suite);
       ("diagnostics", Test_diagnostics.suite);
       ("analysis", Test_analysis.suite);
       ("dataflow", Test_dataflow.suite);
+      ("facts", Test_facts.suite);
       ("parallel-copy", Test_parallel_copy.suite);
       ("ssa", Test_ssa.suite);
       ("forest+interference", Test_forest.suite);
@@ -32,6 +30,7 @@ let () =
       ("pass", Test_pass.suite);
       ("check", Test_check.suite);
       ("harness", Test_harness.suite);
+      ("engine", Test_engine.suite);
       ("obs", Test_obs.suite);
       ("cache", Test_cache.suite);
       ("digests", Test_digests.suite);

@@ -217,6 +217,78 @@ let cached_config ~jobs ~queue ~per_conn =
     cache = Some (Cache.create ~capacity:256 ~shards:4 ());
   }
 
+(* With no cache, one inline line gets the same reply from the stdin
+   loop's batch and from the socket server: every function compiled is a
+   miss on both, so hits + misses = funcs. *)
+let test_uncached_transports_agree () =
+  let line = "inline func u(n) { return n + 1; } func v(a, b) { return a * b; }" in
+  let stdin_reply =
+    Engine.Pool.with_pool ~jobs:1 (fun pool ->
+        match
+          Serve.Protocol.respond
+            ~compile:(Serve.Protocol.batch_compile ~pool ~cache:None)
+            ~stats:(fun () -> "") line
+        with
+        | Serve.Protocol.Reply r -> r
+        | No_reply | Bye _ -> Alcotest.fail "stdin: no reply")
+  in
+  checkb ("stdin: " ^ stdin_reply) true (contains stdin_reply "hits=0 misses=2");
+  with_server (fun server ->
+      let ic, oc = connect server in
+      send oc line;
+      checks "tcp reply = stdin reply" stdin_reply (input_line ic);
+      send oc "quit";
+      checks "bye" "ok bye" (input_line ic);
+      disconnect (ic, oc))
+
+(* Property: mutated request lines — an inline program, compile and run
+   of a file, stats — each get a reply that is [ok …] or
+   [err … status=…], or no reply, or the session's end; no exception
+   escapes [respond]. A mutation may split a line, as a stray newline
+   would on the wire. *)
+let prop_mutated_lines =
+  let path = Filename.temp_file "repro-serve-mutated" ".mini" in
+  Out_channel.with_open_bin path (fun oc ->
+      output_string oc "func f(a, b) { c = a * b; return c + 1; }\n");
+  at_exit (fun () -> try Sys.remove path with Sys_error _ -> ());
+  let lines seed size =
+    let src =
+      Frontend.Ast.func_to_source
+        (Workloads.Generator.generate { Workloads.Generator.default with seed; size })
+      |> String.map (fun c -> if c = '\n' then ' ' else c)
+    in
+    [
+      "inline --tag t1 " ^ src;
+      "compile --passes construct:pruned,briggs-star " ^ path;
+      "run --args 3,4 --passes construct:pruned,coalesce " ^ path;
+      "stats";
+    ]
+  in
+  let cache = Some (Cache.create ~capacity:8 ()) in
+  QCheck.Test.make ~count:300
+    ~name:"serve: mutated request lines get ok or err replies"
+    QCheck.(
+      triple (int_bound 10_000) (int_range 5 20)
+        (make (Gen.list_size (Gen.int_range 1 4) mutation_gen)))
+    (fun (seed, size, muts) ->
+      Engine.Pool.with_pool ~jobs:1 (fun pool ->
+          let respond line =
+            match
+              Serve.Protocol.respond
+                ~compile:(Serve.Protocol.batch_compile ~pool ~cache)
+                ~stats:(fun () -> "stats") line
+            with
+            | Serve.Protocol.Reply r ->
+              String.starts_with ~prefix:"ok" r
+              || (String.starts_with ~prefix:"err " r && contains r "status=")
+            | No_reply | Bye _ -> true
+          in
+          List.for_all
+            (fun line ->
+              let text = List.fold_left mutate line muts in
+              List.for_all respond (String.split_on_char '\n' text))
+            (lines seed size)))
+
 (* Each client pipelines tagged requests of mixed cost (inline compiles
    and stats) and then checks that the replies come back tagged in
    exactly the order sent, whatever the pool did with the work. *)
@@ -475,7 +547,10 @@ let suite =
       test_compute_through_failure;
     Alcotest.test_case "stdin batch counts duplicates as hits" `Quick
       test_batch_compile_duplicates;
+    Alcotest.test_case "uncached: stdin and tcp notes agree" `Quick
+      test_uncached_transports_agree;
     Alcotest.test_case "sharded stats" `Quick test_sharded_stats;
+    QCheck_alcotest.to_alcotest prop_mutated_lines;
     Alcotest.test_case "tcp per-client ordering" `Quick
       test_ordering_under_concurrency;
     Alcotest.test_case "tcp in-flight dedup collapse" `Quick
