@@ -616,10 +616,11 @@ let serve_socket ~config listen =
   in
   Printf.eprintf
     "# accepted=%d refused=%d served=%d shed=%d; cache hits=%d misses=%d \
-     dedup=%d contention=%d disk_evictions=%d\n%!"
+     dedup=%d contention=%d disk_evictions=%d; %s\n%!"
     c.Serve.Server.accepted c.Serve.Server.refused c.Serve.Server.served
     c.Serve.Server.shed s.Cache.hits s.Cache.misses s.Cache.dedup_collapsed
-    s.Cache.contention s.Cache.disk_evictions;
+    s.Cache.contention s.Cache.disk_evictions
+    (Serve.Server.residence_fields server);
   0
 
 let serve_cmd =

@@ -504,3 +504,39 @@ module Contention = struct
   let name c = c.name
   let publish c obs = add_extra obs c.name (count c)
 end
+
+(* ------------------------------------------------------------------ *)
+(* Latency histograms                                                  *)
+(* ------------------------------------------------------------------ *)
+
+module Histogram = struct
+  (* Bucket 0 counts durations up to 1 µs; bucket i > 0 those in
+     (2^(i-1), 2^i] µs; the last bucket also takes everything longer. *)
+  type t = int Atomic.t array
+
+  let buckets = 32
+  let make () = Array.init buckets (fun _ -> Atomic.make 0)
+  let upper_us i = 1 lsl i
+
+  let bucket_of_us us =
+    if not (us > 1.) then 0
+    else
+      let m, e = Float.frexp us in
+      (* us = m · 2^e with m in [0.5, 1): an exact power sits at e - 1. *)
+      min (buckets - 1) (if m = 0.5 then e - 1 else e)
+
+  let record h seconds = Atomic.incr h.(bucket_of_us (seconds *. 1e6))
+  let counts h = Array.map Atomic.get h
+
+  let quantile_us h q =
+    let c = counts h in
+    let total = Array.fold_left ( + ) 0 c in
+    if total = 0 then 0
+    else
+      let rank = max 1 (int_of_float (Float.ceil (q *. float total))) in
+      let rec find i acc =
+        let acc = acc + c.(i) in
+        if acc >= rank then upper_us i else find (i + 1) acc
+      in
+      find 0 0
+end

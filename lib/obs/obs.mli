@@ -191,3 +191,29 @@ module Contention : sig
       [name] — call only after the threads bumping the counter have
       quiesced, per the recorder's single-owner contract. *)
 end
+
+(** {1 Latency histograms}
+
+    A fixed log-bucket histogram in the {!Contention} idiom: one atomic
+    cell per power-of-two microsecond bucket, bumped lock-free from any
+    thread or domain, read with a racy but monotonic snapshot. *)
+
+module Histogram : sig
+  type t
+
+  val make : unit -> t
+  (** An empty histogram. Bucket 0 counts durations up to 1 µs, bucket
+      [i > 0] those in (2{^i-1}, 2{^i}] µs; the last bucket (2{^31} µs)
+      also takes anything longer. *)
+
+  val record : t -> float -> unit
+  (** [record h seconds] counts one duration. Lock-free. *)
+
+  val counts : t -> int array
+  (** Snapshot of the per-bucket counts, bucket 0 first. *)
+
+  val quantile_us : t -> float -> int
+  (** [quantile_us h q] is the upper edge, in µs, of the bucket holding
+      the [q]-quantile of the recorded durations (nearest rank); 0 when
+      nothing has been recorded. *)
+end

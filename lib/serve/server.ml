@@ -62,6 +62,9 @@ type ticket = {
   tag : string option;
   bye : bool;
   mutable reply : string option;  (* guarded by the owning conn's lock *)
+  mutable admitted_s : float;
+      (* Obs.now_s when the reader admitted it to the queue; nan for a
+         reply made in place (stats, quit, busy), which is not counted *)
 }
 
 type conn = {
@@ -97,6 +100,7 @@ type t = {
   refused : Obs.Contention.counter;
   served : Obs.Contention.counter;
   shed : Obs.Contention.counter;
+  residence : Obs.Histogram.t;  (* admission to flushed reply, work only *)
 }
 
 type counters = {
@@ -125,14 +129,21 @@ let counters (t : t) : counters =
 let cache_stats (t : t) =
   match t.cfg.cache with Some c -> Cache.stats c | None -> Cache.zero_stats
 
+let residence t = t.residence
+
+let residence_fields t =
+  Printf.sprintf "res_p50_us=%d res_p99_us=%d"
+    (Obs.Histogram.quantile_us t.residence 0.5)
+    (Obs.Histogram.quantile_us t.residence 0.99)
+
 let stats_body t =
   let c = counters t in
   let s = cache_stats t in
   Printf.sprintf
     "stats served=%d shed=%d conns=%d queued=%d hits=%d misses=%d dedup=%d \
-     contention=%d"
+     contention=%d %s"
     c.served c.shed c.live_conns c.queued s.Cache.hits s.Cache.misses
-    s.Cache.dedup_collapsed s.Cache.contention
+    s.Cache.dedup_collapsed s.Cache.contention (residence_fields t)
 
 (* ------------------------------------------------------------------ *)
 (* Worker side: evaluation on the engine pool's domains                *)
@@ -217,14 +228,17 @@ let append_fifo (conn : conn) ticket =
   Mutex.unlock conn.lock
 
 let enqueue_resolved conn ?tag ?(bye = false) reply =
-  append_fifo conn { line = ""; tag; bye; reply = Some reply }
+  append_fifo conn
+    { line = ""; tag; bye; reply = Some reply; admitted_s = Float.nan }
 
 (* Admission control, in shed order: the per-connection in-flight limit
    first (one hog cannot monopolize the queue), then the global bounded
    queue. A shed request costs a FIFO node and a preformatted busy line —
    never a parse, a file read or a compilation. *)
 let admit (t : t) (conn : conn) tag line =
-  let ticket = { line; tag; bye = false; reply = None } in
+  let ticket =
+    { line; tag; bye = false; reply = None; admitted_s = Obs.now_s () }
+  in
   Mutex.lock conn.lock;
   Queue.add ticket conn.fifo;
   let under_limit = conn.inflight < t.cfg.per_conn in
@@ -238,6 +252,7 @@ let admit (t : t) (conn : conn) tag line =
     Mutex.lock conn.lock;
     if under_limit then conn.inflight <- conn.inflight - 1;
     ticket.reply <- Some (Protocol.busy_reply ?tag ());
+    ticket.admitted_s <- Float.nan;
     Condition.broadcast conn.cond;
     Mutex.unlock conn.lock;
     Obs.Contention.hit t.shed
@@ -278,6 +293,7 @@ let writer (t : t) (conn : conn) reader_thread () =
       done;
       ignore (Queue.take conn.fifo);
       let reply = Option.get ticket.reply in
+      let admitted_s = ticket.admitted_s in
       Mutex.unlock conn.lock;
       (* A half-closed peer makes the write fail; keep draining so every
          admitted ticket is still consumed and resolved. *)
@@ -286,6 +302,8 @@ let writer (t : t) (conn : conn) reader_thread () =
          output_char conn.oc '\n';
          flush conn.oc
        with Sys_error _ -> ());
+      if not (Float.is_nan admitted_s) then
+        Obs.Histogram.record t.residence (Obs.now_s () -. admitted_s);
       loop ()
     end
   in
@@ -299,14 +317,25 @@ let writer (t : t) (conn : conn) reader_thread () =
 (* Listener                                                            *)
 (* ------------------------------------------------------------------ *)
 
+(* Nagle's algorithm would hold a reply written while the connection's
+   previous reply is still unacknowledged until the client ACKs it, and
+   a client with a request already in flight (open-loop, pipelined)
+   delays that ACK by up to its 40 ms timer. Each reply leaves in one
+   write, so nothing is gained by holding it. Unix-domain sockets have
+   no such option. *)
 let start_session (t : t) fd =
+  (match t.listen with
+  | Tcp _ -> (
+    try Unix.setsockopt fd Unix.TCP_NODELAY true
+    with Unix.Unix_error _ -> ())
+  | Unix_path _ -> ());
   let id = locked t (fun () -> t.next_id <- t.next_id + 1; t.next_id) in
   let conn =
     {
       id;
       fd;
       ic = Unix.in_channel_of_descr fd;
-      oc = Unix.out_channel_of_descr (Unix.dup fd);
+      oc = Unix.out_channel_of_descr (Unix.dup ~cloexec:true fd);
       lock = Mutex.create ();
       cond = Condition.create ();
       fifo = Queue.create ();
@@ -335,7 +364,7 @@ let listener (t : t) () =
     | readable, _, _ ->
       if List.mem t.wake_r readable then ()  (* stop () rang the bell *)
       else begin
-        (match Unix.accept t.listen_fd with
+        (match Unix.accept ~cloexec:true t.listen_fd with
         | exception Unix.Unix_error _ -> ()
         | fd, _ ->
           let full =
@@ -366,13 +395,16 @@ let start ?(config = default_config) listen =
       if Sys.file_exists path then (try Sys.remove path with Sys_error _ -> ());
       (Unix.ADDR_UNIX path, Unix.PF_UNIX)
   in
-  let listen_fd = Unix.socket pf Unix.SOCK_STREAM 0 in
+  (* Every descriptor is close-on-exec: a child the host process spawns
+     must not hold the listening socket, the self-pipe or a connection
+     open after the server closes it. *)
+  let listen_fd = Unix.socket ~cloexec:true pf Unix.SOCK_STREAM 0 in
   (match listen with
   | Tcp _ -> Unix.setsockopt listen_fd Unix.SO_REUSEADDR true
   | Unix_path _ -> ());
   Unix.bind listen_fd sockaddr;
   Unix.listen listen_fd 128;
-  let wake_r, wake_w = Unix.pipe () in
+  let wake_r, wake_w = Unix.pipe ~cloexec:true () in
   let t =
     {
       cfg = { config with jobs = max 1 config.jobs };
@@ -393,6 +425,7 @@ let start ?(config = default_config) listen =
       refused = Obs.Contention.make "serve_refused";
       served = Obs.Contention.make "serve_served";
       shed = Obs.Contention.make "serve_shed";
+      residence = Obs.Histogram.make ();
     }
   in
   t.pool_thread <-

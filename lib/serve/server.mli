@@ -65,10 +65,20 @@ val address : t -> string
 val counters : t -> counters
 (** Snapshot of the server counters. *)
 
+val residence : t -> Obs.Histogram.t
+(** Server residence of every admitted work request: from the reader's
+    admission to the writer's flush of its reply. Busy sheds and the
+    replies made in place ([stats], [quit]) are not counted. *)
+
+val residence_fields : t -> string
+(** ["res_p50_us=N res_p99_us=N"]: the upper edges, in µs, of the
+    {!residence} buckets holding the median and the 99th percentile
+    (0 before the first reply). *)
+
 val stats_body : t -> string
-(** The body of the protocol's [stats] reply: server counters plus the
-    cache's hit/miss/dedup/contention totals, as one
-    ["stats k=v ..."] line. *)
+(** The body of the protocol's [stats] reply: server counters, the
+    cache's hit/miss/dedup/contention totals and {!residence_fields},
+    as one ["stats k=v ..."] line. *)
 
 val stop : t -> unit
 (** Graceful drain, idempotent: stop accepting, end every session after

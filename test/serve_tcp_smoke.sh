@@ -60,7 +60,10 @@ esac
 [ $((m1 + m2)) -eq 1 ] || fail "t1/t2: expected exactly one miss: $r1 / $r2"
 read -r r3 <&3; case "$r3" in "ok tag=t3 funcs=1 "*) ;; *) fail "t3: $r3";; esac
 read -r r4 <&3; case "$r4" in "ok tag=t4 ran ok=6") ;; *) fail "t4: $r4";; esac
-read -r r5 <&3; case "$r5" in "ok tag=t5 stats served="*) ;; *) fail "t5: $r5";; esac
+read -r r5 <&3; case "$r5" in
+  "ok tag=t5 stats served="*" res_p50_us="[0-9]*" res_p99_us="[0-9]*) ;;
+  *) fail "t5: $r5" ;;
+esac
 read -r r6 <&3; case "$r6" in "err tag=t6 status=2 serve: unknown request 'frobnicate'"*) ;; *) fail "t6: $r6";; esac
 read -r r7 <&3; case "$r7" in "err tag=t7 status=2 invalid input: undef/b0: "*) ;; *) fail "t7: $r7";; esac
 read -r r8 <&3; case "$r8" in "ok tag=t8 ran ok=6") ;; *) fail "t8: $r8";; esac

@@ -163,6 +163,23 @@ let test_engine_batch_obs () =
   checki "engine batch counts what its stats count" stats_copies
     (Obs.get obs Obs.Copies_inserted)
 
+(* Power-of-two microsecond buckets, read back as upper edges. *)
+let test_histogram_buckets () =
+  let h = Obs.Histogram.make () in
+  checki "empty quantile" 0 (Obs.Histogram.quantile_us h 0.5);
+  List.iter (Obs.Histogram.record h) [ 0.5e-6; 1.5e-6; 3e-6; 3.5e-6; 1e-3 ];
+  let c = Obs.Histogram.counts h in
+  checki "every duration counted" 5 (Array.fold_left ( + ) 0 c);
+  checki "<= 1 us" 1 c.(0);
+  checki "(1, 2] us" 1 c.(1);
+  checki "(2, 4] us" 2 c.(2);
+  checki "(512, 1024] us" 1 c.(10);
+  checki "p50 edge" 4 (Obs.Histogram.quantile_us h 0.5);
+  checki "p99 edge" 1024 (Obs.Histogram.quantile_us h 0.99);
+  Obs.Histogram.record h 1e9;
+  checki "overflow lands in the last bucket" 1
+    (Obs.Histogram.counts h).(Array.length c - 1)
+
 let suite =
   [
     Alcotest.test_case "counter names unique" `Quick test_counter_names_unique;
@@ -178,4 +195,5 @@ let suite =
     Alcotest.test_case "batch aggregation deterministic" `Quick
       test_batch_merge_deterministic;
     Alcotest.test_case "engine batch recorder" `Quick test_engine_batch_obs;
+    Alcotest.test_case "histogram buckets" `Quick test_histogram_buckets;
   ]

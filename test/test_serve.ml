@@ -3,8 +3,10 @@
    note, and multi-client TCP soak tests
    against the concurrent server — per-client reply ordering, collapse
    of identical concurrent requests, busy-shed accounting under a tiny
-   queue bound, connection refusal at max_conns, unix-domain transport
-   and a clean drain that leaks neither file descriptors nor sessions. *)
+   queue bound, connection refusal at max_conns, unix-domain transport,
+   a pipelined pair's replies leaving unheld over TCP, close-on-exec
+   descriptors, the server's residence histogram, and a clean drain
+   that leaks neither file descriptors nor sessions. *)
 
 open Helpers
 
@@ -449,7 +451,10 @@ let test_busy_shed_accounting () =
       checkb "some shed" true (!busy > 0);
       let c = Serve.Server.counters server in
       checki "server counted every shed" !busy c.Serve.Server.shed;
-      checki "server counted every serve" !ok c.Serve.Server.served)
+      checki "server counted every serve" !ok c.Serve.Server.served;
+      checki "residence counts served replies, not sheds or stats" !ok
+        (Array.fold_left ( + ) 0
+           (Obs.Histogram.counts (Serve.Server.residence server))))
 
 let test_max_conns_refusal () =
   let config =
@@ -499,6 +504,131 @@ let test_unix_socket () =
       checks "bye" "ok bye" (input_line ic);
       disconnect (ic, oc));
   checkb "socket file unlinked on stop" false (Sys.file_exists path)
+
+(* A client that, like an open-loop one, has its next request on the
+   wire before the previous reply is acknowledged: two requests in one
+   write, timed until both replies are read. With Nagle's algorithm on
+   the server's socket the second reply waits for the client's delayed
+   ACK (~40 ms); the warm-up round trips first take the client out of
+   quick-ACK mode, which would otherwise hide the hold. *)
+let test_pipelined_pair_not_held () =
+  with_server ~config:(cached_config ~jobs:1 ~queue:16 ~per_conn:4)
+    (fun server ->
+      let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
+      Fun.protect
+        ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+        (fun () ->
+          Unix.setsockopt fd Unix.TCP_NODELAY true;
+          Unix.connect fd
+            (Unix.ADDR_INET (Unix.inet_addr_loopback, Serve.Server.port server));
+          let ic = Unix.in_channel_of_descr fd in
+          let write s =
+            ignore (Unix.write_substring fd s 0 (String.length s))
+          in
+          let program = "func nd(n) { return n + 1; }" in
+          for _ = 1 to 40 do
+            write ("inline " ^ program ^ "\n");
+            ignore (input_line ic)
+          done;
+          let pair i =
+            let t0 = Obs.now_s () in
+            write
+              (Printf.sprintf "inline --tag a%d %s\ninline --tag b%d %s\n" i
+                 program i program);
+            ignore (input_line ic);
+            ignore (input_line ic);
+            (Obs.now_s () -. t0) *. 1000.
+          in
+          let ms = List.sort compare (List.init 30 pair) in
+          let median = List.nth ms 15 in
+          checkb (Printf.sprintf "pair median %.2f ms < 20 ms" median) true
+            (median < 20.);
+          write "quit\n";
+          checks "bye" "ok bye" (input_line ic)))
+
+let new_fds before =
+  Sys.readdir "/proc/self/fd" |> Array.to_list
+  |> List.filter (fun n -> not (List.mem n before))
+
+(* Whether fd [n] has O_CLOEXEC in its fdinfo flags (octal); [None] for
+   an fd that closed since it was listed, such as the handle that read
+   /proc/self/fd. *)
+let cloexec_flag n =
+  match
+    In_channel.with_open_text ("/proc/self/fdinfo/" ^ n) In_channel.input_all
+  with
+  | exception Sys_error _ -> None
+  | info ->
+    List.find_map
+      (fun l ->
+        match String.split_on_char ':' l with
+        | [ "flags"; v ] ->
+          Some (int_of_string ("0o" ^ String.trim v) land 0o2000000 <> 0)
+        | _ -> None)
+      (String.split_on_char '\n' info)
+
+(* Every descriptor the server opens is close-on-exec, so a child the
+   host process spawns holds none of them: not the listening socket,
+   not the self-pipe, not an accepted connection or its dup. *)
+let test_descriptors_cloexec () =
+  let before = Array.to_list (Sys.readdir "/proc/self/fd") in
+  let require what =
+    List.iter
+      (fun n ->
+        match cloexec_flag n with
+        | Some set -> checkb (Printf.sprintf "%s: fd %s close-on-exec" what n) true set
+        | None -> ())
+      (new_fds before)
+  in
+  with_server ~config:(cached_config ~jobs:1 ~queue:16 ~per_conn:4)
+    (fun server ->
+      require "after start";
+      checkb "start opened descriptors" true (List.length (new_fds before) >= 3);
+      let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
+      Unix.connect fd
+        (Unix.ADDR_INET (Unix.inet_addr_loopback, Serve.Server.port server));
+      let ic = Unix.in_channel_of_descr fd in
+      let line = "stats\n" in
+      ignore (Unix.write_substring fd line 0 (String.length line));
+      ignore (input_line ic);
+      require "after one accepted connection";
+      close_in_noerr ic)
+
+let field name body =
+  List.find_map
+    (fun tok ->
+      match String.split_on_char '=' tok with
+      | [ k; v ] when k = name -> int_of_string_opt v
+      | _ -> None)
+    (String.split_on_char ' ' body)
+
+(* N work requests put N durations in the residence histogram; the stats
+   and quit replies made in place add none, and the stats line carries
+   the bucket edges of its median and 99th percentile. *)
+let test_residence_histogram () =
+  with_server ~config:(cached_config ~jobs:1 ~queue:16 ~per_conn:4)
+    (fun server ->
+      let ic, oc = connect server in
+      let n = 25 in
+      for j = 0 to n - 1 do
+        send oc (Printf.sprintf "inline --tag r%d func r%d(n) { return n + %d; }" j (j mod 5) j);
+        ignore (input_line ic);
+        if j = 10 then (send oc "stats"; ignore (input_line ic))
+      done;
+      (* The bye is flushed after every earlier reply was counted. *)
+      send oc "quit";
+      checks "bye" "ok bye" (input_line ic);
+      disconnect (ic, oc);
+      let h = Serve.Server.residence server in
+      checki "one duration per work request" n
+        (Array.fold_left ( + ) 0 (Obs.Histogram.counts h));
+      let body = Serve.Server.stats_body server in
+      match (field "res_p50_us" body, field "res_p99_us" body) with
+      | Some p50, Some p99 ->
+        checkb (Printf.sprintf "0 < p50 <= p99: %s" body) true
+          (0 < p50 && p50 <= p99);
+        checki "p50 field is the histogram's" (Obs.Histogram.quantile_us h 0.5) p50
+      | _ -> Alcotest.fail ("stats without residence fields: " ^ body))
 
 let count_fds () = Array.length (Sys.readdir "/proc/self/fd")
 
@@ -559,6 +689,11 @@ let suite =
       test_busy_shed_accounting;
     Alcotest.test_case "tcp max-conns refusal" `Quick test_max_conns_refusal;
     Alcotest.test_case "unix-domain transport" `Quick test_unix_socket;
+    Alcotest.test_case "tcp pipelined pair not held" `Quick
+      test_pipelined_pair_not_held;
+    Alcotest.test_case "descriptors close-on-exec" `Quick
+      test_descriptors_cloexec;
+    Alcotest.test_case "residence histogram" `Quick test_residence_histogram;
     Alcotest.test_case "clean drain, no leaks" `Quick
       test_clean_drain_no_leaks;
   ]
