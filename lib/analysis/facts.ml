@@ -1,9 +1,10 @@
 type t = {
   cfg : Ir.Cfg.t;
   dom : Dominance.t option;
+  live : Liveness.t option;
 }
 
-let of_func f = { cfg = Ir.Cfg.of_func f; dom = None }
+let of_func f = { cfg = Ir.Cfg.of_func f; dom = None; live = None }
 
 let or_build facts f = match facts with Some t -> t | None -> of_func f
 
@@ -12,9 +13,41 @@ let dominance f t =
 
 let reuse ~candidate cfg =
   match candidate.dom with
-  | Some _ when Ir.Cfg.equal candidate.cfg cfg -> { cfg; dom = candidate.dom }
-  | Some _ | None -> { cfg; dom = None }
+  | Some _ when Ir.Cfg.equal candidate.cfg cfg ->
+    { cfg; dom = candidate.dom; live = None }
+  | Some _ | None -> { cfg; dom = None; live = None }
 
 let split_critical_edges ?obs t f =
   let f', cfg, edges = Ir.Edge_split.split ?obs t.cfg f in
-  (f', { cfg; dom = Option.map (fun d -> Dominance.after_split d cfg edges) t.dom })
+  ( f',
+    {
+      cfg;
+      dom = Option.map (fun d -> Dominance.after_split d cfg edges) t.dom;
+      live = None;
+    } )
+
+let has_phis (f : Ir.func) =
+  Array.exists (fun (b : Ir.block) -> b.phis <> []) f.blocks
+
+(* Structure first; then, without φs, the liveness verdict; the full
+   validator only when the function has φs or the verdict fails, so it
+   alone writes the errors. *)
+let checked ?obs f =
+  let full () =
+    Result.map (fun cfg -> { cfg; dom = None; live = None })
+      (Ir.Validate.run_cfg ?obs f)
+  in
+  match Ir.Validate.structure_cfg f with
+  | Error errs -> Error errs
+  | Ok _ when has_phis f -> full ()
+  | Ok cfg ->
+    let scratch = Support.Scratch.domain () in
+    let live = Liveness.compute_into ~scratch ?obs ~pops:false f cfg in
+    if Liveness.strict live f then Ok { cfg; dom = None; live = Some live }
+    else begin
+      Liveness.release scratch live;
+      full ()
+    end
+
+let release t =
+  Option.iter (Liveness.release (Support.Scratch.domain ())) t.live

@@ -13,6 +13,7 @@ type t = {
   width : int;
   nregs : int;
   blocks : int;
+  pops : int;
 }
 
 (* The block walk's state. [map] becomes the result's [index]; cells
@@ -129,7 +130,7 @@ let rec phi_args w = function
    Blocks are seeded in postorder (successors first, the natural order for
    a backward problem); a block re-enters the worklist only when the
    live-in of one of its successors actually grew. *)
-let compute_into ~scratch ?obs (f : Ir.func) cfg =
+let compute_into ~scratch ?obs ?(pops = true) (f : Ir.func) cfg =
   let n = Ir.num_blocks f in
   let nregs = f.nregs in
   let po = Cfg.postorder cfg in
@@ -193,17 +194,17 @@ let compute_into ~scratch ?obs (f : Ir.func) cfg =
      first pop adds its kills and its upward-exposed uses, to a live-in row
      no pop has written yet: gen's union, which grows the row iff the block
      has such a use, and which no later pop could grow. *)
-  let pops = ref 0 and group = ref 0 in
+  let popped = ref 0 and group = ref 0 in
   while !head <> !tail do
     let l = queue.(!head) in
     head := (!head + 1) mod (n + 1);
     on_list.(l) <- 0;
-    incr pops;
+    incr popped;
     for i = 0 to Cfg.num_succs cfg l - 1 do
       ignore (M.union_into live_out l live_in (Cfg.succ cfg l i))
     done;
     let grew_gen = ref false in
-    if !pops <= Array.length po then begin
+    if !popped <= Array.length po then begin
       let last = !group + buf.(!group) in
       for e = !group + 1 to last do
         let x = buf.(e) in
@@ -228,8 +229,12 @@ let compute_into ~scratch ?obs (f : Ir.func) cfg =
   Scratch.release_matrix scratch kill;
   Scratch.release_int_array scratch queue;
   Scratch.release_int_array scratch on_list;
-  Option.iter (fun o -> Obs.add o Obs.Liveness_worklist_pops !pops) obs;
-  { live_in; live_out; index; width; nregs; blocks = n }
+  Option.iter
+    (fun o ->
+      Obs.add_work o "liveness_solves" 1;
+      if pops then Obs.add o Obs.Liveness_worklist_pops !popped)
+    obs;
+  { live_in; live_out; index; width; nregs; blocks = n; pops = !popped }
 
 let compute ?obs f cfg = compute_into ~scratch:(Scratch.create ()) ?obs f cfg
 
@@ -239,6 +244,17 @@ let release scratch t =
   Scratch.release_ints scratch t.index
 
 let width t = t.width
+let worklist_pops t = t.pops
+
+(* The entry's live-in row holds only parameters. *)
+let strict t (f : Ir.func) =
+  let row = M.row t.live_in f.entry in
+  let rec params_only c =
+    c < 0
+    || (List.mem t.index.(t.nregs + c) f.params
+       && params_only (Bitset.next row (c + 1)))
+  in
+  params_only (Bitset.next row 0)
 
 (* Register [r]'s column, or -1. *)
 let column_of t r =

@@ -26,17 +26,25 @@ val compute : ?obs:Obs.t -> Ir.func -> Ir.Cfg.t -> t
 (** Worklist dataflow to a fixpoint, allocating fresh matrices. *)
 
 val compute_into :
-  scratch:Support.Scratch.t -> ?obs:Obs.t -> Ir.func -> Ir.Cfg.t -> t
+  scratch:Support.Scratch.t ->
+  ?obs:Obs.t ->
+  ?pops:bool ->
+  Ir.func ->
+  Ir.Cfg.t ->
+  t
 (** Like {!compute}, but the buffers come from [scratch]: live-in,
     live-out and the kill temporary are rows of three
     {!Support.Bitset.Matrix}es, one buffer each; the index and the flat
     buffer the block walk records its uses and definitions in are
     {!Support.Scratch.acquire_ints} buffers; the worklist arrays are pooled
     too. Pair with {!release} to recycle the result's matrices and index
-    once the analysis is no longer needed. When [obs] is given, the number
-    of worklist pops is charged to [Obs.Liveness_worklist_pops]; it is the
-    count a solve over every register makes, since a name outside the
-    index never enters a set. *)
+    once the analysis is no longer needed. When [obs] is given, the solve
+    counts one ["liveness_solves"] work counter ({!Obs.add_work}) and,
+    unless [pops] is [false], the number of worklist pops is charged to
+    [Obs.Liveness_worklist_pops]; it is the count a solve over every
+    register makes, since a name outside the index never enters a set. A
+    solve made for a verdict passes [~pops:false], and the pass that
+    consumes it charges {!worklist_pops} instead. *)
 
 val release : Support.Scratch.t -> t -> unit
 (** Return the live-in/live-out matrices and the index to the arena. [t]
@@ -61,6 +69,21 @@ val live_in_mem : t -> Ir.label -> Ir.reg -> bool
 
 val live_out_mem : t -> Ir.label -> Ir.reg -> bool
 (** Membership in {!live_out}, read through the index without a set. *)
+
+val worklist_pops : t -> int
+(** The worklist pops the solve made. *)
+
+val strict : t -> Ir.func -> bool
+(** [strict t f], with [t] the liveness of a structurally valid φ-free
+    [f]: every register live into the entry is a parameter, which holds
+    iff [f] is strict ({!Ir.Validate.strictness} [f = []]). A use that is
+    not definitely assigned has a definition-free path from the entry, so
+    its register is live into the entry, and a parameter is assigned
+    there. It reads the entry's live-in row only.
+
+    With φs the two may differ: liveness charges a φ argument to its
+    predecessor even when the φ's block is unreachable, where definite
+    assignment never looks. A caller with φs asks the validator. *)
 
 val width : t -> int
 (** The number of indexed names: the rows' width in bits. The rows the

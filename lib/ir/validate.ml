@@ -244,7 +244,8 @@ module M = Bitset.Matrix
    definitions, not a walk of its own. The cost is linear in blocks +
    instructions plus (blocks × width / 64) word steps per round, and a
    valid function allocates no list, option or closure per instruction. *)
-let definite_assignment (f : Mir.func) cfg c =
+let definite_assignment ?obs (f : Mir.func) cfg c =
+  Option.iter (fun o -> Obs.add_work o "definite_assignment_solves" 1) obs;
   let errors = ref [] in
   let add e = errors := e :: !errors in
   let n = Mir.num_blocks f in
@@ -361,7 +362,7 @@ let definite_assignment (f : Mir.func) cfg c =
 (* The structural checks, then definite assignment over the names the
    walk found; [skipped] stands in for the strictness errors when the
    structure is invalid. *)
-let checked ~skipped (f : Mir.func) =
+let checked ?obs ~skipped (f : Mir.func) =
   let scratch = Scratch.domain () in
   let nregs = f.nregs in
   let names =
@@ -377,7 +378,7 @@ let checked ~skipped (f : Mir.func) =
   let result =
     match walk ~names f with
     | Ok cfg -> (
-      match definite_assignment f cfg names with
+      match definite_assignment ?obs f cfg names with
       | [] -> Ok cfg
       | errs -> Error errs)
     | Error errs -> Error (skipped errs)
@@ -394,7 +395,7 @@ let strictness (f : Mir.func) =
        ~skipped:(fun _ -> [ err f.name "skipping strictness: structure invalid" ])
        f)
 
-let run_cfg f = checked ~skipped:Fun.id f
+let run_cfg ?obs f = checked ?obs ~skipped:Fun.id f
 
 let run f = errors (run_cfg f)
 

@@ -3,7 +3,15 @@
     The paper's algorithms are only correct on {e strict} programs
     (Definition 2.1: every path from the entry to a use passes a definition),
     so the checker enforces strictness with a definite-assignment dataflow in
-    addition to purely structural well-formedness. *)
+    addition to purely structural well-formedness.
+
+    This is the standalone checker, and the source of every error message.
+    A compile does not run its definite assignment on valid code: the pass
+    manager decides strictness from a liveness solve it needs anyway
+    ([Analysis.Facts.checked]: a φ-free function is strict iff every
+    register live into the entry is a parameter) and calls {!run_cfg} only
+    when that verdict fails or the function has φs, so the errors, their
+    order and their messages are always this module's. *)
 
 type error = {
   where : string;
@@ -48,9 +56,11 @@ val run : Mir.func -> error list
 (** All checks: {!structure}, then, if it passed, {!strictness}'s
     definite assignment. Empty means valid. *)
 
-val run_cfg : Mir.func -> (Cfg.t, error list) result
+val run_cfg : ?obs:Obs.t -> Mir.func -> (Cfg.t, error list) result
 (** {!run}, returning on success the CFG the checks built — the graph a
-    pass manager hands to the pass that consumes the checked function. *)
+    pass manager hands to the pass that consumes the checked function.
+    With [obs], a definite-assignment solve counts one
+    ["definite_assignment_solves"] work counter ({!Obs.add_work}). *)
 
 val render : error list -> string
 (** The errors through {!pp_error}, one per line. *)

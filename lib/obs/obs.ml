@@ -123,15 +123,17 @@ type t = {
   mutable span_order : string list;  (* reverse first-seen order *)
   extra_acc : (string, int ref) Hashtbl.t;
   mutable extra_order : string list;  (* reverse first-seen order *)
+  work : bool;  (* takes the work counters *)
 }
 
-let create () =
+let create ?(work = false) () =
   {
     counts = Array.make num_counters 0;
     span_acc = Hashtbl.create 8;
     span_order = [];
     extra_acc = Hashtbl.create 8;
     extra_order = [];
+    work;
   }
 
 let incr t c =
@@ -166,6 +168,9 @@ let add_extra t name n =
   | None ->
     Hashtbl.add t.extra_acc name (ref n);
     t.extra_order <- name :: t.extra_order
+
+let counts_work t = t.work
+let add_work t name n = if t.work then add_extra t name n
 
 let merge ~into src =
   Array.iteri (fun i v -> into.counts.(i) <- into.counts.(i) + v) src.counts;

@@ -61,8 +61,10 @@ val counter_name : counter -> string
 type t
 (** A recorder. Owned by one domain at a time. *)
 
-val create : unit -> t
-(** Fresh recorder, all counters zero, no spans. *)
+val create : ?work:bool -> unit -> t
+(** Fresh recorder, all counters zero, no spans. With [~work:true] it
+    also takes the work counters ({!add_work}); by default it ignores
+    them. *)
 
 val incr : t -> counter -> unit
 val add : t -> counter -> int -> unit
@@ -91,6 +93,18 @@ val add_extra : t -> string -> int -> unit
     {!counters}, snapshots and JSON only once recorded, so runs that never
     touch the subsystem emit exactly the canonical vector and golden files
     stay comparable. *)
+
+val add_work : t -> string -> int -> unit
+(** Add to a named {e work} counter: an extra ({!add_extra}) that counts a
+    layer's inner work — ["liveness_solves"] and
+    ["definite_assignment_solves"], the dataflow solves a compile runs.
+    Only a recorder created with [~work:true] records it, so the
+    recorders behind reports, golden files and serve statistics never
+    carry one. *)
+
+val counts_work : t -> bool
+(** Whether the recorder takes the work counters: a parallel driver gives
+    each task's private recorder the same setting. *)
 
 val merge : into:t -> t -> unit
 (** Add every counter, extra and span of the source recorder into [into].

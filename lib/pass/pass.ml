@@ -215,9 +215,11 @@ let regalloc ~registers =
     key = Printf.sprintf "regalloc:%d" registers;
     shape = Finish;
     run =
-      (fun _ _ f ->
+      (fun _ facts f ->
         let r =
-          Regalloc.run ~options:{ Regalloc.default_options with registers } f
+          Regalloc.run ?facts
+            ~options:{ Regalloc.default_options with registers }
+            f
         in
         ( r.func,
           None,
@@ -306,22 +308,28 @@ type report = {
 }
 
 (* The facts each pass is handed come from the validator that has just
-   checked that exact function value: the input validator's CFG for the
-   construction, each SSA validator's CFG and dominator tree for the pass
-   after it. A pass may offer a tree of its own (construction does) with
-   the graph it was solved over; the SSA validator takes it only when its
-   own CFG of the output equals that graph, and otherwise the tree the
-   input facts carried is the candidate, under the same test. The output
-   validator builds its own CFG. Facts stay local to this run. *)
+   checked that exact function value: the input's verdict hands its CFG
+   and liveness to the construction, each SSA validator its CFG and
+   dominator tree to the pass after it, each output verdict its CFG to the
+   finishing pass after it. A pass may offer a tree of its own
+   (construction does) with the graph it was solved over; the SSA
+   validator takes it only when its own CFG of the output equals that
+   graph, and otherwise the tree the input facts carried is the candidate,
+   under the same test. The input's and the outputs' verdicts are
+   [Analysis.Facts.checked]: structure, then strictness from a liveness
+   solve, and the definite-assignment solve only on a failed verdict or a
+   φ. This runner owns each liveness it obtains: the input's goes back to
+   the arena when the pass it was handed to returns, an output's right
+   after the verdict. Facts stay local to this run. *)
 let run ?(check = false) ?scratch ?obs passes input =
   (match Pipeline.validate passes with
   | Ok () -> ()
   | Error msg -> invalid_arg ("Pass.run: " ^ msg));
   (* The input contract (the paper's Section 2): a strict, φ-free CFG.
      Breaking it is the caller's error, not a compiler fault. *)
-  let input_cfg =
-    match Ir.Validate.run_cfg input with
-    | Ok cfg -> cfg
+  let input_facts =
+    match Analysis.Facts.checked ?obs input with
+    | Ok facts -> facts
     | Error errs -> raise (Ir.Validate.Invalid (Ir.Validate.render errs))
   in
   Array.iter
@@ -343,6 +351,7 @@ let run ?(check = false) ?scratch ?obs passes input =
   let ignore_arrays = ref [] in
   let run_pass (cur, facts) p =
     let g, offered, note = span p.span (fun () -> p.run ctx (Some facts) cur) in
+    Analysis.Facts.release facts;
     (* The producing pass declares its output contract; the middleware
        holds it to it before anything downstream consumes the result. A
        breach is a compiler fault, named after the pass. *)
@@ -353,8 +362,10 @@ let run ?(check = false) ?scratch ?obs passes input =
         Ssa.Ssa_validate.run_facts ?candidate g
       | Conversion | Finish ->
         Result.map
-          (fun cfg -> { Analysis.Facts.cfg; dom = None })
-          (Ir.Validate.run_cfg g)
+          (fun (facts : Analysis.Facts.t) ->
+            Analysis.Facts.release facts;
+            { facts with live = None })
+          (Analysis.Facts.checked ?obs g)
     in
     let facts =
       match checked with
@@ -372,11 +383,7 @@ let run ?(check = false) ?scratch ?obs passes input =
        | None -> ());
     (g, facts)
   in
-  let output, _ =
-    List.fold_left run_pass
-      (input, { Analysis.Facts.cfg = input_cfg; dom = None })
-      passes
-  in
+  let output, _ = List.fold_left run_pass (input, input_facts) passes in
   if check then
     span "check" (fun () ->
         List.iter (fun audit -> audit ()) (List.rev !audits);

@@ -1,7 +1,6 @@
 open Support
 module Cfg = Ir.Cfg
 module Liveness = Analysis.Liveness
-module Dominance = Analysis.Dominance
 module Loops = Analysis.Loops
 module Igraph = Baseline.Igraph
 
@@ -64,8 +63,7 @@ let fresh_spill_array (f : Ir.func) =
    frequency. Computed once per [run]: spill rewriting only edits block
    bodies, never labels, edges or terminator targets, so the loop nest (and
    with it every block's depth) is invariant across spill rounds. *)
-let block_weights (f : Ir.func) cfg =
-  let dom = Dominance.compute f cfg in
+let block_weights (f : Ir.func) cfg dom =
   let loops = Loops.compute cfg dom in
   Array.init (Ir.num_blocks f) (fun l ->
       10.0 ** float_of_int (Loops.depth loops l))
@@ -393,7 +391,7 @@ let rewrite_to_colors (f : Ir.func) colors =
   ( { f with blocks; params = List.map color f.params; nregs = max 1 ncolors; names },
     ncolors )
 
-let run ?(options = default_options) (f0 : Ir.func) =
+let run ?(options = default_options) ?facts (f0 : Ir.func) =
   if options.registers < 2 then invalid_arg "Regalloc: need at least 2 registers";
   Array.iter
     (fun (b : Ir.block) ->
@@ -403,15 +401,17 @@ let run ?(options = default_options) (f0 : Ir.func) =
   let spilled_total = ref 0 in
   let next_slot = ref 0 in
   let spill_array = fresh_spill_array f0 in
-  (* Loop depths once per run: rounds only rewrite block bodies. *)
-  let weights = block_weights f0 (Cfg.of_func f0) in
+  (* One CFG and loop depths once per run: rounds only rewrite block
+     bodies, so every round's function has the input's graph. *)
+  let facts = Analysis.Facts.or_build facts f0 in
+  let cfg = facts.cfg in
+  let weights = block_weights f0 cfg (Analysis.Facts.dominance f0 facts) in
   (* Every round's liveness matrices come from the domain's arena. *)
   let scratch = Scratch.domain () in
   let rec round f i =
     if i > options.max_rounds then
       raise (Out_of_rounds (Printf.sprintf "%s: no %d-coloring after %d rounds"
                f0.Ir.name options.registers options.max_rounds));
-    let cfg = Cfg.of_func f in
     let live = Liveness.compute_into ~scratch f cfg in
     let graph = Igraph.build_full f cfg live in
     Liveness.release scratch live;

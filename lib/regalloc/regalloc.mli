@@ -77,6 +77,9 @@ val try_color_reference :
     oracle for the differential test that pins {!try_color} to identical
     colorings. *)
 
-val run : ?options:options -> Ir.func -> result
+val run : ?options:options -> ?facts:Analysis.Facts.t -> Ir.func -> result
 (** The input must be φ-free. Raises {!Out_of_rounds} if spilling fails to
-    converge within [max_rounds]. *)
+    converge within [max_rounds]. [facts] are the input's (a pass manager
+    hands the output validator's): their CFG serves the loop weights and
+    every round, since rounds only rewrite block bodies, and their tree,
+    when known, the loop depths. Without them the CFG is built once. *)

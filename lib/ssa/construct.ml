@@ -43,10 +43,11 @@ let run_facts ?(pruning = Pruned) ?(fold_copies = true) ?obs
           b.body)
     f.blocks;
   (* Pruning predicate: does variable v need a φ at block l? Pruned
-     placement asks liveness, whose rows come from the domain's scratch
-     arena and go back to it once the φs are placed. *)
+     placement asks liveness: the handed facts' solve, read and left to
+     its owner, or a solve of its own, whose rows come from the domain's
+     scratch arena and go back to it once the φs are placed. *)
   let scratch = Scratch.domain () in
-  let needs_phi, live =
+  let needs_phi, own_live =
     match pruning with
     | Minimal -> ((fun _v _l -> true), None)
     | Semi_pruned ->
@@ -70,9 +71,17 @@ let run_facts ?(pruning = Pruned) ?(fold_copies = true) ?obs
             (Ir.term_uses b.term))
         f.blocks;
       ((fun v _l -> nonlocal.(v)), None)
-    | Pruned ->
-      let live = Liveness.compute_into ~scratch ?obs f cfg in
-      ((fun v l -> Liveness.live_in_mem live l v), Some live)
+    | Pruned -> (
+      match facts.live with
+      | Some live ->
+        Option.iter
+          (fun o ->
+            Obs.add o Obs.Liveness_worklist_pops (Liveness.worklist_pops live))
+          obs;
+        ((fun v l -> Liveness.live_in_mem live l v), None)
+      | None ->
+        let live = Liveness.compute_into ~scratch ?obs f cfg in
+        ((fun v l -> Liveness.live_in_mem live l v), Some live))
   in
   (* Iterated dominance frontier: standard worklist per variable. The
      pending φs live in a label-indexed array — labels are dense ids.
@@ -115,7 +124,7 @@ let run_facts ?(pruning = Pruned) ?(fold_copies = true) ?obs
       done
     end
   done;
-  Option.iter (Liveness.release scratch) live;
+  Option.iter (Liveness.release scratch) own_live;
   (* Renaming: dominator-tree walk with a stack of current operands per
      original variable. Copy folding pushes the source operand instead of
      minting a new name. Each new register records its origin and version
@@ -264,7 +273,7 @@ let run_facts ?(pruning = Pruned) ?(fold_copies = true) ?obs
           ~count:!next;
     },
     { phis_inserted = !phis_inserted; copies_folded = !copies_folded },
-    { facts with dom = Some dom } )
+    { facts with dom = Some dom; live = None } )
 
 let run ?pruning ?fold_copies ?obs f =
   let ssa, stats, _ =

@@ -39,9 +39,13 @@ val run_facts :
   Analysis.Facts.t ->
   Ir.func ->
   Ir.func * stats * Analysis.Facts.t
-(** {!run} from facts of the input (its CFG, and its dominator tree when
-    known), so construction builds neither. Also returns those facts with
-    the tree construction used: a candidate for the output's validator
+(** {!run} from facts of the input (its CFG, and its dominator tree and
+    liveness when known), so construction builds neither graph nor tree,
+    and pruned placement reads the handed liveness instead of solving
+    again, charging its worklist pops to [obs] as its own solve would. The
+    handed liveness stays its owner's: construction neither releases nor
+    keeps it. Also returns the facts with the tree construction used and
+    no liveness: a candidate for the output's validator
     ({!Ssa_validate.run_facts}). The output's CFG differs from the input's
     wherever an unreachable block had successors, since such blocks are
     cut to a bare return. *)

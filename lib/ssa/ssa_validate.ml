@@ -20,7 +20,7 @@ let run_facts ?candidate (f : Ir.func) : (Analysis.Facts.t, error list) result =
     let facts : Analysis.Facts.t =
       match candidate with
       | Some candidate -> Analysis.Facts.reuse ~candidate cfg
-      | None -> { cfg; dom = None }
+      | None -> { cfg; dom = None; live = None }
     in
     let dom = Analysis.Facts.dominance f facts in
     (* Errors name the block they are found in, or the function for a

@@ -349,6 +349,172 @@ let test_definite_assignment_raw () =
   checkb "some raw CFGs are rejected" true (!rejected > 0);
   checkb "some raw CFGs are accepted" true (!rejected < 200)
 
+(* The strictness verdict from liveness. A use of [v] that is not
+   definitely assigned has a def-free path from the entry, so [v] is live
+   into the entry; a parameter is assigned there. So a structurally valid
+   φ-free function is strict iff every register live into its entry is a
+   parameter. Computed here from the public sets, independently of the
+   library's own verdict. *)
+let liveness_strict (f : Ir.func) =
+  let live = Liveness.compute f (Ir.Cfg.of_func f) in
+  List.for_all
+    (fun r -> List.mem r f.params)
+    (Bitset.elements (Liveness.live_in live f.entry))
+
+let has_phis (f : Ir.func) =
+  Array.exists (fun (b : Ir.block) -> b.phis <> []) f.blocks
+
+let strip_phis (f : Ir.func) =
+  Ir.with_blocks f (Array.map (fun (b : Ir.block) -> { b with phis = [] }) f.blocks)
+
+(* Sixteen register counts × 200 seeds, with φs as [raw_cfg] places them:
+   at reachable joins and at unreachable blocks. *)
+let wide_raw_cfgs =
+  lazy
+    (List.concat_map
+       (fun regs ->
+         List.init 200 (fun seed ->
+             let rand = make_rand ((regs * 7919) + seed) in
+             ((regs, seed), raw_cfg rand ~blocks:(2 + rand 11) ~regs)))
+       [ 1; 2; 7; 8; 9; 15; 23; 31; 63; 64; 65; 127; 128; 129; 255; 256 ])
+
+(* Functions parsed from mutated printed text, as test_ir's door property
+   makes them (its 500 cases, from a fixed generator state). *)
+let parse_mutants () =
+  let rand = Random.State.make [| 31 |] in
+  List.concat_map
+    (fun ((seed, size), muts) ->
+      let f = random_program seed size in
+      let base =
+        Ir.Printer.func_to_string
+          (if seed mod 2 = 0 then f else Ssa.Construct.run_exn f)
+      in
+      match Ir.Parse.funcs_of_string (List.fold_left mutate base muts) with
+      | fs -> fs
+      | exception Ir.Parse.Error _ -> [])
+    (QCheck.Gen.generate ~rand ~n:500
+       QCheck.Gen.(
+         pair
+           (pair (int_bound 10_000) (int_range 5 30))
+           (list_size (int_range 1 4) mutation_gen)))
+
+(* The φ-free functions of the agreement test: the raw CFGs with their
+   φs stripped (unreachable blocks and irreducible loops included), the
+   suite mutants in both forms with φs stripped, and the parse mutants,
+   stripped too. Not all are structurally valid. *)
+let phi_free_cases () =
+  List.map
+    (fun ((regs, seed), f) -> (Printf.sprintf "raw regs=%d seed=%d" regs seed, strip_phis f))
+    (Lazy.force wide_raw_cfgs)
+  @ List.concat_map
+      (fun (name, (f : Ir.func)) ->
+        List.concat_map
+          (fun (form, g) ->
+            (Printf.sprintf "%s (%s)" name form, strip_phis g)
+            :: List.map
+                 (fun (kind, m) ->
+                   (Printf.sprintf "%s (%s, %s)" name form kind, strip_phis m))
+                 (mutants g))
+          [ ("input", f); ("SSA", Ssa.Construct.run_exn f) ])
+      (suite_funcs ())
+  @ List.mapi
+      (fun i f -> (Printf.sprintf "parse mutant %d" i, strip_phis f))
+      (parse_mutants ())
+
+(* On every structurally valid φ-free case the liveness verdict, computed
+   here and by the library, is definite assignment's. *)
+let test_strict_from_liveness () =
+  let strict = ref 0 and refused = ref 0 in
+  List.iter
+    (fun (name, (f : Ir.func)) ->
+      if Ir.Validate.structure f = [] then begin
+        let da = Ir.Validate.strictness f = [] in
+        if da then incr strict else incr refused;
+        if liveness_strict f <> da then
+          Alcotest.failf "%s: liveness says %b, definite assignment %b" name
+            (not da) da;
+        if Liveness.strict (Liveness.compute f (Ir.Cfg.of_func f)) f <> da then
+          Alcotest.failf "%s: Liveness.strict says %b, definite assignment %b"
+            name (not da) da
+      end)
+    (phi_free_cases ());
+  checkb "strict functions were checked" true (!strict > 500);
+  checkb "non-strict functions were checked" true (!refused > 1000)
+
+let refusal f =
+  match Pass.run new_pipeline f with
+  | _ -> None
+  | exception Ir.Validate.Invalid msg -> Some msg
+
+(* The door's refusal of an input the validator rejects is the
+   validator's text, whichever way the door reached it: the φ-free cases,
+   structurally invalid or not, and the raw CFGs with their φs. *)
+let test_door_refusal_text () =
+  let refused = ref 0 in
+  List.iter
+    (fun (name, f) ->
+      match Ir.Validate.run_cfg f with
+      | Ok _ -> ()
+      | Error errs ->
+        incr refused;
+        Alcotest.(check (option string))
+          (name ^ ": refusal") (Some (Ir.Validate.render errs)) (refusal f))
+    (phi_free_cases ()
+    @ List.map
+        (fun ((regs, seed), f) -> (Printf.sprintf "raw regs=%d seed=%d (phis)" regs seed, f))
+        (Lazy.force wide_raw_cfgs));
+  checkb "inputs were refused" true (!refused > 1000)
+
+let work obs name = Option.value ~default:0 (List.assoc_opt name (Obs.extras obs))
+
+(* A raw CFG whose unreachable block b4 has a φ keyed by the entry: its
+   argument is live out of the entry, so the liveness verdict refuses a
+   function definite assignment accepts. The door sends any input with a
+   φ to the validator, which accepts it, and then refuses the φ. *)
+let test_phi_guard () =
+  let f = List.assoc (1, 104) (Lazy.force wide_raw_cfgs) in
+  checkb "the function has phis" true (has_phis f);
+  checkb "definite assignment accepts it" true (Ir.Validate.run f = []);
+  checkb "the liveness verdict refuses it" false
+    (Liveness.strict (Liveness.compute f (Ir.Cfg.of_func f)) f);
+  let obs = Obs.create ~work:true () in
+  Alcotest.(check (option string))
+    "refused for its phis"
+    (Some "raw/b1: phi-node in the input; a pipeline takes a phi-free CFG")
+    (match Pass.run ~obs new_pipeline f with
+    | _ -> None
+    | exception Ir.Validate.Invalid msg -> Some msg);
+  checki "the full solve ran" 1 (work obs "definite_assignment_solves");
+  checki "no liveness solve ran" 0 (work obs "liveness_solves")
+
+(* The solves a New compile runs, counted: on a valid input one liveness
+   solve for the input's verdict (handed to pruned construction), one for
+   the coalescer and one for the output's verdict, and no definite
+   assignment; a refused input adds the full solve to its verdict. An
+   ordinary recorder counts no work. *)
+let test_solves_per_compile () =
+  List.iter
+    (fun (e : Workloads.Suite.entry) ->
+      let obs = Obs.create ~work:true () in
+      ignore (Pass.run ~obs new_pipeline e.func);
+      checki (e.name ^ ": liveness solves") 3 (work obs "liveness_solves");
+      checki (e.name ^ ": definite-assignment solves") 0
+        (work obs "definite_assignment_solves"))
+    (Workloads.Suite.kernels () @ Workloads.Suite.large ());
+  let obs = Obs.create ~work:true () in
+  (match
+     Pass.run ~obs new_pipeline
+       (Ir.Parse.func_of_string "func undef(a) {\nb0:\n  r1 := add a, r9\n  ret r1\n}")
+   with
+  | _ -> Alcotest.fail "a non-strict input compiled"
+  | exception Ir.Validate.Invalid _ -> ());
+  checki "refused: liveness solves" 1 (work obs "liveness_solves");
+  checki "refused: definite-assignment solves" 1
+    (work obs "definite_assignment_solves");
+  let obs = Obs.create () in
+  ignore (Pass.run ~obs new_pipeline Workloads.Suite.(find_exn "saxpy").func);
+  checkb "an ordinary recorder counts no work" true (Obs.extras obs = [])
+
 (* The worklist pops of both liveness runs of a New compile (non-SSA input
    for pruned construction, split SSA for the coalescer) on the large
    routines. Same algorithm, same visiting order: these must not move when
@@ -424,7 +590,9 @@ let test_validators_allocation () =
    [major_words - promoted_words] counts the compile's direct allocations
    only. The median of five compiles. Solves over every register
    allocated 644,768 words here; solves over the names that cross a block
-   allocate 227,182, and the bound is 1.25 times that. *)
+   allocated 201,008 to 227,182. With strictness decided from liveness and
+   every matrix pooled, the compile allocates 137,702, and the bound is
+   1.25 times that. *)
 let direct_major_words f =
   Gc.minor ();
   let s0 = Gc.quick_stat () in
@@ -433,7 +601,7 @@ let direct_major_words f =
   let s1 = Gc.quick_stat () in
   s1.major_words -. s1.promoted_words -. (s0.major_words -. s0.promoted_words)
 
-let big1200_direct_bound = 284_000.
+let big1200_direct_bound = 172_000.
 
 let test_big1200_major_heap () =
   let f =
@@ -460,6 +628,31 @@ let test_big1200_major_heap () =
        big1200_direct_bound)
     true (median <= big1200_direct_bound)
 
+(* The domain arena holds everything a warm New compile of big1200
+   takes: on a fresh domain, whose arena is empty, the second of two
+   compiles allocates no buffer. Its split-SSA liveness rows take 169 KB a
+   matrix, over the pool's old 64 KB cap. *)
+let test_big1200_pooled () =
+  let f =
+    (List.find (fun (e : Workloads.Suite.entry) -> e.name = "big1200")
+       (Workloads.Suite.large ()))
+      .func
+  in
+  let bitset, array =
+    Domain.join
+      (Domain.spawn (fun () ->
+           let scratch = Support.Scratch.domain () in
+           let compile () = ignore (Pass.run ~scratch new_pipeline f) in
+           compile ();
+           let s0 = Support.Scratch.stats scratch in
+           compile ();
+           let s1 = Support.Scratch.stats scratch in
+           ( s1.bitset_misses - s0.bitset_misses,
+             s1.array_misses - s0.array_misses )))
+  in
+  checki "second compile: bitset and matrix misses" 0 bitset;
+  checki "second compile: array misses" 0 array
+
 let suite =
   [
     Alcotest.test_case "liveness rows = reference (suites, both forms)" `Quick
@@ -474,10 +667,20 @@ let suite =
       `Quick test_definite_assignment_suites;
     Alcotest.test_case "definite assignment = reference (200 raw CFGs)" `Quick
       test_definite_assignment_raw;
+    Alcotest.test_case "strictness from liveness = definite assignment" `Quick
+      test_strict_from_liveness;
+    Alcotest.test_case "door refusal = the validator's text" `Quick
+      test_door_refusal_text;
+    Alcotest.test_case "phi guard: a phi sends the door to the validator" `Quick
+      test_phi_guard;
+    Alcotest.test_case "solves per New compile, counted" `Quick
+      test_solves_per_compile;
     Alcotest.test_case "liveness pops pinned on large routines" `Quick
       test_large_pops;
     Alcotest.test_case "validators allocate nothing per instruction" `Quick
       test_validators_allocation;
     Alcotest.test_case "big1200 compile: direct major-heap words bounded" `Quick
       test_big1200_major_heap;
+    Alcotest.test_case "big1200 compile: a warm arena holds every buffer" `Quick
+      test_big1200_pooled;
   ]

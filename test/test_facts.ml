@@ -157,7 +157,7 @@ let strict_inputs () =
 let check_split name (f : Ir.func) =
   let cfg = Cfg.of_func f in
   let dom = Dominance.compute f cfg in
-  let split, facts = Facts.split_critical_edges { cfg; dom = Some dom } f in
+  let split, facts = Facts.split_critical_edges { cfg; dom = Some dom; live = None } f in
   check Alcotest.string (name ^ ": split = reference")
     (Ir.Printer.func_to_string (reference_split f))
     (Ir.Printer.func_to_string split);
@@ -213,7 +213,7 @@ let test_validator_reuse () =
     (fun (f : Ir.func) ->
       let cfg = Cfg.of_func f in
       checkb (f.name ^ ": Cfg.equal is reflexive") true (Cfg.equal cfg (Cfg.of_func f));
-      let ssa, _, offered = Ssa.Construct.run_facts { cfg; dom = None } f in
+      let ssa, _, offered = Ssa.Construct.run_facts { cfg; dom = None; live = None } f in
       let ssa_cfg = Cfg.of_func ssa in
       let equal = Cfg.equal cfg ssa_cfg in
       checkb (f.name ^ ": Cfg.equal = same fields") (cfg_fields cfg = cfg_fields ssa_cfg) equal;
@@ -233,7 +233,7 @@ let test_validator_reuse () =
   let f = Ir.Parse.func_of_string guarded_text in
   let g = Ir.Parse.func_of_string selfloop_text in
   let gcfg = Cfg.of_func g in
-  let candidate = { Facts.cfg = gcfg; dom = Some (Dominance.compute g gcfg) } in
+  let candidate = { Facts.cfg = gcfg; dom = Some (Dominance.compute g gcfg); live = None } in
   checkb "foreign candidate refused" true
     (Option.is_none (Facts.reuse ~candidate (Cfg.of_func f)).dom)
 
@@ -257,7 +257,7 @@ let test_rounds_keep_cfg () =
       done;
       List.iter
         (fun variant ->
-          let facts = { Facts.cfg; dom = Some (Dominance.compute inst cfg) } in
+          let facts = { Facts.cfg; dom = Some (Dominance.compute inst cfg); live = None } in
           let with_facts, s1 = Baseline.Ig_coalesce.run ~facts ~variant inst in
           let without, s2 = Baseline.Ig_coalesce.run ~variant inst in
           check Alcotest.string (f.name ^ ": same code with facts")

@@ -260,8 +260,32 @@ let test_pinned_kernel_stats () =
       checkb (Printf.sprintf "%s k=%d stats pinned" name k) true (got = expected))
     pinned_stats
 
+(* Handed facts change no allocation: with the input's CFG and dominator
+   tree, every round reuses that graph, and the output, assignment and
+   statistics equal those of a run that builds its own, over the kernels
+   and the large routines at k = 4 and 8. *)
+let test_handed_facts () =
+  List.iter
+    (fun (e : Workloads.Suite.entry) ->
+      let f = coalesced e in
+      let facts = Analysis.Facts.of_func f in
+      let facts = { facts with dom = Some (Analysis.Facts.dominance f facts) } in
+      List.iter
+        (fun k ->
+          let own = Regalloc.run ~options:(options k) f in
+          let handed = Regalloc.run ~options:(options k) ~facts f in
+          checkb (Printf.sprintf "%s k=%d: same output" e.name k) true
+            (Ir.Printer.func_to_string own.func
+             = Ir.Printer.func_to_string handed.func
+            && own.assignment = handed.assignment
+            && own.stats = handed.stats))
+        [ 4; 8 ])
+    (Workloads.Suite.kernels () @ Workloads.Suite.large ())
+
 let suite =
   [
+    Alcotest.test_case "handed facts change no allocation" `Quick
+      test_handed_facts;
     Alcotest.test_case "no spill with many registers" `Quick test_no_spill_when_plenty;
     Alcotest.test_case "spills under pressure" `Quick test_spills_under_pressure;
     Alcotest.test_case "kernels allocate at k=4 and k=8" `Slow test_kernels_allocate;
