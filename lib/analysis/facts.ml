@@ -26,27 +26,21 @@ let split_critical_edges ?obs t f =
       live = None;
     } )
 
-let has_phis (f : Ir.func) =
-  Array.exists (fun (b : Ir.block) -> b.phis <> []) f.blocks
-
-(* Structure first; then, without φs, the liveness verdict; the full
-   validator only when the function has φs or the verdict fails, so it
-   alone writes the errors. *)
+(* Structure first, then the liveness verdict; the full validator only
+   when the verdict fails, so it alone writes the errors. The verdict's
+   solve charges no pops: the pass it is handed to charges them. *)
 let checked ?obs f =
-  let full () =
-    Result.map (fun cfg -> { cfg; dom = None; live = None })
-      (Ir.Validate.run_cfg ?obs f)
-  in
   match Ir.Validate.structure_cfg f with
   | Error errs -> Error errs
-  | Ok _ when has_phis f -> full ()
   | Ok cfg ->
     let scratch = Support.Scratch.domain () in
-    let live = Liveness.compute_into ~scratch ?obs ~pops:false f cfg in
+    let live = Liveness.compute_into ~scratch f cfg in
+    Option.iter (fun o -> Obs.add_work o "liveness_solves" 1) obs;
     if Liveness.strict live f then Ok { cfg; dom = None; live = Some live }
     else begin
       Liveness.release scratch live;
-      full ()
+      Result.map (fun cfg -> { cfg; dom = None; live = None })
+        (Ir.Validate.run_cfg ?obs f)
     end
 
 let release t =

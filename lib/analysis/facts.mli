@@ -22,20 +22,21 @@ type t = {
 
 val checked :
   ?obs:Obs.t -> Ir.func -> (t, Ir.Validate.error list) result
-(** The input contract's verdict, {!Ir.Validate.run_cfg}'s in every case,
-    and the facts of a function that passes it. The structural checks run
-    first, and their errors are returned as they are. A function with a
-    φ anywhere goes to {!Ir.Validate.run_cfg}. Otherwise one liveness
-    solve on the domain's arena decides strictness ({!Liveness.strict}),
-    and only when it fails does {!Ir.Validate.run_cfg} run, to write the
-    errors; so a valid φ-free function costs no definite-assignment solve.
-    On success [live] holds that solve (none on the validator's path),
-    owned by the caller. With [obs], the solves count in the work counters
-    ({!Obs.add_work}); no worklist pops are charged.
+(** The input contract's verdict on a φ-free function,
+    {!Ir.Validate.run_cfg}'s in every case, and the facts of a function
+    that passes it. The structural checks run first, and their errors are
+    returned as they are. Then one liveness solve on the domain's arena
+    decides strictness ({!Liveness.strict}), and only when it fails does
+    {!Ir.Validate.run_cfg} run, to write the errors; so a valid function
+    costs no definite-assignment solve. On success [live] holds that solve
+    (none on the validator's path), owned by the caller. With [obs], the
+    solves count in the work counters ({!Obs.add_work}); no worklist pops
+    are charged.
 
-    The φ guard is needed: {!Liveness.strict} charges φ arguments of
-    unreachable blocks, which definite assignment ignores, so the two
-    verdicts differ on such functions. *)
+    [f] must be φ-free: {!Liveness.strict} charges φ arguments of
+    unreachable blocks, which definite assignment ignores, so on a
+    function with φs the two verdicts may differ. A caller that may see
+    φs scans for them first and asks {!Ir.Validate.run_cfg}. *)
 
 val release : t -> unit
 (** Return [live], if any, to the calling domain's arena. The facts must

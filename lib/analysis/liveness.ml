@@ -130,7 +130,7 @@ let rec phi_args w = function
    Blocks are seeded in postorder (successors first, the natural order for
    a backward problem); a block re-enters the worklist only when the
    live-in of one of its successors actually grew. *)
-let compute_into ~scratch ?obs ?(pops = true) (f : Ir.func) cfg =
+let compute_into ~scratch ?obs (f : Ir.func) cfg =
   let n = Ir.num_blocks f in
   let nregs = f.nregs in
   let po = Cfg.postorder cfg in
@@ -194,17 +194,17 @@ let compute_into ~scratch ?obs ?(pops = true) (f : Ir.func) cfg =
      first pop adds its kills and its upward-exposed uses, to a live-in row
      no pop has written yet: gen's union, which grows the row iff the block
      has such a use, and which no later pop could grow. *)
-  let popped = ref 0 and group = ref 0 in
+  let pops = ref 0 and group = ref 0 in
   while !head <> !tail do
     let l = queue.(!head) in
     head := (!head + 1) mod (n + 1);
     on_list.(l) <- 0;
-    incr popped;
+    incr pops;
     for i = 0 to Cfg.num_succs cfg l - 1 do
       ignore (M.union_into live_out l live_in (Cfg.succ cfg l i))
     done;
     let grew_gen = ref false in
-    if !popped <= Array.length po then begin
+    if !pops <= Array.length po then begin
       let last = !group + buf.(!group) in
       for e = !group + 1 to last do
         let x = buf.(e) in
@@ -232,9 +232,9 @@ let compute_into ~scratch ?obs ?(pops = true) (f : Ir.func) cfg =
   Option.iter
     (fun o ->
       Obs.add_work o "liveness_solves" 1;
-      if pops then Obs.add o Obs.Liveness_worklist_pops !popped)
+      Obs.add o Obs.Liveness_worklist_pops !pops)
     obs;
-  { live_in; live_out; index; width; nregs; blocks = n; pops = !popped }
+  { live_in; live_out; index; width; nregs; blocks = n; pops = !pops }
 
 let compute ?obs f cfg = compute_into ~scratch:(Scratch.create ()) ?obs f cfg
 

@@ -26,12 +26,7 @@ val compute : ?obs:Obs.t -> Ir.func -> Ir.Cfg.t -> t
 (** Worklist dataflow to a fixpoint, allocating fresh matrices. *)
 
 val compute_into :
-  scratch:Support.Scratch.t ->
-  ?obs:Obs.t ->
-  ?pops:bool ->
-  Ir.func ->
-  Ir.Cfg.t ->
-  t
+  scratch:Support.Scratch.t -> ?obs:Obs.t -> Ir.func -> Ir.Cfg.t -> t
 (** Like {!compute}, but the buffers come from [scratch]: live-in,
     live-out and the kill temporary are rows of three
     {!Support.Bitset.Matrix}es, one buffer each; the index and the flat
@@ -39,12 +34,12 @@ val compute_into :
     {!Support.Scratch.acquire_ints} buffers; the worklist arrays are pooled
     too. Pair with {!release} to recycle the result's matrices and index
     once the analysis is no longer needed. When [obs] is given, the solve
-    counts one ["liveness_solves"] work counter ({!Obs.add_work}) and,
-    unless [pops] is [false], the number of worklist pops is charged to
-    [Obs.Liveness_worklist_pops]; it is the count a solve over every
-    register makes, since a name outside the index never enters a set. A
-    solve made for a verdict passes [~pops:false], and the pass that
-    consumes it charges {!worklist_pops} instead. *)
+    counts one ["liveness_solves"] work counter ({!Obs.add_work}) and the
+    number of worklist pops is charged to [Obs.Liveness_worklist_pops]; it
+    is the count a solve over every register makes, since a name outside
+    the index never enters a set. A solve made for a verdict is given no
+    [obs], and the pass that consumes it charges {!worklist_pops}
+    instead. *)
 
 val release : Support.Scratch.t -> t -> unit
 (** Return the live-in/live-out matrices and the index to the arena. [t]

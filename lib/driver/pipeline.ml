@@ -80,7 +80,7 @@ let stream_passes_in pool ?(check = false) ?window ?obs ?cache ~producer
     match cache with Some c -> Cache.stats c | None -> Cache.zero_stats
   in
   let task f =
-    let o = Option.map (fun o -> Obs.create ~work:(Obs.counts_work o) ()) obs in
+    let o = Option.map (fun _ -> Obs.create ()) obs in
     let fresh () =
       Pass.run ~check ~scratch:(Support.Scratch.domain ()) ?obs:o passes f
     in

@@ -123,17 +123,17 @@ type t = {
   mutable span_order : string list;  (* reverse first-seen order *)
   extra_acc : (string, int ref) Hashtbl.t;
   mutable extra_order : string list;  (* reverse first-seen order *)
-  work : bool;  (* takes the work counters *)
+  work_acc : (string, int ref) Hashtbl.t;  (* never printed *)
 }
 
-let create ?(work = false) () =
+let create () =
   {
     counts = Array.make num_counters 0;
     span_acc = Hashtbl.create 8;
     span_order = [];
     extra_acc = Hashtbl.create 8;
     extra_order = [];
-    work;
+    work_acc = Hashtbl.create 2;
   }
 
 let incr t c =
@@ -169,8 +169,13 @@ let add_extra t name n =
     Hashtbl.add t.extra_acc name (ref n);
     t.extra_order <- name :: t.extra_order
 
-let counts_work t = t.work
-let add_work t name n = if t.work then add_extra t name n
+let add_work t name n =
+  match Hashtbl.find_opt t.work_acc name with
+  | Some r -> r := !r + n
+  | None -> Hashtbl.add t.work_acc name (ref n)
+
+let work t name =
+  match Hashtbl.find_opt t.work_acc name with Some r -> !r | None -> 0
 
 let merge ~into src =
   Array.iteri (fun i v -> into.counts.(i) <- into.counts.(i) + v) src.counts;
@@ -179,14 +184,16 @@ let merge ~into src =
     (List.rev src.span_order);
   List.iter
     (fun n -> add_extra into n !(Hashtbl.find src.extra_acc n))
-    (List.rev src.extra_order)
+    (List.rev src.extra_order);
+  Hashtbl.iter (fun n r -> add_work into n !r) src.work_acc
 
 let reset t =
   Array.fill t.counts 0 num_counters 0;
   Hashtbl.reset t.span_acc;
   t.span_order <- [];
   Hashtbl.reset t.extra_acc;
-  t.extra_order <- []
+  t.extra_order <- [];
+  Hashtbl.reset t.work_acc
 
 let extras t =
   List.rev_map (fun n -> (n, !(Hashtbl.find t.extra_acc n))) t.extra_order

@@ -61,10 +61,8 @@ val counter_name : counter -> string
 type t
 (** A recorder. Owned by one domain at a time. *)
 
-val create : ?work:bool -> unit -> t
-(** Fresh recorder, all counters zero, no spans. With [~work:true] it
-    also takes the work counters ({!add_work}); by default it ignores
-    them. *)
+val create : unit -> t
+(** Fresh recorder, all counters zero, no spans. *)
 
 val incr : t -> counter -> unit
 val add : t -> counter -> int -> unit
@@ -95,20 +93,22 @@ val add_extra : t -> string -> int -> unit
     stay comparable. *)
 
 val add_work : t -> string -> int -> unit
-(** Add to a named {e work} counter: an extra ({!add_extra}) that counts a
-    layer's inner work — ["liveness_solves"] and
-    ["definite_assignment_solves"], the dataflow solves a compile runs.
-    Only a recorder created with [~work:true] records it, so the
-    recorders behind reports, golden files and serve statistics never
-    carry one. *)
+(** Add to a named {e work} counter, which counts a layer's inner work
+    for tests to read with {!work}. Work counters stay out of {!counters},
+    {!extras}, snapshots and JSON, so no report, golden file or serve
+    statistic carries one. Two exist: ["liveness_solves"], the
+    [Analysis.Liveness.compute_into] solves given this recorder plus the
+    pass manager's strictness verdicts, and
+    ["definite_assignment_solves"], the [Ir.Validate.run_cfg] solves
+    given it. A solve made without the recorder (the register allocator's,
+    the graph coalescers', lowering's) is not counted. *)
 
-val counts_work : t -> bool
-(** Whether the recorder takes the work counters: a parallel driver gives
-    each task's private recorder the same setting. *)
+val work : t -> string -> int
+(** A work counter's value; 0 when never charged. *)
 
 val merge : into:t -> t -> unit
-(** Add every counter, extra and span of the source recorder into [into].
-    The source is left untouched. *)
+(** Add every counter, extra, work counter and span of the source
+    recorder into [into]. The source is left untouched. *)
 
 val reset : t -> unit
 

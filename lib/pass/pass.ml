@@ -317,10 +317,11 @@ type report = {
    graph, and otherwise the tree the input facts carried is the candidate,
    under the same test. The input's and the outputs' verdicts are
    [Analysis.Facts.checked]: structure, then strictness from a liveness
-   solve, and the definite-assignment solve only on a failed verdict or a
-   φ. This runner owns each liveness it obtains: the input's goes back to
-   the arena when the pass it was handed to returns, an output's right
-   after the verdict. Facts stay local to this run. *)
+   solve, and the definite-assignment solve only on a failed verdict. An
+   input with a φ goes to the full validator instead; outputs of those
+   shapes are φ-free. This runner owns each liveness it obtains: the
+   input's goes back to the arena when the pass it was handed to returns,
+   an output's right after the verdict. Facts stay local to this run. *)
 let run ?(check = false) ?scratch ?obs passes input =
   (match Pipeline.validate passes with
   | Ok () -> ()
@@ -328,20 +329,29 @@ let run ?(check = false) ?scratch ?obs passes input =
   (* The input contract (the paper's Section 2): a strict, φ-free CFG.
      Breaking it is the caller's error, not a compiler fault. *)
   let input_facts =
-    match Analysis.Facts.checked ?obs input with
-    | Ok facts -> facts
-    | Error errs -> raise (Ir.Validate.Invalid (Ir.Validate.render errs))
-  in
-  Array.iter
-    (fun (b : Ir.block) ->
-      if b.phis <> [] then
+    let refuse errs = raise (Ir.Validate.Invalid (Ir.Validate.render errs)) in
+    match
+      Array.find_opt
+        (fun (b : Ir.block) -> b.phis <> [])
+        (input : Ir.func).blocks
+    with
+    | Some b -> (
+      (* With a φ the liveness verdict may differ from definite
+         assignment's, so the validator decides before the φ is refused. *)
+      match Ir.Validate.run_cfg ?obs input with
+      | Error errs -> refuse errs
+      | Ok _ ->
         raise
           (Ir.Validate.Invalid
              (Printf.sprintf
                 "%s/b%d: phi-node in the input; a pipeline takes a phi-free \
                  CFG"
                 input.name b.label)))
-    input.blocks;
+    | None -> (
+      match Analysis.Facts.checked ?obs input with
+      | Ok facts -> facts
+      | Error errs -> refuse errs)
+  in
   let ctx = { input; scratch; obs; check } in
   let span name f =
     match obs with Some o -> Obs.span o name f | None -> f ()

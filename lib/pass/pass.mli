@@ -174,18 +174,20 @@ val run :
     after it. Facts never enter the report. The input must be a strict,
     φ-free CFG (the coalescer is only correct on SSA built from one): a
     function that fails {!Ir.Validate.run} or carries a φ-node raises
-    {!Ir.Validate.Invalid}. The input and every conversion or finishing
-    output are checked by {!Analysis.Facts.checked}: strictness from a
-    liveness solve, with the definite-assignment solve only on a failed
-    verdict or a φ (where the two verdicts may differ), so every refusal
-    carries {!Ir.Validate.run}'s errors. This function owns every
-    liveness it obtains: the input's goes back to the domain's arena when
-    the construction returns, an output's right after its verdict. A pass
-    whose output fails its shape's validator raises [Failure] naming the
-    pass — a compiler fault, not an input error. With [check], the deferred audits and
-    the {!Check.equiv_exn} of output against input (ignoring every
-    pass's [ignore_arrays]) run inside a final ["check"] span —
-    behaviourally identical to the historical hand-written driver. *)
+    {!Ir.Validate.Invalid}. A φ-free input and every conversion or
+    finishing output are checked by {!Analysis.Facts.checked}: strictness
+    from a liveness solve, with the definite-assignment solve only on a
+    failed verdict, so every refusal carries {!Ir.Validate.run}'s errors.
+    An input with a φ, where the two verdicts may differ, goes to
+    {!Ir.Validate.run_cfg}, whose errors come before the φ's refusal.
+    This function owns every liveness it obtains: the input's goes back to
+    the domain's arena when the construction returns, an output's right
+    after its verdict. A pass whose output fails its shape's validator
+    raises [Failure] naming the pass — a compiler fault, not an input
+    error. With [check], the deferred audits and the {!Check.equiv_exn}
+    of output against input (ignoring every pass's [ignore_arrays]) run
+    inside a final ["check"] span — behaviourally identical to the
+    historical hand-written driver. *)
 
 (** {1 Registry and spec parsing} *)
 

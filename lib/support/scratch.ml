@@ -3,7 +3,6 @@ type stats = {
   bitset_misses : int;
   array_hits : int;
   array_misses : int;
-  held_words : int;
 }
 
 type t = {
@@ -147,27 +146,12 @@ let release_int_array t a =
   if List.length free < max_free_per_key then
     Hashtbl.replace t.arrays n (a :: free)
 
-(* Heap words of the pooled buffers, each with its header; counted when
-   asked, so pooling costs nothing for it. *)
-let held_words t =
-  let w = Sys.word_size / 8 in
-  let bytes n = 1 + ((n + w) / w) in
-  let array a = if Array.length a = 0 then 0 else 1 + Array.length a in
-  let sum f l = List.fold_left (fun acc x -> acc + f x) 0 l in
-  Hashtbl.fold
-    (fun _ l acc -> acc + sum (fun b -> 4 + bytes (Bitset.memory_bytes b)) l)
-    t.bitsets 0
-  + sum (fun b -> bytes (Bytes.length b)) t.buffers
-  + Hashtbl.fold (fun _ l acc -> acc + sum array l) t.arrays 0
-  + Array.fold_left (fun acc a -> acc + array a) 0 t.ints
-
 let stats t =
   {
     bitset_hits = t.bitset_hits;
     bitset_misses = t.bitset_misses;
     array_hits = t.array_hits;
     array_misses = t.array_misses;
-    held_words = held_words t;
   }
 
 let clear t =

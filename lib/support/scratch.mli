@@ -70,14 +70,10 @@ type stats = {
   bitset_misses : int;  (** bitset and matrix acquisitions that had to allocate *)
   array_hits : int;
   array_misses : int;
-  held_words : int;
-      (** heap words of the buffers the arena holds now, headers included *)
 }
 
 val stats : t -> stats
-(** Hit/miss counts since creation (or the last {!clear}), and the words
-    the pools hold, counted by walking them. Read only the calling
-    domain's arena. *)
+(** Hit/miss counts since creation (or the last {!clear}). *)
 
 val clear : t -> unit
 (** Drop every pooled buffer (they become garbage) and reset the stats. *)

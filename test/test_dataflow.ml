@@ -465,8 +465,6 @@ let test_door_refusal_text () =
         (Lazy.force wide_raw_cfgs));
   checkb "inputs were refused" true (!refused > 1000)
 
-let work obs name = Option.value ~default:0 (List.assoc_opt name (Obs.extras obs))
-
 (* A raw CFG whose unreachable block b4 has a φ keyed by the entry: its
    argument is live out of the entry, so the liveness verdict refuses a
    function definite assignment accepts. The door sends any input with a
@@ -477,43 +475,44 @@ let test_phi_guard () =
   checkb "definite assignment accepts it" true (Ir.Validate.run f = []);
   checkb "the liveness verdict refuses it" false
     (Liveness.strict (Liveness.compute f (Ir.Cfg.of_func f)) f);
-  let obs = Obs.create ~work:true () in
+  let obs = Obs.create () in
   Alcotest.(check (option string))
     "refused for its phis"
     (Some "raw/b1: phi-node in the input; a pipeline takes a phi-free CFG")
     (match Pass.run ~obs new_pipeline f with
     | _ -> None
     | exception Ir.Validate.Invalid msg -> Some msg);
-  checki "the full solve ran" 1 (work obs "definite_assignment_solves");
-  checki "no liveness solve ran" 0 (work obs "liveness_solves")
+  checki "the full solve ran" 1 (Obs.work obs "definite_assignment_solves");
+  checki "no liveness solve ran" 0 (Obs.work obs "liveness_solves")
 
 (* The solves a New compile runs, counted: on a valid input one liveness
    solve for the input's verdict (handed to pruned construction), one for
    the coalescer and one for the output's verdict, and no definite
-   assignment; a refused input adds the full solve to its verdict. An
-   ordinary recorder counts no work. *)
+   assignment; a refused input adds the full solve to its verdict. The
+   counts never reach the recorder's printed counters. *)
 let test_solves_per_compile () =
   List.iter
     (fun (e : Workloads.Suite.entry) ->
-      let obs = Obs.create ~work:true () in
+      let obs = Obs.create () in
       ignore (Pass.run ~obs new_pipeline e.func);
-      checki (e.name ^ ": liveness solves") 3 (work obs "liveness_solves");
+      checki (e.name ^ ": liveness solves") 3 (Obs.work obs "liveness_solves");
       checki (e.name ^ ": definite-assignment solves") 0
-        (work obs "definite_assignment_solves"))
+        (Obs.work obs "definite_assignment_solves"))
     (Workloads.Suite.kernels () @ Workloads.Suite.large ());
-  let obs = Obs.create ~work:true () in
+  let obs = Obs.create () in
   (match
      Pass.run ~obs new_pipeline
        (Ir.Parse.func_of_string "func undef(a) {\nb0:\n  r1 := add a, r9\n  ret r1\n}")
    with
   | _ -> Alcotest.fail "a non-strict input compiled"
   | exception Ir.Validate.Invalid _ -> ());
-  checki "refused: liveness solves" 1 (work obs "liveness_solves");
+  checki "refused: liveness solves" 1 (Obs.work obs "liveness_solves");
   checki "refused: definite-assignment solves" 1
-    (work obs "definite_assignment_solves");
+    (Obs.work obs "definite_assignment_solves");
   let obs = Obs.create () in
   ignore (Pass.run ~obs new_pipeline Workloads.Suite.(find_exn "saxpy").func);
-  checkb "an ordinary recorder counts no work" true (Obs.extras obs = [])
+  checki "saxpy: liveness solves" 3 (Obs.work obs "liveness_solves");
+  checkb "work counters stay out of the extras" true (Obs.extras obs = [])
 
 (* The worklist pops of both liveness runs of a New compile (non-SSA input
    for pruned construction, split SSA for the coalescer) on the large

@@ -375,9 +375,8 @@ let retained_words run =
    A domain's scratch arena keeps buffers sized by the largest function
    it has met and pools arrays by length, so without this each sample
    counted whatever arenas its domains happened to grow, which varied from
-   run to run; warmed, the arenas hold the same share in every sample
-   (their words before and after are in the message), and the runs
-   retain the streaming window alone. What the window holds at a sample
+   run to run; warmed, the arenas hold the same share in every sample,
+   and the runs retain the streaming window alone. What the window holds at a sample
    depends on which items are in flight, so each run takes its peak over
    many samples: 20 for the smaller corpus, where every 25th function
    gave 4 and a peak as low as 7k words. *)
@@ -399,12 +398,6 @@ let test_stream_bounded_memory () =
              (fun f ->
                ignore (Pass.run ~scratch:(Scratch.domain ()) new_pipeline f))
              funcs));
-      let arenas () =
-        let held = Array.make (Engine.Pool.jobs pool) 0 in
-        Engine.Pool.run_workers pool (fun i ->
-            held.(i) <- (Scratch.stats (Scratch.domain ())).held_words);
-        Array.fold_left ( + ) 0 held
-      in
       let streaming total =
         retained_words (fun sample ->
             Driver.Pipeline.stream_passes_in pool
@@ -421,17 +414,14 @@ let test_stream_bounded_memory () =
             sample ();
             ignore (Sys.opaque_identity reports))
       in
-      let held0 = arenas () in
       let small = streaming 100 in
       let large = streaming 1000 in
       let mat = materialized 1000 in
-      let held1 = arenas () in
       (* Factor 6, not a tight bound: linear growth would be ~10x. *)
       checkb
         (Printf.sprintf
-           "streaming retention flat across 10x corpus (%d -> %d words; \
-            arenas %d -> %d)"
-           small large held0 held1)
+           "streaming retention flat across 10x corpus (%d -> %d words)"
+           small large)
         true
         (large <= 6 * small);
       checkb
