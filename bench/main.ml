@@ -1,12 +1,13 @@
 (* Benchmark harness: regenerates every table of the paper's evaluation
    (Section 4) plus the extension studies, on the kernel suite described
-   in DESIGN.md. Time columns are Bechamel OLS estimates (one Test.make
-   per measured thunk, wrapped by Harness.Measure); every other column
-   comes from Harness.Pipelines.evaluate, which compiles each route's
-   spec once through the pass manager's door.
+   in DESIGN.md. Every time column comes from [time] below: repeated
+   samples of the monotonic clock on the path a compile runs, reported as
+   the median time per call with the samples' interquartile range. Every
+   other column comes from Harness.Pipelines.evaluate, which compiles
+   each route's spec once through the pass manager's door.
 
    Usage: main.exe [tables|scaling|ablation|passes|metrics|all]
-          main.exe --fast ...     (shorter Bechamel quotas, noisier numbers)
+          main.exe --fast ...     (5 samples per time cell instead of 15)
           main.exe --json ...     (also write bench_main.json in the current
                                    directory: per-target wall times + the
                                    "tables" aggregate rows, machine-readable)
@@ -28,9 +29,44 @@ module P = Harness.Pipelines
 module T = Harness.Tables
 module M = Harness.Measure
 
-let quota = ref 0.25
-
 let kernels () = Workloads.Suite.kernels ()
+
+(* ------------------------------------------------------------------ *)
+(* The one timing method.                                              *)
+(* ------------------------------------------------------------------ *)
+
+(* Samples per time cell; --fast takes 5. *)
+let reps = ref 15
+
+(* A time cell: the median seconds per call over [!reps] samples, and the
+   samples' first and third quartiles (Stats.quartiles, the exclusive
+   method BENCHMARK.json's bounds are stated in). A column total sums each
+   field, so its IQR is the sum of the cells' IQRs. *)
+type cell = { med : float; q1 : float; q3 : float }
+
+let iqr c = c.q3 -. c.q1
+let zero = { med = 0.; q1 = 0.; q3 = 0. }
+let add a b = { med = a.med +. b.med; q1 = a.q1 +. b.q1; q3 = a.q3 +. b.q3 }
+
+(* One untimed warm-up call; then [k] calls per sample, [k] doubled until
+   a sample lasts at least 1 ms, so the clock's resolution stays out of
+   it; then [!reps] samples of [k] calls on the monotonic clock. Nothing
+   collects or compacts the heap in between. *)
+let time f =
+  ignore (Sys.opaque_identity (f ()));
+  let sample k =
+    let t0 = M.now_s () in
+    for _ = 1 to k do
+      ignore (Sys.opaque_identity (f ()))
+    done;
+    M.now_s () -. t0
+  in
+  let rec calls k = if sample k >= 1e-3 then k else calls (2 * k) in
+  let k = calls 1 in
+  let q1, med, q3 =
+    Stats.quartiles (List.init !reps (fun _ -> sample k /. float_of_int k))
+  in
+  { med; q1; q3 }
 
 (* ------------------------------------------------------------------ *)
 (* Extension: O(n·α(n)) scaling of the coalescer itself.               *)
@@ -51,32 +87,32 @@ let scaling () =
           { Workloads.Generator.default with seed = 7; size; num_vars = 12 }
       in
       let ssa = Ssa.Construct.run_exn f in
-      let split = Ir.Edge_split.run ssa in
       let nargs = Ir.count_phi_args ssa in
-      let t_total =
-        M.seconds ~quota_s:!quota
-          ~name:(Printf.sprintf "coalesce/size%d" size)
-          (fun () -> Core.Coalesce.run ssa)
+      let total = time (fun () -> Core.Coalesce.run ssa) in
+      (* The coalescer's own prerequisites: edge split from a fresh CFG,
+         then dominance and liveness solved on the domain's arena and
+         released, as [Core.Coalesce.run] does when handed no facts. *)
+      let prereq =
+        let scratch = Support.Scratch.domain () in
+        time (fun () ->
+            let split, facts =
+              Analysis.Facts.split_critical_edges (Analysis.Facts.of_func ssa)
+                ssa
+            in
+            let dom = Analysis.Dominance.compute_into ~scratch split facts.cfg in
+            let live = Analysis.Liveness.compute_into ~scratch split facts.cfg in
+            Analysis.Liveness.release scratch live;
+            Analysis.Dominance.release scratch dom)
       in
-      let t_prereq =
-        M.seconds ~quota_s:!quota
-          ~name:(Printf.sprintf "prereq/size%d" size)
-          (fun () ->
-            let split = Ir.Edge_split.run ssa in
-            let cfg = Ir.Cfg.of_func split in
-            let dom = Analysis.Dominance.compute split cfg in
-            let live = Analysis.Liveness.compute split cfg in
-            (dom, live))
-      in
-      ignore split;
-      let t_algo = Float.max 0.0 (t_total -. t_prereq) in
+      let t_algo = Float.max 0.0 (total.med -. prereq.med) in
       rows :=
         [
           string_of_int size;
           string_of_int (Ir.num_blocks ssa);
           string_of_int nargs;
-          T.fmt_seconds t_total;
-          T.fmt_seconds t_prereq;
+          T.fmt_seconds total.med;
+          T.fmt_seconds (iqr total);
+          T.fmt_seconds prereq.med;
           T.fmt_seconds t_algo;
           (if nargs = 0 then "-"
            else Printf.sprintf "%.0fns" (t_algo *. 1e9 /. float_of_int nargs));
@@ -89,8 +125,8 @@ let scaling () =
        dominance prerequisites the paper assumes (flat last column = the \
        O(n a(n)) claim)"
     ~header:
-      [ "gen size"; "blocks"; "phi args"; "total"; "prereq"; "algorithm";
-        "algo/arg" ]
+      [ "gen size"; "blocks"; "phi args"; "total"; "total IQR"; "prereq";
+        "algorithm"; "algo/arg" ]
     (List.rev !rows)
 
 (* ------------------------------------------------------------------ *)
@@ -106,7 +142,7 @@ let ablation () =
         { Core.Coalesce.default_options with victim_heuristic = false } );
     ]
   in
-  let sums = List.map (fun (n, _) -> (n, ref 0, ref 0.0)) variants in
+  let sums = List.map (fun (n, _) -> (n, ref 0, ref zero)) variants in
   List.iter
     (fun (e : Workloads.Suite.entry) ->
       let ssa = Ssa.Construct.run_exn e.func in
@@ -118,10 +154,7 @@ let ablation () =
           then failwith ("ablation " ^ vname ^ " broke " ^ e.name);
           copies_sum := !copies_sum + Ir.count_copies out;
           time_sum :=
-            !time_sum
-            +. M.seconds ~quota_s:(!quota /. 2.)
-                 ~name:(e.name ^ "/" ^ vname)
-                 (fun () -> Core.Coalesce.run ~options ssa))
+            add !time_sum (time (fun () -> Core.Coalesce.run ~options ssa)))
         variants sums)
     (kernels ());
   (* SSA pruning flavours as input to New: the paper predicts extra copies
@@ -144,29 +177,20 @@ let ablation () =
   in
   T.print
     ~title:"Ablation: coalescer variants (totals over the whole suite)"
-    ~header:[ "variant"; "static copies"; "total time" ]
+    ~header:[ "variant"; "static copies"; "total time"; "IQR" ]
     (List.map
-       (fun (n, c, t) -> [ n; string_of_int !c; T.fmt_seconds !t ])
+       (fun (n, c, t) ->
+         [ n; string_of_int !c; T.fmt_seconds !t.med; T.fmt_seconds (iqr !t) ])
        sums
-    @ [
-        [ "pruned SSA input"; string_of_int (pruning_copies Ssa.Construct.Pruned); "" ];
+    @ List.map
+        (fun (name, copies) -> [ name; string_of_int copies; ""; "" ])
         [
-          "semi-pruned input";
-          string_of_int (pruning_copies Ssa.Construct.Semi_pruned);
-          "";
-        ];
-        [ "minimal input"; string_of_int (pruning_copies Ssa.Construct.Minimal); "" ];
-        [
-          "semi-pruned + DCE";
-          string_of_int (pruning_copies_dce Ssa.Construct.Semi_pruned);
-          "";
-        ];
-        [
-          "minimal + DCE";
-          string_of_int (pruning_copies_dce Ssa.Construct.Minimal);
-          "";
-        ];
-      ])
+          ("pruned SSA input", pruning_copies Ssa.Construct.Pruned);
+          ("semi-pruned input", pruning_copies Ssa.Construct.Semi_pruned);
+          ("minimal input", pruning_copies Ssa.Construct.Minimal);
+          ("semi-pruned + DCE", pruning_copies_dce Ssa.Construct.Semi_pruned);
+          ("minimal + DCE", pruning_copies_dce Ssa.Construct.Minimal);
+        ])
 
 (* ------------------------------------------------------------------ *)
 (* Extension: pass-manager pipelines — what the optimizing SSA passes
@@ -189,7 +213,7 @@ let pass_pipelines () =
     List.map
       (fun spec ->
         let copies = ref 0 in
-        let time = ref 0.0 in
+        let total = ref zero in
         List.iter
           (fun (e : Workloads.Suite.entry) ->
             let r = P.compile_spec spec e.func in
@@ -197,20 +221,19 @@ let pass_pipelines () =
             if not (Interp.equivalent reference (Interp.run ~args:e.args r.output))
             then failwith ("pipeline " ^ spec ^ " broke " ^ e.name);
             copies := !copies + Ir.count_copies r.output;
-            time :=
-              !time
-              +. M.seconds ~quota_s:(!quota /. 2.)
-                   ~name:(e.name ^ "/" ^ spec)
-                   (fun () -> P.compile_spec spec e.func))
+            total := add !total (time (fun () -> P.compile_spec spec e.func)))
           (kernels ());
-        [ spec; string_of_int !copies; T.fmt_seconds !time ])
+        [
+          spec; string_of_int !copies; T.fmt_seconds !total.med;
+          T.fmt_seconds (iqr !total);
+        ])
       specs
   in
   T.print
     ~title:
       "Pass-manager pipelines (totals over the whole suite; specs as \
        accepted by repro-cli opt --passes)"
-    ~header:[ "pipeline"; "static copies"; "total time" ]
+    ~header:[ "pipeline"; "static copies"; "total time"; "IQR" ]
     rows
 
 (* ------------------------------------------------------------------ *)
@@ -219,10 +242,12 @@ let pass_pipelines () =
    (Briggs and Briggs* make the same decisions on every routine; summed
    over the suite Briggs* needs at least 10x less peak graph memory).
    This adds the clocks, timing the registry's own passes on the door's
-   snapshots: construction once per routine, each route's conversion
-   pass alone on the "ssa" snapshot (Table 2), and each graph coalescer
-   on the Standard instantiation (Table 1). No model runs in a timed
-   thunk. Tables 1-3 cover the kernels and the large routines, which
+   snapshots: construction once per routine, handed no facts, so it
+   builds its own CFG and liveness; each route's conversion pass alone on
+   the "ssa" snapshot, handed what Pass.run hands a conversion: the SSA
+   validator's facts and the domain's arena (Table 2); and each graph
+   coalescer on the Standard instantiation (Table 1). No model runs in a
+   timed thunk. Tables 1-3 cover the kernels and the large routines, which
    stand in for the paper's largest inputs (fpppp, twldrv were thousands
    of lines): the quadratic graph costs only separate from the linear
    coalescer at size. Tables 4-5 and the k=8 allocation rows cover the
@@ -232,7 +257,7 @@ let pass_pipelines () =
 type tables_row = {
   tr_name : string;
   tr_spec : string;
-  tr_convert_s : float;  (* summed OLS estimates, kernels+large *)
+  tr_convert : cell;  (* summed per-routine cells, kernels+large *)
   tr_copies_inserted : int;
   tr_copies_eliminated : int;
   tr_static_copies : int;
@@ -250,41 +275,46 @@ type tables_row = {
 let tables_registers = 8
 let tables_results : tables_row list ref = ref []
 let tables_memory_ratio = ref 0.0
-let tables_construct_s = ref 0.0
+let tables_construct = ref zero
 
 type timing = {
-  construct_s : float;
-  convert_s : (P.pipeline * float) list;  (* from the ssa snapshot *)
-  briggs_s : float;  (* Ig_coalesce.run on the instantiation *)
-  briggs_star_s : float;
+  construct : cell;
+  convert : (P.pipeline * cell) list;  (* from the ssa snapshot *)
+  briggs : cell;  (* Ig_coalesce.run on the instantiation *)
+  briggs_star : cell;
 }
 
 let time_routine (t : P.routine) =
-  let time what f =
-    M.seconds ~quota_s:!quota ~name:(t.entry.name ^ "/" ^ what) f
-  in
   let ctx =
-    { Pass.input = t.entry.func; scratch = None; obs = None; check = false }
+    {
+      Pass.input = t.entry.func;
+      scratch = Some (Support.Scratch.domain ());
+      obs = None;
+      check = false;
+    }
   in
-  (* The registry's own pass of [shape] in the route's spec, on [f],
-     handed no facts: it builds the CFG it needs itself. *)
-  let run p shape f =
+  (* What the door's SSA validator handed the conversion (it passed this
+     snapshot). No pass changes facts (edge splitting returns fresh
+     arrays), so one value serves every call. *)
+  let ssa_facts = Some (Result.get_ok (Ssa.Ssa_validate.run_facts t.ssa)) in
+  (* The registry's own pass of [shape] in the route's spec, on [f]. *)
+  let run p shape facts f =
     let pass =
       List.find
         (fun (q : Pass.t) -> q.shape = shape)
         (Pass.Spec.parse_exn (P.spec_of p))
     in
-    fun () -> pass.run ctx None f
+    fun () -> pass.run ctx facts f
   in
-  let graph what variant =
-    time what (fun () -> Baseline.Ig_coalesce.run ~variant t.instantiation)
+  let graph variant =
+    time (fun () -> Baseline.Ig_coalesce.run ~variant t.instantiation)
   in
   {
-    construct_s = time "construct" (run P.New Pass.Construct t.entry.func);
-    convert_s =
-      List.map (fun p -> (p, time (P.name p) (run p Pass.Conversion t.ssa))) P.all;
-    briggs_s = graph "ig/briggs" Baseline.Ig_coalesce.Briggs;
-    briggs_star_s = graph "ig/briggs*" Baseline.Ig_coalesce.Briggs_star;
+    construct = time (run P.New Pass.Construct None t.entry.func);
+    convert =
+      List.map (fun p -> (p, time (run p Pass.Conversion ssa_facts t.ssa))) P.all;
+    briggs = graph Baseline.Ig_coalesce.Briggs;
+    briggs_star = graph Baseline.Ig_coalesce.Briggs_star;
   }
 
 let ratio a b = if b = 0 then 1.0 else float_of_int a /. float_of_int b
@@ -323,7 +353,7 @@ let print_table1 routines timing =
   let rows =
     List.map
       (fun (t : P.routine) ->
-        let tb = (timing t).briggs_s and ts = (timing t).briggs_star_s in
+        let tb = (timing t).briggs.med and ts = (timing t).briggs_star.med in
         ( tb /. ts,
           t.entry.name :: T.fmt_seconds tb :: T.fmt_seconds ts
           :: T.fmt_ratio (tb /. ts)
@@ -337,8 +367,8 @@ let print_table1 routines timing =
   in
   T.print
     ~title:
-      "Table 1: interference-graph coalescers -- time and graph memory \
-       (first/second build pass)"
+      "Table 1: interference-graph coalescers -- median time and graph \
+       memory (first/second build pass)"
     ~header:
       [
         "File"; "Briggs t"; "Briggs* t"; "t ratio"; "B mem p1"; "B* mem p1";
@@ -358,8 +388,9 @@ let print_table1 routines timing =
 let print_table2 routines timing =
   per_routine
     ~title:
-      "Table 2: SSA-to-CFG conversion times (from SSA form; SSA \
-       construction in its own column)"
+      "Table 2: SSA-to-CFG conversion times, medians (from SSA form, \
+       handed the validator's facts; SSA construction, handed none, in its \
+       own column)"
     ~header:
       [
         "File"; "SSA"; "Standard"; "New"; "Briggs"; "Briggs*"; "New/Std";
@@ -368,8 +399,8 @@ let print_table2 routines timing =
     routines
     (fun t ->
       let tm = timing t in
-      let c p = List.assoc p tm.convert_s in
-      ( T.fmt_seconds tm.construct_s :: List.map (fun p -> T.fmt_seconds (c p)) P.all,
+      let c p = (List.assoc p tm.convert).med in
+      ( T.fmt_seconds tm.construct.med :: List.map (fun p -> T.fmt_seconds (c p)) P.all,
         [ c P.New /. c P.Standard; c P.New /. c P.Briggs_star ] ))
 
 let print_table3 routines =
@@ -443,8 +474,8 @@ let aggregate_row ~all ~kernels timing p =
   {
     tr_name = P.name p;
     tr_spec = P.spec_of p;
-    tr_convert_s =
-      List.fold_left (fun acc t -> acc +. List.assoc p (timing t).convert_s) 0.0 all;
+    tr_convert =
+      List.fold_left (fun acc t -> add acc (List.assoc p (timing t).convert)) zero all;
     tr_copies_inserted = on all (fun r -> r.copies_inserted);
     tr_copies_eliminated = on all (fun r -> r.copies_eliminated);
     tr_static_copies = on all (fun r -> r.static_copies);
@@ -464,20 +495,24 @@ let print_aggregates rows =
   T.print
     ~title:
       (Printf.sprintf
-         "Tables 1-3 aggregate: conversion time, copies and peak graph \
-          size per pipeline (kernels + large; SSA construction %s in all; \
-          Briggs/Briggs* peak-memory ratio %.0fx)"
-         (T.fmt_seconds !tables_construct_s) !tables_memory_ratio)
+         "Tables 1-3 aggregate: conversion time (sum of medians and of \
+          IQRs), copies and peak graph size per pipeline (kernels + large; \
+          SSA construction %s, IQR %s, in all; Briggs/Briggs* peak-memory \
+          ratio %.0fx)"
+         (T.fmt_seconds !tables_construct.med)
+         (T.fmt_seconds (iqr !tables_construct))
+         !tables_memory_ratio)
     ~header:
       [
-        "pipeline"; "conv t"; "ins"; "elim"; "static"; "IG rounds";
+        "pipeline"; "conv t"; "IQR"; "ins"; "elim"; "static"; "IG rounds";
         "IG peak nodes"; "IG peak edges"; "IG peak bytes";
       ]
     (List.map
        (fun r ->
          [
            r.tr_name;
-           T.fmt_seconds r.tr_convert_s;
+           T.fmt_seconds r.tr_convert.med;
+           T.fmt_seconds (iqr r.tr_convert);
            string_of_int r.tr_copies_inserted;
            string_of_int r.tr_copies_eliminated;
            string_of_int r.tr_static_copies;
@@ -535,8 +570,8 @@ let tables () =
   print_allocation kernels;
   tables_results := List.map (aggregate_row ~all ~kernels timing) P.all;
   tables_memory_ratio := ev.memory_ratio;
-  tables_construct_s :=
-    List.fold_left (fun acc t -> acc +. (timing t).construct_s) 0.0 all;
+  tables_construct :=
+    List.fold_left (fun acc t -> add acc (timing t).construct) zero all;
   print_aggregates !tables_results
 
 (* ------------------------------------------------------------------ *)
@@ -558,11 +593,14 @@ let emit_json ~path ~fast timings =
   let oc = open_out path in
   let out fmt = Printf.fprintf oc fmt in
   out "{\n";
-  (* repro-bench/4: convert_s times the conversion pass alone, from SSA
-     form; construct_s is SSA construction, once per routine. *)
-  out "  \"schema\": \"repro-bench/4\",\n";
+  (* repro-bench/5: convert_s sums, over the routines, the median time of
+     the conversion pass alone, from SSA form and handed the validator's
+     facts; construct_s sums SSA construction's medians, once per routine.
+     Each _iqr_s beside them sums the same cells' interquartile ranges,
+     over [reps] samples per cell. *)
+  out "  \"schema\": \"repro-bench/5\",\n";
   out "  \"fast\": %b,\n" fast;
-  out "  \"quota_s\": %g,\n" !quota;
+  out "  \"reps\": %d,\n" !reps;
   out "  \"targets\": [\n";
   List.iteri
     (fun i (name, wall_s) ->
@@ -573,19 +611,21 @@ let emit_json ~path ~fast timings =
   out "  \"tables\": {\n";
   out "    \"registers\": %d,\n" tables_registers;
   out "    \"briggs_star_memory_ratio\": %.2f,\n" !tables_memory_ratio;
-  out "    \"construct_s\": %.6f,\n" !tables_construct_s;
+  out "    \"construct_s\": %.6f,\n" !tables_construct.med;
+  out "    \"construct_iqr_s\": %.6f,\n" (iqr !tables_construct);
   out "    \"rows\": [\n";
   let tr = !tables_results in
   List.iteri
     (fun i r ->
       out
         "      {\"pipeline\": %S, \"spec\": %S, \"convert_s\": %.6f, \
-         \"copies_inserted\": %d, \"copies_eliminated\": %d, \
+         \"convert_iqr_s\": %.6f, \"copies_inserted\": %d, \"copies_eliminated\": %d, \
          \"static_copies\": %d, \"dynamic_copies\": %d, \"ig_rounds\": %d, \
          \"ig_peak_nodes\": %d, \"ig_peak_edges\": %d, \"ig_peak_bytes\": \
          %d, \"spilled_ranges\": %d, \"spill_loads\": %d, \"spill_stores\": \
          %d, \"colors_max\": %d}%s\n"
-        r.tr_name r.tr_spec r.tr_convert_s r.tr_copies_inserted
+        r.tr_name r.tr_spec r.tr_convert.med (iqr r.tr_convert)
+        r.tr_copies_inserted
         r.tr_copies_eliminated r.tr_static_copies r.tr_copies_executed
         r.tr_ig_rounds r.tr_ig_peak_nodes r.tr_ig_peak_edges
         r.tr_ig_peak_bytes r.tr_spilled_ranges r.tr_spill_loads
@@ -608,7 +648,7 @@ let () =
   let args = Array.to_list Sys.argv |> List.tl in
   let fast = List.mem "--fast" args in
   let json = List.mem "--json" args in
-  if fast then quota := 0.05;
+  if fast then reps := 5;
   let args = List.filter (fun a -> a <> "--fast" && a <> "--json") args in
   let what =
     List.concat_map

@@ -1000,6 +1000,8 @@ let corpus_compile_cmd =
           { Workloads.Corpus.seed; total; mix = parse_mix mix }
     in
     let pipeline = Pass.Spec.parse_exn "construct:pruned,coalesce" in
+    (* Compact first, so the watch's baseline is the residual live set. *)
+    Gc.compact ();
     let watch = Harness.Measure.heap_watch () in
     let compiled = ref 0 in
     let (), dt =

@@ -293,7 +293,10 @@ let analyze ~options ~scratch ~(facts : Analysis.Facts.t) ?obs (f : Ir.func) :
      an (effective) leaf. Otherwise the parent must go: any interference it
      had with a deeper member implied this very (parent, child) pair.
      Pairs are processed in discovery (DFS) order so ancestors fall before
-     their descendants' pairs are consulted. *)
+     their descendants' pairs are consulted. By the same lemma a pair whose
+     child the forest walk has since detached is still answered while the
+     child has attached descendants: the parent's interference with them
+     implies this pair, and no other check covers it. The parent goes. *)
   let rec has_attached_descendant (n : DF.node) =
     List.exists
       (fun (c : DF.node) -> (not detached.(c.var)) || has_attached_descendant c)
@@ -311,7 +314,10 @@ let analyze ~options ~scratch ~(facts : Analysis.Facts.t) ?obs (f : Ir.func) :
   Scratch.release_bitset scratch local_buf;
   Array.iteri
     (fun k (pvar, (c : DF.node)) ->
-      if (not detached.(pvar)) && not detached.(c.var) then begin
+      if
+        (not detached.(pvar))
+        && ((not detached.(c.var)) || has_attached_descendant c)
+      then begin
         oincr Obs.Local_interference_checks;
         if live_after.(k) then begin
           let victim =
@@ -499,10 +505,8 @@ let rewrite ~cfg ?obs (f : Ir.func) (a : analysis) =
   in
   ({ f with params; blocks; nregs = !next; names }, !copies, temps)
 
-let run ?(options = default_options) ?scratch ?facts ?obs (f : Ir.func) =
-  let scratch =
-    match scratch with Some s -> s | None -> Scratch.create ()
-  in
+let run ?(options = default_options) ?(scratch = Scratch.domain ()) ?facts ?obs
+    (f : Ir.func) =
   let f, facts =
     Analysis.Facts.split_critical_edges ?obs (Analysis.Facts.or_build facts f) f
   in
@@ -530,4 +534,4 @@ let congruence_classes ?(options = default_options) (f : Ir.func) =
   let f, facts =
     Analysis.Facts.split_critical_edges (Analysis.Facts.of_func f) f
   in
-  (analyze ~options ~scratch:(Scratch.create ()) ~facts f).final_classes
+  (analyze ~options ~scratch:(Scratch.domain ()) ~facts f).final_classes

@@ -70,10 +70,11 @@ val run :
     returns them; without them the CFG is built here. Edge splitting
     updates the CFG (and a carried tree) to the split function rather than
     rebuilding it, and the analysis and rewrite halves share the result.
-    When [scratch] is given, every analysis buffer (liveness vectors,
-    dominator numberings unless a tree is carried, cost table) is acquired
-    from — and released back to — that arena, so repeated calls on one
-    domain stop re-allocating; results are identical either way. The
+    Every analysis buffer (liveness vectors, dominator numberings unless a
+    tree is carried, cost table) is acquired from — and released back to —
+    [scratch], by default the calling domain's arena
+    ({!Support.Scratch.domain}), so repeated calls on one domain stop
+    re-allocating; results are identical whichever arena is used. The
     arena must belong to the calling domain.
 
     When [obs] is given, every phase charges its operation counts to it:

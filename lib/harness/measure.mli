@@ -1,19 +1,13 @@
-(** Timing helpers built on Bechamel's monotonic clock.
+(** Clock readings and heap high-water sampling for the benches and the
+    CLI's throughput lines.
 
-    The paper's time columns are per-routine conversion times; we estimate
-    each with Bechamel's OLS fit over growing iteration counts, which is far
-    more stable than a single wall-clock sample at these (sub-millisecond)
-    scales. *)
-
-val ns_per_run : ?quota_s:float -> name:string -> (unit -> 'a) -> float
-(** Estimated nanoseconds per call of the thunk. *)
-
-val seconds : ?quota_s:float -> name:string -> (unit -> 'a) -> float
-(** {!ns_per_run} in seconds. *)
+    Every time in the repository comes from {!now_s}, the monotonic clock
+    behind {!Obs.now_s}. The paper's tables take repeated samples of it
+    and report the median and quartiles ([bench/main.ml]); the repository
+    benchmark does the same per item ([bench/e2e]). *)
 
 val now_s : unit -> float
-(** Monotonic clock reading in seconds, for coarse wall-clock spans
-    (throughput runs, per-table timings). *)
+(** Monotonic clock reading in seconds. *)
 
 val wall : (unit -> 'a) -> 'a * float
 (** [wall f] runs [f] once and returns its result with the elapsed wall
@@ -30,8 +24,9 @@ val wall : (unit -> 'a) -> 'a * float
 type heap_watch
 
 val heap_watch : unit -> heap_watch
-(** Compact the heap (so the baseline is the residual live set, not the
-    previous phase's garbage) and start watching. *)
+(** Start watching from the current heap size. A caller that wants the
+    baseline to be the residual live set, not the previous phase's
+    garbage, compacts the heap first. *)
 
 val heap_sample : heap_watch -> unit
 (** Fold the current heap size into the high-water mark. Call wherever
@@ -42,5 +37,5 @@ val heap_peak_words : heap_watch -> int
     watch was created. *)
 
 val heap_growth_words : heap_watch -> int
-(** {!heap_peak_words} minus the post-compaction baseline — the watch's
-    own allocation high-water, robust to whatever was live before it. *)
+(** {!heap_peak_words} minus the baseline — the watch's own allocation
+    high-water, robust to whatever was live before it. *)

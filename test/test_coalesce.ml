@@ -157,6 +157,38 @@ let prop_options_preserve_semantics =
           { Core.Coalesce.use_filters = false; victim_heuristic = false };
         ])
 
+(* With both ablations off, a node whose pair with its forest parent was
+   deferred to the local pass can then be detached by the forest walk, as
+   the parent of an interfering child. The local pass must still answer
+   the deferred pair while the detached node has attached descendants: by
+   Lemma 3.1 it is the only check that covers the parent's interference
+   with them. Generator seed 6711 at sizes 45-47 reached it, and so does
+   its shrunk form below, whose output overwrote [n] before branching on
+   it. *)
+let test_both_ablations_off_regression () =
+  let options = { Core.Coalesce.use_filters = false; victim_heuristic = false } in
+  let check name f =
+    let ssa = Ssa.Construct.run_exn f in
+    checkb (name ^ ": classes interference-free") true
+      (Result.is_ok (Check.interference_audit ~options ssa));
+    assert_equiv name f (Core.Coalesce.run_exn ~options ssa)
+  in
+  List.iter
+    (fun size ->
+      check (Printf.sprintf "seed 6711 size %d" size) (random_program 6711 size))
+    [ 45; 46; 47 ];
+  check "shrunk"
+    (Frontend.Lower.compile_one
+       {|
+       func f(n, a) {
+         v0 = n; v7 = v0; v2 = v7;
+         if (0) { } else { v3 = v7; }
+         v7 = (0 % 64); v4 = v7;
+         if (v2) { } else { v4 = v3; }
+         return v4;
+       }
+       |})
+
 let prop_all_prunings_coalesce_correctly =
   QCheck.Test.make ~count:40 ~name:"coalescer correct on all SSA flavours"
     QCheck.(pair (int_bound 10_000) (int_range 10 50))
@@ -262,6 +294,8 @@ let suite =
     QCheck_alcotest.to_alcotest prop_classes_non_interfering;
     QCheck_alcotest.to_alcotest prop_semantics_preserved;
     QCheck_alcotest.to_alcotest prop_options_preserve_semantics;
+    Alcotest.test_case "both ablations off: detached child's subtree" `Quick
+      test_both_ablations_off_regression;
     QCheck_alcotest.to_alcotest prop_all_prunings_coalesce_correctly;
     Alcotest.test_case "stats accounting" `Quick test_stats_accounting;
     Alcotest.test_case "rotation cycle" `Quick test_rotation_cycle_gets_temp;

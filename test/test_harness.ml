@@ -101,12 +101,6 @@ let test_dynamic_copy_count () =
   checkb "new executes fewer copies" true
     (d Harness.Pipelines.New < d Harness.Pipelines.Standard)
 
-let test_measure_smoke () =
-  (* The Bechamel wrapper returns a plausible positive estimate. *)
-  let t = Harness.Measure.seconds ~quota_s:0.02 ~name:"smoke" (fun () -> Sys.opaque_identity (1 + 1)) in
-  checkb "positive" true (t > 0.);
-  checkb "well under a millisecond" true (t < 1e-3)
-
 let suite =
   [
     Alcotest.test_case "fmt_seconds" `Quick test_fmt_seconds;
@@ -119,5 +113,4 @@ let suite =
     Alcotest.test_case "allocated pipelines equiv" `Quick
       test_allocated_pipelines_equiv;
     Alcotest.test_case "dynamic copies helper" `Quick test_dynamic_copy_count;
-    Alcotest.test_case "measure smoke" `Quick test_measure_smoke;
   ]
